@@ -4,9 +4,9 @@ Two independent routes are provided on purpose:
 
 * `apply` expands the input's creation-operator polynomial term by term,
   substituting a_k^dag -> sum_j U[j, k] a_j^dag and collecting monomials.
-* `transition_amplitude` evaluates a single matrix element
-  <t|U|s> = Per(U[t, s]) / sqrt(prod s_i! prod t_j!) with the row/column
-  repeated submatrix, using the Ryser permanent kernel.
+* `transition_amplitude` and `output_distribution` evaluate matrix elements
+  <t|U|s> = Per(U[t, s]) / sqrt(prod s_i! prod t_j!), with U[t, s] the
+  row/column repeated matrix, through the repeated-row Ryser kernel.
 
 They share no code beyond the matrix itself, so they cross-check each other.
 Exact amplitude arithmetic throughout; global phase is never normalized away.
@@ -39,7 +39,18 @@ def _check_matrix(matrix: np.ndarray, mode_count: int | None = None) -> np.ndarr
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     if mode_count is not None and u.shape[0] != mode_count:
         raise ValueError(f"matrix is {u.shape[0]}-mode but the state has {mode_count} modes")
+    if not np.isfinite(u).all():
+        raise ValueError("matrix has non-finite entries")
     return u
+
+
+def _check_occupation(values: Iterable[int], modes: int) -> Occupation:
+    occ = tuple(int(n) for n in values)
+    if len(occ) != modes:
+        raise ValueError("occupation length does not match matrix dimension")
+    if any(n < 0 for n in occ):
+        raise ValueError("occupation numbers must be non-negative")
+    return occ
 
 
 def _check_photon_cap(n: int) -> None:
@@ -101,30 +112,23 @@ class TransitionQuery:
 
 
 def transition_amplitude(query: TransitionQuery) -> complex:
-    """<t|U|s> via the permanent of the row/column repeated submatrix.
+    """<t|U|s> via the permanent of the row/column repeated matrix.
 
     Photon-number mismatch between input and output gives amplitude 0.
     """
     u = _check_matrix(query.matrix)
-    s = tuple(int(n) for n in query.input_occ)
-    t = tuple(int(n) for n in query.output_occ)
-    if len(s) != u.shape[1] or len(t) != u.shape[0]:
-        raise ValueError("occupation length does not match matrix dimension")
-    if any(n < 0 for n in s + t):
-        raise ValueError("occupation numbers must be non-negative")
-    n_in, n_out = sum(s), sum(t)
-    _check_photon_cap(max(n_in, n_out))
-    if n_in != n_out:
+    s = _check_occupation(query.input_occ, u.shape[1])
+    t = _check_occupation(query.output_occ, u.shape[0])
+    _check_photon_cap(max(sum(s), sum(t)))
+    if sum(s) != sum(t):
         return 0j
-    if n_in == 0:
-        return 1.0 + 0j
-    rows = np.repeat(np.arange(u.shape[0]), t)
-    cols = np.repeat(np.arange(u.shape[1]), s)
-    sub = u[np.ix_(rows, cols)]
-    norm = math.sqrt(
-        math.prod(math.factorial(n) for n in s) * math.prod(math.factorial(n) for n in t)
-    )
-    return kernels.permanent(sub) / norm
+    return complex(_amplitudes(u, s, [t])[0])
+
+
+def _amplitudes(u: np.ndarray, s: Occupation, outputs: list[Occupation]) -> np.ndarray:
+    """<t|U|s> for every output t holding as many photons as s."""
+    norms = [math.sqrt(math.prod(map(math.factorial, s + t))) for t in outputs]
+    return kernels.repeated_permanents(u, s, outputs) / norms
 
 
 def amplitude(matrix: np.ndarray, input_occ: Iterable[int], output_occ: Iterable[int]) -> complex:
@@ -135,14 +139,11 @@ def amplitude(matrix: np.ndarray, input_occ: Iterable[int], output_occ: Iterable
 def output_distribution(matrix: np.ndarray, input_occ: Iterable[int]) -> dict[Occupation, float]:
     """|<t|U|s>|^2 over the full output sector, via the permanent route."""
     u = _check_matrix(matrix)
-    s = tuple(int(n) for n in input_occ)
+    s = _check_occupation(input_occ, u.shape[1])
     _check_photon_cap(sum(s))
-    dist: dict[Occupation, float] = {}
-    for t in basis_occupations(sum(s), u.shape[0]):
-        p = abs(amplitude(u, s, t)) ** 2
-        if p > 0.0:
-            dist[t] = p
-    return dist
+    outputs = list(basis_occupations(sum(s), u.shape[0]))
+    probs = np.abs(_amplitudes(u, s, outputs)) ** 2
+    return {t: float(p) for t, p in zip(outputs, probs) if p > 0.0}
 
 
 # -- sampling ----------------------------------------------------------------

@@ -134,6 +134,18 @@ def test_config_file_run(tmp_path):
     assert (out / "herald.json").is_file()
 
 
+def test_nan_phase_exits_2(tmp_path):
+    # a NaN phase is bad input, not a non-unitary chip
+    chip = json.loads(preset("fig2a").to_json())
+    chip["circuit"]["chip"]["phi"] = math.nan
+    fringe = json.loads(preset("fig3b-4point").to_json())
+    fringe["sweep"]["grid"][1] = math.nan
+    for command, data in (("simulate", chip), ("fringe", fringe)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(data))
+        assert run_cli([command, "--config", str(path)]) == 2
+
+
 def test_missing_config_file_exits_2():
     assert run_cli(["simulate", "--config", "/nonexistent/scenario.json"]) == 2
 

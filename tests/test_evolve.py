@@ -166,6 +166,26 @@ def test_non_unitary_rejected_by_expansion_engine():
     assert amplitude(bad, (0, 1), (0, 1)) == pytest.approx(0.5)
 
 
+def test_non_finite_matrix_rejected():
+    for bad in (np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 1.0]])):
+        with pytest.raises(ValueError) as info:
+            output_distribution(bad, (1, 1))
+        assert not isinstance(info.value, NonUnitaryError)
+        with pytest.raises(ValueError):
+            amplitude(bad, (1, 1), (1, 1))
+        with pytest.raises(ValueError) as info:
+            apply(bad, FockState.basis_state((1, 1)))
+        assert not isinstance(info.value, NonUnitaryError)
+
+
+def test_output_distribution_validates_input():
+    u = dc_matrix(0.5)
+    with pytest.raises(ValueError):
+        output_distribution(u, (1, 1, 0))
+    with pytest.raises(ValueError):
+        output_distribution(u, (2, -1))
+
+
 def test_output_distribution_sums_to_one():
     rng = np.random.default_rng(3)
     u = unitary_group.rvs(4, random_state=rng)
