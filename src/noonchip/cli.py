@@ -13,8 +13,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 from pathlib import Path
 
@@ -26,6 +24,7 @@ from .scenarios import (
     NumericError,
     ScenarioConfig,
     ScenarioOutput,
+    load_json,
     preset,
     run_contamination,
     run_fringe,
@@ -37,30 +36,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="scenario config JSON")
-    parser.add_argument(
-        "--preset", choices=PRESET_NAMES, help="named benchmark scenario"
-    )
-    parser.add_argument("--seed", type=int, default=None, metavar="U64")
-    parser.add_argument("--out", metavar="DIR", help="directory for output files")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
-def _load_config(args: argparse.Namespace) -> tuple[ScenarioConfig, Path | None]:
-    if (args.config is None) == (args.preset is None):
-        raise ConfigError("give exactly one of --config or --preset")
-    if args.preset is not None:
-        config = preset(args.preset)
-        base_dir = None
-    else:
-        config = ScenarioConfig.from_file(args.config)
-        base_dir = Path(args.config).resolve().parent
-    if args.seed is not None:
-        config.seed = args.seed
-    return config, base_dir
-
-
 def _emit(output: ScenarioOutput, out_dir: str | None) -> None:
     for line in output.summary:
         print(line)
@@ -70,43 +45,25 @@ def _emit(output: ScenarioOutput, out_dir: str | None) -> None:
     target.mkdir(parents=True, exist_ok=True)
     for name, body in output.files.items():
         path = target / name
-        if isinstance(body, bytes):
-            path.write_bytes(body)
-        else:
-            path.write_text(body)
+        path.write_text(body)
         print(f"wrote {path}")
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config, base_dir = _load_config(args)
-    _emit(run_simulate(config, args.format, base_dir), args.out)
-    return EXIT_OK
-
-
-def _cmd_fringe(args: argparse.Namespace) -> int:
-    config, base_dir = _load_config(args)
-    _emit(run_fringe(config, args.format), args.out)
-    return EXIT_OK
-
-
-def _cmd_contamination(args: argparse.Namespace) -> int:
-    config, base_dir = _load_config(args)
-    _emit(run_contamination(config, args.format, base_dir), args.out)
+def _cmd_scenario(args: argparse.Namespace) -> int:
+    if (args.config is None) == (args.preset is None):
+        raise ConfigError("give exactly one of --config or --preset")
+    if args.preset is not None:
+        config = preset(args.preset)
+    else:
+        config = ScenarioConfig.from_file(args.config)
+    _emit(args.runner(config, args.format), args.out)
     return EXIT_OK
 
 
 def _coincidence_config(args: argparse.Namespace) -> coinc.CoincidenceConfig:
     settings = {}
     if args.config is not None:
-        file = Path(args.config)
-        if not file.is_file():
-            raise ConfigError(f"config file not found: {file}")
-        try:
-            settings = json.loads(file.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from exc
-        if not isinstance(settings, dict):
-            raise ConfigError("coincidence config must be a JSON object")
+        settings = load_json(args.config, "config")
     try:
         return coinc.CoincidenceConfig(**settings)
     except (TypeError, ValueError) as exc:
@@ -118,10 +75,10 @@ def _cmd_coincidence(args: argparse.Namespace) -> int:
     output = ScenarioOutput(summary=[])
     if args.profile:
         delays = [0.25 * config.t_clk * i for i in range(int(4 * config.window_cycles) + 9)]
-        rows = ["delay_ns,probability"] + [
-            f"{d!r},{coinc.window_profile(d, config)!r}" for d in delays
-        ]
-        output.files["window_profile.csv"] = "\n".join(rows) + "\n"
+        output.files["window_profile.csv"] = detect.csv_text(
+            ("delay_ns", "probability"),
+            [(repr(d), repr(coinc.window_profile(d, config))) for d in delays],
+        )
         output.summary.append(
             f"window profile: flat up to {config.window_ns - config.t_clk!r} ns, "
             f"zero from {config.window_ns!r} ns"
@@ -139,9 +96,8 @@ def _cmd_coincidence(args: argparse.Namespace) -> int:
             clock_phase=args.clock_phase,
             rng_seed=args.seed,
         )
-        rows = sorted((";".join(sorted(k)), n) for k, n in counts.items())
-        body = ["channels,count"] + [f"{channels},{n}" for channels, n in rows]
-        output.files["coincidences.csv"] = "\n".join(body) + "\n"
+        rows = coinc.coincidence_rows(counts)
+        output.files["coincidences.csv"] = detect.csv_text(("channels", "count"), rows)
         total = sum(counts.values())
         output.summary.append(f"{total} coincidence records from {len(events)} pulses")
         for channels, n in rows:
@@ -171,17 +127,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="evolve, herald, and report distributions")
-    _add_scenario_args(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_fringe = sub.add_parser("fringe", help="phase sweep of one detection pattern")
-    _add_scenario_args(p_fringe)
-    p_fringe.set_defaults(func=_cmd_fringe)
-
-    p_cont = sub.add_parser("contamination", help="higher-order-pair event analysis")
-    _add_scenario_args(p_cont)
-    p_cont.set_defaults(func=_cmd_contamination)
+    # runners are looked up here, not at import, so a patched module global
+    # takes effect
+    for command, runner, help_text in (
+        ("simulate", run_simulate, "evolve, herald, and report distributions"),
+        ("fringe", run_fringe, "phase sweep of one detection pattern"),
+        ("contamination", run_contamination, "higher-order-pair event analysis"),
+    ):
+        p_scn = sub.add_parser(command, help=help_text)
+        p_scn.add_argument("--config", metavar="FILE", help="scenario config JSON")
+        p_scn.add_argument("--preset", choices=PRESET_NAMES, help="named benchmark scenario")
+        p_scn.add_argument("--out", metavar="DIR", help="directory for output files")
+        p_scn.add_argument("--format", choices=("csv", "json"), default="csv")
+        p_scn.set_defaults(func=_cmd_scenario, runner=runner)
 
     p_coinc = sub.add_parser("coincidence", help="count clocked coincidences in a pulse CSV")
     p_coinc.add_argument("pulses", nargs="?", help="pulse stream CSV (channel,t_ns)")
@@ -205,16 +163,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (NonUnitaryError, NumericError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import evolve
+from .detect import csv_text
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,9 @@ class CoincidenceConfig:
     jitter_sigma_ns: float = 0.0
 
     def __post_init__(self):
+        values = (self.t_clk, self.window_cycles, self.dead_time_ns, self.jitter_sigma_ns)
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError("coincidence settings must be finite")
         if self.t_clk <= 0.0:
             raise ValueError("t_clk must be positive")
         if self.window_cycles < 1:
@@ -62,6 +66,8 @@ def synchronize(
     Ticks sit at clock_phase + k * t_clk; the quantization error is uniform
     on [0, t_clk) for arrival times independent of the clock.
     """
+    if not math.isfinite(clock_phase):
+        raise ValueError(f"clock phase must be finite, got {clock_phase!r}")
     t_clk = config.t_clk
     out = []
     for event in events:
@@ -178,30 +184,33 @@ def empirical_window_profile(
 
 
 def read_pulse_csv(path) -> list[PulseEvent]:
-    """Reads a pulse stream with columns channel,t_ns."""
+    """Reads a pulse stream with columns channel,t_ns; every time must be finite."""
     events = []
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
+        # a short row reads as empty fields, which float() rejects
+        reader = csv.DictReader(handle, restval="")
         if reader.fieldnames is None or not {"channel", "t_ns"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected columns 'channel,t_ns'")
         for row in reader:
-            events.append(PulseEvent(row["channel"], float(row["t_ns"])))
+            t = float(row["t_ns"])
+            if not math.isfinite(t):
+                raise ValueError(f"{path}: pulse time {row['t_ns']!r} is not finite")
+            events.append(PulseEvent(row["channel"], t))
     return events
 
 
 def write_pulse_csv(path, events: Iterable[PulseEvent]) -> None:
+    rows = [(event.channel, repr(float(event.t))) for event in events]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["channel", "t_ns"])
-        for event in events:
-            writer.writerow([event.channel, repr(float(event.t))])
+        handle.write(csv_text(("channel", "t_ns"), rows))
+
+
+def coincidence_rows(counts: dict[frozenset, int]) -> list[tuple[str, int]]:
+    """(channels joined by ';', count) rows, sorted by channels."""
+    return sorted((";".join(sorted(key)), n) for key, n in counts.items())
 
 
 def write_coincidence_csv(path, counts: dict[frozenset, int]) -> None:
-    """Coincidence records with columns channels,count; channels joined by ';'."""
-    rows = sorted((";".join(sorted(key)), n) for key, n in counts.items())
+    """Coincidence records with columns channels,count."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["channels", "count"])
-        for channels, n in rows:
-            writer.writerow([channels, n])
+        handle.write(csv_text(("channels", "count"), coincidence_rows(counts)))

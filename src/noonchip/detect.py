@@ -12,6 +12,7 @@ Leaf probabilities may sum to less than 1; the deficit is loss.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import evolve, herald
 from .circuit import ChipParams
-from .fock import FockState, Occupation, basis_occupations, marginal_distribution
+from .fock import FockState, Occupation, marginal_distribution, multinomial
 
 ClickPattern = frozenset  # frozenset[str] of clicked detector ids
 
@@ -111,22 +112,6 @@ def cascade_resolve_probability(
     return math.factorial(n_photons) * product
 
 
-def _tree_routings(tree: SplitterTree, n: int) -> dict[tuple[int, ...], float]:
-    """Multinomial distribution of n photons over (leaves..., loss)."""
-    probs = [p for _, p in tree.leaves] + [tree.loss]
-    out: dict[tuple[int, ...], float] = {}
-    for counts in basis_occupations(n, len(probs)):
-        weight = math.factorial(n)
-        for c, p in zip(counts, probs):
-            if c and p == 0.0:
-                weight = 0.0
-                break
-            weight *= p**c / math.factorial(c)
-        if weight > 0.0:
-            out[counts[:-1]] = weight  # drop the loss slot
-    return out
-
-
 def _threshold_response(
     hits: Mapping[str, int], all_ids: Sequence[str], model: DetectorModel
 ) -> dict[ClickPattern, float]:
@@ -194,9 +179,10 @@ def click_distribution(
         for mode, n in zip(covered, occ):
             tree = tree_by_mode[mode]
             ids = tree.detector_ids()
+            probs = [p for _, p in tree.leaves] + [tree.loss]
             extended = []
-            for counts, p_route in _tree_routings(tree, n).items():
-                hits = dict(zip(ids, counts))
+            for counts, p_route in multinomial(n, probs).items():
+                hits = dict(zip(ids, counts))  # zip drops the trailing loss slot
                 for base, p_base in joint:
                     extended.append(({**base, **hits}, p_base * p_route))
             joint = extended
@@ -444,13 +430,19 @@ def format_outcome(outcome) -> str:
     return str(outcome)
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV with LF line ends; a field holding a comma or quote is quoted."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 def write_distribution_csv(path, dist: Mapping) -> None:
     rows = sorted((format_outcome(k), v) for k, v in dist.items())
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["outcome", "probability"])
-        for outcome, value in rows:
-            writer.writerow([outcome, repr(float(value))])
+        handle.write(csv_text(("outcome", "probability"), [(k, repr(float(v))) for k, v in rows]))
 
 
 def read_distribution_csv(path) -> dict[str, float]:

@@ -64,14 +64,14 @@ def is_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     return bool(np.max(np.abs(u.conj().T @ u - eye)) <= tol)
 
 
-def apply(matrix: np.ndarray, state: FockState, *, unitary_tol: float = UNITARY_TOL) -> FockState:
+def apply(matrix: np.ndarray, state: FockState) -> FockState:
     """Evolves a state by polynomial expansion of its creation operators.
 
     Loss must be pre-expanded into environment modes; non-unitary matrices
     are rejected.
     """
     u = _check_matrix(matrix, state.mode_count)
-    if not is_unitary(u, unitary_tol):
+    if not is_unitary(u):
         raise NonUnitaryError("matrix is not unitary; expand loss taps into environment modes first")
 
     modes = state.mode_count

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Occupation = tuple[int, ...]
 
@@ -49,7 +49,6 @@ class FockState:
         self,
         mode_count: int,
         amplitudes: Mapping[Iterable[int], complex],
-        prune_eps: float = PRUNE_EPS,
     ):
         if mode_count < 1:
             raise ValueError("mode_count must be >= 1")
@@ -57,7 +56,7 @@ class FockState:
         for occ, amp in amplitudes.items():
             key = _coerce_occupation(occ, mode_count)
             value = complex(amp)
-            if abs(value) > prune_eps:
+            if abs(value) > PRUNE_EPS:
                 amps[key] = amps.get(key, 0j) + value
         self._modes = mode_count
         self._amps = amps
@@ -243,3 +242,19 @@ def basis_occupations(n_photons: int, n_modes: int) -> Iterator[Occupation]:
                 yield (first,) + rest
 
     return rec(n_photons, n_modes)
+
+
+def multinomial(n: int, probs: Sequence[float]) -> dict[Occupation, float]:
+    """Distribution of n independent draws over len(probs) outcomes, keyed by
+    count vector; vectors of probability zero are left out."""
+    out: dict[Occupation, float] = {}
+    for counts in basis_occupations(n, len(probs)):
+        weight = math.factorial(n)
+        for c, p in zip(counts, probs):
+            if c and p == 0.0:
+                weight = 0.0
+                break
+            weight *= p**c / math.factorial(c)
+        if weight > 0.0:
+            out[counts] = weight
+    return out

@@ -2,8 +2,10 @@
 
 A ScenarioConfig captures one reproducible computation: circuit settings, an
 input state, optional herald pattern, detection topology, and sweep settings.
-Configs serialize to JSON and round-trip identically, and every preset below
-reproduces one of the chip's benchmark curves:
+Each kind reads a fixed set of the optional fields (OPTIONAL_FIELDS), and a
+config that sets any other is rejected.  Configs serialize to JSON and
+round-trip identically, and every preset below reproduces one of the chip's
+benchmark curves:
 
 * fig2a          heralded two-photon path entanglement at phi = 0
 * fig2b-sagnac   readout of the heralded state through the reverse pass
@@ -37,31 +39,62 @@ class NumericError(RuntimeError):
     """A computation produced numerically invalid results."""
 
 
+def load_json(path, what: str):
+    """Parsed JSON file; a missing file or bad JSON raises ConfigError."""
+    file = Path(path)
+    if not file.is_file():
+        raise ConfigError(f"{what} file not found: {file}")
+    try:
+        return json.loads(file.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {file}: {exc}") from exc
+
+
+def _one_of(block, name: str, keys: tuple[str, ...]) -> None:
+    if not isinstance(block, dict) or len(block) != 1 or next(iter(block)) not in keys:
+        raise ConfigError(f"{name} must give exactly one of: {', '.join(keys)}")
+
+
+#: the optional fields each scenario kind reads; setting any other is an error
+OPTIONAL_FIELDS = {
+    "simulate": ("herald",),
+    "sagnac": ("herald",),
+    "fringe": ("sweep",),
+    "contamination": ("herald", "detection", "signal_photons"),
+}
+
+SWEEP_KEYS = ("parameter", "grid", "pattern")
+
+
 @dataclass
 class ScenarioConfig:
     name: str
-    kind: str  # simulate | sagnac | fringe | contamination
+    kind: str  # one of OPTIONAL_FIELDS
     circuit: dict
     input: dict
     herald: dict[str, int] | None = None
     detection: dict | None = None
     sweep: dict | None = None
     signal_photons: int | None = None
-    seed: int = 0
-
-    KINDS = ("simulate", "sagnac", "fringe", "contamination")
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in OPTIONAL_FIELDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
-        if not isinstance(self.circuit, dict) or len(self.circuit) != 1:
-            raise ConfigError("circuit must give exactly one of: chip, file, inline")
-        if next(iter(self.circuit)) not in ("chip", "file", "inline"):
-            raise ConfigError("circuit must give exactly one of: chip, file, inline")
-        if not isinstance(self.input, dict) or len(self.input) != 1:
-            raise ConfigError("input must give exactly one of: occupation, state, spdc")
-        if next(iter(self.input)) not in ("occupation", "state", "spdc"):
-            raise ConfigError("input must give exactly one of: occupation, state, spdc")
+        _one_of(self.circuit, "circuit", ("chip", "file", "inline"))
+        _one_of(self.input, "input", ("occupation", "state", "spdc"))
+        unread = [
+            name
+            for name in ("herald", "detection", "sweep", "signal_photons")
+            if getattr(self, name) is not None and name not in OPTIONAL_FIELDS[self.kind]
+        ]
+        if unread:
+            raise ConfigError(f"{self.kind} scenarios do not read: {', '.join(unread)}")
+        if self.detection is not None:
+            _one_of(self.detection, "detection", ("preset", "file", "inline"))
+        if self.sweep is not None and (
+            not isinstance(self.sweep, dict) or not set(self.sweep) <= set(SWEEP_KEYS)
+        ):
+            raise ConfigError(f"sweep takes only the keys: {', '.join(SWEEP_KEYS)}")
         if self.kind == "fringe" and not self.sweep:
             raise ConfigError("fringe scenarios need a sweep block")
         if self.kind == "contamination" and self.signal_photons is None:
@@ -76,9 +109,10 @@ class ScenarioConfig:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ScenarioConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
+    def from_json_dict(cls, data) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
+        extra = set(data) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown config fields: {', '.join(sorted(extra))}")
         try:
@@ -92,16 +126,20 @@ class ScenarioConfig:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
         return cls.from_json_dict(data)
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
-        file = Path(path)
-        if not file.is_file():
-            raise ConfigError(f"config file not found: {file}")
-        return cls.from_json(file.read_text())
+        """Loads a config; relative circuit and detection file paths are taken
+        relative to the config file's directory."""
+        config = cls.from_json_dict(load_json(path, "config"))
+        base_dir = Path(path).resolve().parent
+        for block in (config.circuit, config.detection):
+            if block is not None and "file" in block:
+                if not isinstance(block["file"], str):
+                    raise ConfigError("a file entry must be a path string")
+                block["file"] = str(base_dir / block["file"])
+        return config
 
     # -- resolution ---------------------------------------------------------
 
@@ -113,17 +151,17 @@ class ScenarioConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad chip settings: {exc}") from exc
 
-    def interferometer(self, base_dir: Path | None = None) -> Interferometer:
+    def interferometer(self) -> Interferometer:
         if "chip" in self.circuit:
             return self.chip_params().circuit()
         if "inline" in self.circuit:
-            return circuit_from_json_dict(self.circuit["inline"])
-        file = Path(self.circuit["file"])
-        if base_dir is not None and not file.is_absolute():
-            file = base_dir / file
-        if not file.is_file():
-            raise ConfigError(f"circuit file not found: {file}")
-        return circuit_from_json_dict(json.loads(file.read_text()))
+            data = self.circuit["inline"]
+        else:
+            data = load_json(self.circuit["file"], "circuit")
+        try:
+            return circuit_from_json_dict(data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad circuit: {exc!r}") from exc
 
     def input_state(self, mode_count: int) -> FockState:
         if "occupation" in self.input:
@@ -149,9 +187,13 @@ class ScenarioConfig:
         if "spdc" not in self.input:
             raise ConfigError("this scenario needs a pair-source input block")
         try:
-            return source.SpdcParams(**self.input["spdc"])
+            params = source.SpdcParams(**self.input["spdc"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad pair-source settings: {exc}") from exc
+        # the scenarios evolve one pure pair state; nothing reads the overlap
+        if params.overlap != 1.0:
+            raise ConfigError("input.spdc.overlap must be 1.0: scenarios model indistinguishable pairs")
+        return params
 
     def herald_pattern(self) -> herald.HeraldPattern | None:
         if self.herald is None:
@@ -161,9 +203,7 @@ class ScenarioConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad herald pattern: {exc}") from exc
 
-    def detection_topology(
-        self, base_dir: Path | None = None
-    ) -> tuple[list[detect.SplitterTree], detect.DetectorModel] | None:
+    def detection_topology(self) -> tuple[list[detect.SplitterTree], detect.DetectorModel] | None:
         if self.detection is None:
             return None
         if "preset" in self.detection:
@@ -172,19 +212,15 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown detection preset {name!r}")
             return detect.TOPOLOGY_PRESETS[name]()
         if "inline" in self.detection:
-            return detect.topology_from_json_dict(self.detection["inline"])
-        if "file" in self.detection:
-            file = Path(self.detection["file"])
-            if base_dir is not None and not file.is_absolute():
-                file = base_dir / file
-            if not file.is_file():
-                raise ConfigError(f"detection topology file not found: {file}")
-            return detect.topology_from_json_dict(json.loads(file.read_text()))
-        raise ConfigError("detection must give one of: preset, file, inline")
+            data = self.detection["inline"]
+        else:
+            data = load_json(self.detection["file"], "detection topology")
+        try:
+            return detect.topology_from_json_dict(data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad detection topology: {exc!r}") from exc
 
     def sweep_grid(self) -> np.ndarray:
-        if not self.sweep:
-            raise ConfigError("scenario has no sweep block")
         if self.sweep.get("parameter", "phi") != "phi":
             raise ConfigError("only phi sweeps are supported")
         grid = self.sweep.get("grid")
@@ -193,7 +229,7 @@ class ScenarioConfig:
         return np.asarray([float(x) for x in grid])
 
     def sweep_pattern(self) -> dict[int, int]:
-        if not self.sweep or "pattern" not in self.sweep:
+        if "pattern" not in self.sweep:
             raise ConfigError("sweep needs a detection pattern")
         return {int(m): int(n) for m, n in self.sweep["pattern"].items()}
 
@@ -226,14 +262,12 @@ def preset(name: str) -> ScenarioConfig:
             circuit=_chip_block(0.0),
             input={"occupation": [0, 2, 2, 0]},
             herald=herald_il,
-            detection={"preset": "paper-6fold"},
         ),
         "fig4": dict(
             kind="simulate",
             circuit=_chip_block(math.pi / 2.0),
             input={"occupation": [0, 3, 3, 0]},
             herald=herald_il,
-            detection={"preset": "paper-6fold"},
         ),
         "fig2b-sagnac": dict(
             kind="sagnac",
@@ -306,28 +340,35 @@ class ScenarioOutput:
     """Result of a scenario run: summary lines plus named output files."""
 
     summary: list[str]
-    files: dict[str, str | bytes] = field(default_factory=dict)
+    files: dict[str, str] = field(default_factory=dict)
     distributions: dict[str, dict] = field(default_factory=dict)
 
 
 def _distribution_files(
-    output: ScenarioOutput, stem: str, dist: Mapping, fmt: str
+    output: ScenarioOutput, dist: Mapping, fmt: str, list_outcomes: bool = True
 ) -> None:
+    """Writes distribution.{csv,json} and, unless told not to, one summary
+    line per outcome."""
     if fmt == "json":
         body = {detect.format_outcome(k): float(v) for k, v in dist.items()}
-        output.files[f"{stem}.json"] = _dump_json(body)
+        output.files["distribution.json"] = _dump_json(body)
     else:
         rows = sorted((detect.format_outcome(k), float(v)) for k, v in dist.items())
-        lines = ["outcome,probability"] + [f"{k},{v!r}" for k, v in rows]
-        output.files[f"{stem}.csv"] = "\n".join(lines) + "\n"
+        output.files["distribution.csv"] = detect.csv_text(
+            ("outcome", "probability"), [(k, repr(v)) for k, v in rows]
+        )
+    output.distributions["distribution"] = dist
+    if list_outcomes:
+        for occ, p in sorted(dist.items()):
+            output.summary.append(f"  {detect.format_outcome(occ)}  {p!r}")
 
 
-def run_simulate(config: ScenarioConfig, fmt: str = "csv", base_dir: Path | None = None) -> ScenarioOutput:
+def run_simulate(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
     if config.kind == "sagnac":
         return run_sagnac(config, fmt)
     if config.kind != "simulate":
         raise ConfigError(f"expected a simulate scenario, got kind {config.kind!r}")
-    circ = config.interferometer(base_dir)
+    circ = config.interferometer()
     matrix = compile_circuit(circ)
     # user inputs address signal modes; loss-tap environment modes start empty
     state = config.input_state(circ.signal_mode_count)
@@ -341,29 +382,23 @@ def run_simulate(config: ScenarioConfig, fmt: str = "csv", base_dir: Path | None
     pattern = config.herald_pattern()
     output = ScenarioOutput(summary=[])
     if pattern is None:
-        dist = {occ: abs(a) ** 2 for occ, a in evolved.amplitudes.items()}
-        output.summary.append(f"output distribution over {len(dist)} occupations")
-        output.files["state.json"] = _dump_json(evolved.to_json_dict())
-        _distribution_files(output, "distribution", dist, fmt)
-        output.distributions["distribution"] = dist
-        return output
-    result = herald.project(evolved, pattern)
-    output.files["herald.json"] = _dump_json(result.to_json_dict())
-    output.summary.append(f"herald probability: {result.probability!r}")
-    if result.is_null:
-        output.summary.append("herald impossible for this input (flagged, empty state)")
-        output.distributions["distribution"] = {}
-        return output
-    state_out = result.conditional_state
-    dist = {occ: abs(a) ** 2 for occ, a in state_out.amplitudes.items()}
+        state_out = evolved
+        output.summary.append(f"output distribution over {len(evolved)} occupations")
+    else:
+        result = herald.project(evolved, pattern)
+        output.files["herald.json"] = _dump_json(result.to_json_dict())
+        output.summary.append(f"herald probability: {result.probability!r}")
+        if result.is_null:
+            output.summary.append("herald impossible for this input (flagged, empty state)")
+            output.distributions["distribution"] = {}
+            return output
+        state_out = result.conditional_state
+        output.summary.append(
+            f"conditional state on modes {result.kept_modes}: {len(state_out)} terms"
+        )
     output.files["state.json"] = _dump_json(state_out.to_json_dict())
-    _distribution_files(output, "distribution", dist, fmt)
-    output.distributions["distribution"] = dist
-    output.summary.append(
-        f"conditional state on modes {result.kept_modes}: {len(state_out)} terms"
-    )
-    for occ, p in sorted(dist.items()):
-        output.summary.append(f"  {detect.format_outcome(occ)}  {p!r}")
+    dist = {occ: abs(a) ** 2 for occ, a in state_out.amplitudes.items()}
+    _distribution_files(output, dist, fmt, list_outcomes=pattern is not None)
     return output
 
 
@@ -391,14 +426,11 @@ def run_sagnac(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
         },
     }
     output.files["sagnac.json"] = _dump_json(body)
-    _distribution_files(output, "distribution", result.conditional_distribution, fmt)
-    output.distributions["distribution"] = result.conditional_distribution
     output.summary.append(f"herald probability: {result.herald_probability!r}")
     output.summary.append(
         f"full extraction probability: {result.full_extraction_probability!r}"
     )
-    for occ, p in sorted(result.conditional_distribution.items()):
-        output.summary.append(f"  {detect.format_outcome(occ)}  {p!r}")
+    _distribution_files(output, result.conditional_distribution, fmt)
     return output
 
 
@@ -413,13 +445,14 @@ def run_fringe(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
     samples = analysis.fringe_scan(scenario, grid)
 
     output = ScenarioOutput(summary=[])
-    lines = ["phi,probability"] + [f"{s.phi!r},{s.probability!r}" for s in samples]
     if fmt == "json":
         output.files["fringe.json"] = _dump_json(
             {"samples": [{"phi": s.phi, "probability": s.probability} for s in samples]}
         )
     else:
-        output.files["fringe.csv"] = "\n".join(lines) + "\n"
+        output.files["fringe.csv"] = detect.csv_text(
+            ("phi", "probability"), [(repr(s.phi), repr(s.probability)) for s in samples]
+        )
 
     note = None
     period = None
@@ -440,7 +473,7 @@ def run_fringe(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
     return output
 
 
-def run_contamination(config: ScenarioConfig, fmt: str = "csv", base_dir: Path | None = None) -> ScenarioOutput:
+def run_contamination(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
     if config.kind != "contamination":
         raise ConfigError(f"expected a contamination scenario, got kind {config.kind!r}")
     chip = config.chip_params()
@@ -448,7 +481,7 @@ def run_contamination(config: ScenarioConfig, fmt: str = "csv", base_dir: Path |
     pattern = config.herald_pattern()
     if pattern is None:
         raise ConfigError("contamination scenarios need a herald pattern")
-    topology = config.detection_topology(base_dir)
+    topology = config.detection_topology()
     trees, model = topology if topology is not None else (None, None)
     try:
         report = source.contamination_report(

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import detect, evolve, herald
 from .circuit import ChipParams, dc_matrix
-from .fock import FockState, Occupation, basis_occupations
+from .fock import FockState, Occupation, basis_occupations, multinomial
 
 
 @dataclass(frozen=True)
@@ -92,16 +92,7 @@ def distinguishable_output_distribution(
             continue
         q = np.abs(u[:, m]) ** 2
         q = q / q.sum()
-        layer: dict[Occupation, float] = {}
-        for counts in basis_occupations(s, modes):
-            weight = math.factorial(s)
-            for c, p in zip(counts, q):
-                if c and p == 0.0:
-                    weight = 0.0
-                    break
-                weight *= p**c / math.factorial(c)
-            if weight > 0.0:
-                layer[counts] = weight
+        layer = multinomial(s, q)
         merged: dict[Occupation, float] = {}
         for occ_a, pa in dist.items():
             for occ_b, pb in layer.items():

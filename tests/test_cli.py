@@ -1,11 +1,13 @@
 """Command-line entry points: exit codes, presets, determinism, file output."""
 
+import csv
 import json
 import math
 
 import pytest
 
 from noonchip import cli, coinc, detect
+from noonchip.circuit import ChipParams, circuit_to_json_dict, with_loss
 from noonchip.coinc import PulseEvent
 from noonchip.evolve import NonUnitaryError
 from noonchip.scenarios import (
@@ -57,6 +59,22 @@ def test_config_validation_errors():
         ScenarioConfig(**{**base, "kind": "contamination"})  # needs signal_photons
     with pytest.raises(ConfigError):
         ScenarioConfig.from_json_dict({**base, "surprise": 1})
+    sweep = {"parameter": "phi", "grid": [0.0, 1.0], "pattern": {"1": 1}}
+    unread = [
+        {"seed": 1},  # no scenario draws random numbers
+        {"detection": {"preset": "paper-6fold"}},
+        {"detection": {"preset": "bogus"}},
+        {"sweep": sweep},
+        {"signal_photons": 2},
+        {"kind": "fringe", "sweep": sweep, "herald": {"0": 1}},
+        {"kind": "sagnac", "detection": {"preset": "paper-6fold"}},
+        {"kind": "fringe", "sweep": {**sweep, "steps": 4}},
+        {"kind": "contamination", "signal_photons": 4,
+         "detection": {"preset": "paper-6fold", "file": "topology.json"}},
+    ]
+    for extra in unread:
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_json_dict({**base, **extra})
 
 
 def test_simulate_preset_writes_expected_files(tmp_path):
@@ -134,6 +152,43 @@ def test_config_file_run(tmp_path):
     assert (out / "herald.json").is_file()
 
 
+def test_relative_file_paths_resolve_against_the_config(tmp_path, monkeypatch):
+    # circuit.file (with a loss tap) and detection.file name files next to
+    # the config, and the run starts from another directory
+    config_dir, elsewhere = tmp_path / "configs", tmp_path / "elsewhere"
+    config_dir.mkdir()
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    lossy = with_loss(ChipParams().circuit(), 1, 0.9)
+    (config_dir / "chip.json").write_text(json.dumps(circuit_to_json_dict(lossy)))
+    simulate = json.loads(preset("fig2a").to_json())
+    simulate["circuit"] = {"file": "chip.json"}
+    (config_dir / "simulate.json").write_text(json.dumps(simulate))
+    assert run_cli(["simulate", "--config", "../configs/simulate.json", "--out", "sim"]) == 0
+    state = json.loads((elsewhere / "sim" / "state.json").read_text())
+    assert state["modes"] == 3  # modes 1 and 2 plus the loss tap's environment mode
+
+    trees, model = detect.paper_6fold_topology()
+    topology = detect.topology_to_json_dict(trees, model)
+    (config_dir / "topology.json").write_text(json.dumps(topology))
+    contamination = json.loads(preset("fig4-contamination").to_json())
+    contamination["detection"] = {"file": "topology.json"}
+    (config_dir / "contamination.json").write_text(json.dumps(contamination))
+    assert run_cli(["contamination", "--config", "../configs/contamination.json", "--out", "file"]) == 0
+    assert run_cli(["contamination", "--preset", "fig4-contamination", "--out", "preset"]) == 0
+    assert read_dir(elsewhere / "file") == read_dir(elsewhere / "preset")
+
+
+def test_contamination_rejects_partial_overlap(tmp_path):
+    # the pair state is evolved as indistinguishable photons; an overlap
+    # below 1 would be silently ignored
+    data = json.loads(preset("fig4-contamination").to_json())
+    data["input"]["spdc"]["overlap"] = 0.5
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["contamination", "--config", str(path)]) == 2
+
+
 def test_nan_phase_exits_2(tmp_path):
     # a NaN phase is bad input, not a non-unitary chip
     chip = json.loads(preset("fig2a").to_json())
@@ -168,13 +223,13 @@ def test_both_config_and_preset_exits_2(tmp_path):
 
 
 def test_numeric_failure_exits_3(monkeypatch):
-    def boom(config, fmt, base_dir):
+    def boom(config, fmt):
         raise NumericError("diverged")
 
     monkeypatch.setattr(cli, "run_simulate", boom)
     assert run_cli(["simulate", "--preset", "fig2a"]) == 3
 
-    def boom2(config, fmt, base_dir):
+    def boom2(config, fmt):
         raise NonUnitaryError("matrix is not unitary")
 
     monkeypatch.setattr(cli, "run_simulate", boom2)
@@ -241,6 +296,38 @@ def test_coincidence_needs_input():
     assert run_cli(["coincidence", "/nonexistent/pulses.csv"]) == 2
 
 
+def test_coincidence_nan_clock_exits_2(tmp_path):
+    cfg = tmp_path / "coinc.json"
+    cfg.write_text('{"t_clk": NaN}')
+    pulses = tmp_path / "pulses.csv"
+    coinc.write_pulse_csv(pulses, [PulseEvent("A", 0.0), PulseEvent("B", 1.0)])
+    assert run_cli(["coincidence", str(pulses), "--config", str(cfg)]) == 2
+    # the profile never converts t_clk to a tick, so only the settings check stops it
+    assert run_cli(["coincidence", "--profile", "--config", str(cfg)]) == 2
+
+
+def test_coincidence_infinite_pulse_time_exits_2(tmp_path):
+    pulses = tmp_path / "pulses.csv"
+    pulses.write_text("channel,t_ns\nA,1.0\nB,inf\n")
+    assert run_cli(["coincidence", str(pulses)]) == 2
+
+
+def test_coincidence_infinite_clock_phase_exits_2(tmp_path):
+    pulses = tmp_path / "pulses.csv"
+    coinc.write_pulse_csv(pulses, [PulseEvent("A", 0.0), PulseEvent("B", 1.0)])
+    assert run_cli(["coincidence", str(pulses), "--clock-phase", "inf"]) == 2
+
+
+def test_coincidence_channel_names_round_trip(tmp_path):
+    pulses = tmp_path / "pulses.csv"
+    pulses.write_text('channel,t_ns\n"a,b",100.0\nc,101.0\n')
+    out = tmp_path / "run"
+    assert run_cli(["coincidence", str(pulses), "--out", str(out)]) == 0
+    with open(out / "coincidences.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert rows == [{"channels": "a,b;c", "count": "1"}]
+
+
 def test_coincidence_bad_settings_exits_2(tmp_path):
     cfg = tmp_path / "coinc.json"
     cfg.write_text(json.dumps({"t_clk": -1.0}))
@@ -253,3 +340,4 @@ def test_invalid_choice_exits_2():
     # argparse handles unknown subcommands and bad choice values
     assert run_cli(["warp"]) == 2
     assert run_cli(["simulate", "--preset", "fig2a", "--format", "yaml"]) == 2
+    assert run_cli(["simulate", "--preset", "fig2a", "--seed", "1"]) == 2

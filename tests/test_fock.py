@@ -13,6 +13,7 @@ from noonchip.fock import (
     inner_product,
     make_noon,
     marginal_distribution,
+    multinomial,
     state_fidelity,
     tensor,
 )
@@ -205,3 +206,10 @@ def test_allclose():
     b = FockState(2, {(1, 0): 1.0, (0, 1): 1e-13})
     assert a.allclose(b, tol=1e-12)
     assert not a.allclose(FockState.basis_state((0, 1)))
+
+
+def test_multinomial():
+    assert multinomial(2, [0.5, 0.5]) == {(0, 2): 0.25, (1, 1): 0.5, (2, 0): 0.25}
+    # count vectors that need a zero-probability outcome are left out
+    assert multinomial(2, [1.0, 0.0]) == {(2, 0): 1.0}
+    assert sum(multinomial(4, [0.2, 0.3, 0.5]).values()) == pytest.approx(1.0, abs=1e-15)
