@@ -446,11 +446,19 @@ def write_distribution_csv(path, dist: Mapping) -> None:
 
 
 def read_distribution_csv(path) -> dict[str, float]:
+    """Reads columns outcome,probability; a short row or a probability that is
+    not a finite number raises ValueError."""
     dist: dict[str, float] = {}
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "outcome" not in reader.fieldnames:
+        if reader.fieldnames is None or not {"outcome", "probability"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected columns 'outcome,probability'")
         for row in reader:
-            dist[row["outcome"]] = float(row["probability"])
+            outcome, value = row["outcome"], row["probability"]
+            if outcome is None or value is None:
+                raise ValueError(f"{path}, line {reader.line_num}: expected outcome,probability")
+            p = float(value)  # not a number: ValueError
+            if not math.isfinite(p):
+                raise ValueError(f"{path}, line {reader.line_num}: probability {value!r} is not finite")
+            dist[outcome] = p
     return dist

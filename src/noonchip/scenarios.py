@@ -66,6 +66,18 @@ OPTIONAL_FIELDS = {
 SWEEP_KEYS = ("parameter", "grid", "pattern")
 
 
+def _numbers(value, kind: type | tuple[type, ...] = (int, float)) -> bool:
+    """A JSON list of numbers of the given kind (a bool is not a number)."""
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(x, kind) and not isinstance(x, bool) for x in value
+    )
+
+
+def _counts(value) -> bool:
+    """A JSON object mapping modes to integer photon counts."""
+    return isinstance(value, dict) and _numbers(list(value.values()), int)
+
+
 @dataclass
 class ScenarioConfig:
     name: str
@@ -95,6 +107,22 @@ class ScenarioConfig:
             not isinstance(self.sweep, dict) or not set(self.sweep) <= set(SWEEP_KEYS)
         ):
             raise ConfigError(f"sweep takes only the keys: {', '.join(SWEEP_KEYS)}")
+        sweep = self.sweep or {}
+        chip = self.circuit.get("chip", {})
+        if not (isinstance(chip, dict) and _numbers(list(chip.values()))):
+            raise ConfigError("circuit.chip must map coupler names to numbers")
+        if "occupation" in self.input and not _numbers(self.input["occupation"], int):
+            raise ConfigError("input.occupation must be a list of integer photon counts")
+        if self.herald is not None and not _counts(self.herald):
+            raise ConfigError("herald must map modes to integer photon counts")
+        if "pattern" in sweep and not _counts(sweep["pattern"]):
+            raise ConfigError("sweep.pattern must map modes to integer photon counts")
+        if "grid" in sweep and not _numbers(sweep["grid"]):
+            raise ConfigError("sweep.grid must be a list of numbers")
+        if self.detection is not None and not isinstance(self.detection.get("preset", ""), str):
+            raise ConfigError("detection.preset must be a name")
+        if self.signal_photons is not None and not _numbers([self.signal_photons], int):
+            raise ConfigError("signal_photons must be an integer")
         if self.kind == "fringe" and not self.sweep:
             raise ConfigError("fringe scenarios need a sweep block")
         if self.kind == "contamination" and self.signal_photons is None:

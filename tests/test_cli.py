@@ -28,6 +28,11 @@ def run_cli(argv):
         return exc.code
 
 
+def assert_one_config_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+
+
 def read_dir(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
@@ -72,9 +77,40 @@ def test_config_validation_errors():
         {"kind": "contamination", "signal_photons": 4,
          "detection": {"preset": "paper-6fold", "file": "topology.json"}},
     ]
-    for extra in unread:
+    contamination = {"kind": "contamination", "signal_photons": 4, "herald": {"0": 1, "3": 1}}
+    wrong_types = [
+        {"herald": [1]},
+        {"kind": "fringe", "sweep": {**sweep, "pattern": [1]}},
+        {"kind": "fringe", "sweep": {**sweep, "grid": 5}},
+        {"input": {"occupation": 5}},
+        {"input": {"occupation": [0, 2, 2, True]}},
+        {"circuit": {"chip": {"eta1": "a"}}},
+        {**contamination, "signal_photons": [1]},
+        {**contamination, "detection": {"preset": [1]}},
+    ]
+    for extra in unread + wrong_types:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_json_dict({**base, **extra})
+
+
+def test_wrong_config_types_exit_2(tmp_path, capsys):
+    # each of these ended in a traceback (exit 1) when the runner first used it
+    cases = [
+        ("simulate", "fig2a", ("herald",), [1]),
+        ("simulate", "fig2a", ("input", "occupation"), 5),
+        ("fringe", "fig3b-4point", ("sweep", "pattern"), [1]),
+        ("fringe", "fig3b-4point", ("sweep", "grid"), 5),
+    ]
+    for command, name, keys, value in cases:
+        data = json.loads(preset(name).to_json())
+        block = data
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert run_cli([command, "--config", str(path)]) == 2
+        assert_one_config_error(capsys)
 
 
 def test_simulate_preset_writes_expected_files(tmp_path):
@@ -260,6 +296,22 @@ def test_fidelity_unnormalized_exits_2(tmp_path):
     assert run_cli(["fidelity", str(a), str(b)]) == 2
 
 
+def test_fidelity_non_finite_probability_exits_2(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("outcome,probability\nx,nan\n")
+    detect.write_distribution_csv(b, {"x": 1.0})
+    assert run_cli(["fidelity", str(a), str(b)]) == 2
+    assert_one_config_error(capsys)
+
+
+def test_fidelity_short_row_exits_2(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("outcome,probability\nx\n")
+    detect.write_distribution_csv(b, {"x": 1.0})
+    assert run_cli(["fidelity", str(a), str(b)]) == 2
+    assert_one_config_error(capsys)
+
+
 def test_coincidence_command(tmp_path):
     pulses = tmp_path / "pulses.csv"
     coinc.write_pulse_csv(
@@ -279,6 +331,13 @@ def test_coincidence_command(tmp_path):
     text = (out / "coincidences.csv").read_text()
     assert "A;B,1" in text
     assert "A;B;C,1" in text
+
+
+def test_coincidence_empty_stream(tmp_path, capsys):
+    pulses = tmp_path / "pulses.csv"
+    pulses.write_text("channel,t_ns\n")
+    assert run_cli(["coincidence", str(pulses)]) == 0
+    assert capsys.readouterr().out == "0 coincidence records from 0 pulses\n"
 
 
 def test_coincidence_profile(tmp_path):
@@ -304,6 +363,39 @@ def test_coincidence_nan_clock_exits_2(tmp_path):
     assert run_cli(["coincidence", str(pulses), "--config", str(cfg)]) == 2
     # the profile never converts t_clk to a tick, so only the settings check stops it
     assert run_cli(["coincidence", "--profile", "--config", str(cfg)]) == 2
+
+
+def test_coincidence_extreme_clock_exits_2(tmp_path, capsys):
+    # (1e300 - 0) / 1e-300 overflows: no clock tick index can represent it
+    cfg = tmp_path / "coinc.json"
+    cfg.write_text(json.dumps({"t_clk": 1e-300}))
+    pulses = tmp_path / "pulses.csv"
+    coinc.write_pulse_csv(pulses, [PulseEvent("A", 1.0), PulseEvent("B", 1e300)])
+    assert run_cli(["coincidence", str(pulses), "--config", str(cfg)]) == 2
+    assert_one_config_error(capsys)
+
+
+def test_coincidence_channel_count_must_be_an_integer(tmp_path, capsys):
+    cfg = tmp_path / "coinc.json"
+    cfg.write_text(json.dumps({"n_channels": "2"}))
+    pulses = tmp_path / "pulses.csv"
+    coinc.write_pulse_csv(pulses, [PulseEvent("A", 0.0), PulseEvent("B", 1.0)])
+    assert run_cli(["coincidence", str(pulses), "--config", str(cfg)]) == 2
+    assert_one_config_error(capsys)
+
+
+def test_coincidence_window_cycles_must_be_an_integer(tmp_path, capsys):
+    # a fractional window would make the analytic profile disagree with the
+    # counter, which groups whole clock ticks
+    pulses = tmp_path / "pulses.csv"
+    coinc.write_pulse_csv(pulses, [PulseEvent("A", 0.0), PulseEvent("B", 6.0)])
+    cfg = tmp_path / "coinc.json"
+    for value in (2.5, True):
+        cfg.write_text(json.dumps({"window_cycles": value}))
+        assert run_cli(["coincidence", str(pulses), "--config", str(cfg)]) == 2
+        assert_one_config_error(capsys)
+        assert run_cli(["coincidence", "--profile", "--config", str(cfg)]) == 2
+        assert_one_config_error(capsys)
 
 
 def test_coincidence_infinite_pulse_time_exits_2(tmp_path):
