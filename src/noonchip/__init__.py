@@ -7,7 +7,7 @@ super-resolved phase fringes.
 """
 
 from .circuit import ChipParams, chip_circuit, compile_circuit, dc_matrix, with_loss
-from .evolve import amplitude, apply, sample_output, transition_amplitude
+from .evolve import amplitude, apply
 from .fock import (
     FockState,
     NoonSpec,
@@ -15,9 +15,8 @@ from .fock import (
     make_noon,
     marginal_distribution,
     state_fidelity,
-    tensor,
 )
-from .herald import HeraldPattern, HeraldResult, herald_scan, heralded_output, project
+from .herald import HeraldPattern, HeraldResult, heralded_output, project
 
 __version__ = "0.1.0"
 
@@ -33,15 +32,11 @@ __all__ = [
     "chip_circuit",
     "compile_circuit",
     "dc_matrix",
-    "herald_scan",
     "heralded_output",
     "inner_product",
     "make_noon",
     "marginal_distribution",
     "project",
-    "sample_output",
     "state_fidelity",
-    "tensor",
-    "transition_amplitude",
     "with_loss",
 ]

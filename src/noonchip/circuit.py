@@ -20,7 +20,6 @@ with device values eta1 = eta2 = 1/2 and eta3 = eta4 = 1/3.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Union
@@ -211,11 +210,3 @@ def circuit_from_json_dict(data: dict) -> Interferometer:
             raise ValueError(f"unknown element type {kind!r}")
     labels = {str(k): int(v) for k, v in data.get("labels", {}).items()}
     return Interferometer(base_modes + n_loss, tuple(elements), labels)
-
-
-def circuit_to_json(circ: Interferometer) -> str:
-    return json.dumps(circuit_to_json_dict(circ), indent=2, sort_keys=True)
-
-
-def circuit_from_json(text: str) -> Interferometer:
-    return circuit_from_json_dict(json.loads(text))

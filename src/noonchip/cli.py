@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+#: largest window profile written by coincidence --profile (4 * window_cycles + 9 rows)
+MAX_PROFILE_ROWS = 100_000
+
 
 def _emit(output: ScenarioOutput, out_dir: str | None) -> None:
     for line in output.summary:
@@ -74,7 +77,13 @@ def _cmd_coincidence(args: argparse.Namespace) -> int:
     config = _coincidence_config(args)
     output = ScenarioOutput(summary=[])
     if args.profile:
-        delays = [0.25 * config.t_clk * i for i in range(int(4 * config.window_cycles) + 9)]
+        rows = 4 * config.window_cycles + 9
+        if rows > MAX_PROFILE_ROWS:
+            raise ConfigError(
+                f"window profile of {rows} rows exceeds {MAX_PROFILE_ROWS}; "
+                f"window_cycles must be at most {(MAX_PROFILE_ROWS - 9) // 4}"
+            )
+        delays = [0.25 * config.t_clk * i for i in range(rows)]
         output.files["window_profile.csv"] = detect.csv_text(
             ("delay_ns", "probability"),
             [(repr(d), repr(coinc.window_profile(d, config))) for d in delays],

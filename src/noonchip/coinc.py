@@ -118,22 +118,6 @@ def _ticks(t: np.ndarray, config: CoincidenceConfig, clock_phase: float) -> np.n
     return ticks.astype(np.int64)
 
 
-def synchronize(
-    events: Iterable[PulseEvent], config: CoincidenceConfig, clock_phase: float = 0.0
-) -> list[PulseEvent]:
-    """Moves each pulse to the first clock tick at or after its arrival.
-
-    Ticks sit at clock_phase + k * t_clk; the quantization error is uniform
-    on [0, t_clk) for arrival times independent of the clock.
-    """
-    events = list(events)
-    ticks = _ticks(np.array([e.t for e in events], dtype=float), config, clock_phase)
-    return [
-        PulseEvent(e.channel, clock_phase + tick * config.t_clk)
-        for e, tick in zip(events, ticks.tolist())
-    ]
-
-
 def _dead_time_mask(t: np.ndarray, code: np.ndarray, dead_time: float) -> np.ndarray:
     """Which pulses (sorted by time) survive the per-channel dead time.
 
@@ -317,9 +301,3 @@ def write_pulse_csv(path, events: Iterable[PulseEvent]) -> None:
 def coincidence_rows(counts: dict[frozenset, int]) -> list[tuple[str, int]]:
     """(channels joined by ';', count) rows, sorted by channels."""
     return sorted((";".join(sorted(key)), n) for key, n in counts.items())
-
-
-def write_coincidence_csv(path, counts: dict[frozenset, int]) -> None:
-    """Coincidence records with columns channels,count."""
-    with open(path, "w", newline="") as handle:
-        handle.write(csv_text(("channels", "count"), coincidence_rows(counts)))

@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from . import evolve, herald
+from . import herald
 from .circuit import ChipParams
 from .fock import FockState, Occupation, marginal_distribution, multinomial
 
@@ -65,15 +62,15 @@ class SplitterTree:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Detector response shared by all leaves unless given per id.
+    """Threshold (SPCM) detector response, shared by all leaves unless the
+    efficiency is given per id.
 
-    number_resolving=False models SPCM threshold detectors: a detector with
-    c incident photons clicks with probability 1 - (1 - efficiency)^c.
-    dark_count_prob adds an independent click chance per detector per shot.
+    A detector with c incident photons clicks with probability
+    1 - (1 - efficiency)^c; dark_count_prob adds an independent click chance
+    per detector per shot.
     """
 
     efficiency: float | Mapping[str, float] = 1.0
-    number_resolving: bool = False
     dark_count_prob: float = 0.0
 
     def eff(self, det: str) -> float:
@@ -134,39 +131,13 @@ def _threshold_response(
     return patterns
 
 
-def _resolving_response(
-    hits: Mapping[str, int], model: DetectorModel
-) -> dict[frozenset, float]:
-    """Count-pattern distribution; keys are frozensets of (det, count) pairs."""
-    if model.dark_count_prob != 0.0:
-        raise ValueError("dark counts are only modeled for threshold detectors")
-    patterns: dict[tuple, float] = {(): 1.0}
-    for det, c in sorted(hits.items()):
-        if c == 0:
-            continue
-        eff = model.eff(det)
-        updated: dict[tuple, float] = {}
-        for prefix, weight in patterns.items():
-            for k in range(c + 1):
-                p = math.comb(c, k) * eff**k * (1.0 - eff) ** (c - k)
-                if p == 0.0:
-                    continue
-                key = prefix + ((det, k),) if k else prefix
-                updated[key] = updated.get(key, 0.0) + weight * p
-        patterns = updated
-    return {frozenset(prefix): w for prefix, w in patterns.items()}
-
-
 def click_distribution(
     state: FockState,
     trees: Sequence[SplitterTree],
     detectors: DetectorModel = DetectorModel(),
 ) -> dict[frozenset, float]:
-    """Exact click-pattern distribution for the state's tree-covered modes.
-
-    Threshold detectors give frozensets of clicked ids; number-resolving
-    detectors give frozensets of (id, count) pairs.
-    """
+    """Exact click-pattern distribution for the state's tree-covered modes,
+    keyed by the frozenset of clicked detector ids."""
     _validate_trees(trees)
     covered = sorted(t.mode for t in trees)
     tree_by_mode = {t.mode: t for t in trees}
@@ -187,61 +158,9 @@ def click_distribution(
                     extended.append(({**base, **hits}, p_base * p_route))
             joint = extended
         for hits, p_route in joint:
-            if detectors.number_resolving:
-                response = _resolving_response(hits, detectors)
-            else:
-                response = _threshold_response(hits, all_ids, detectors)
-            for pattern, p_click in response.items():
+            for pattern, p_click in _threshold_response(hits, all_ids, detectors).items():
                 out[pattern] = out.get(pattern, 0.0) + p_occ * p_route * p_click
     return out
-
-
-def sample_click_patterns(
-    state: FockState,
-    trees: Sequence[SplitterTree],
-    detectors: DetectorModel,
-    seed: int,
-    shots: int,
-) -> dict[frozenset, int]:
-    """Monte Carlo click-pattern counts; threshold detectors only."""
-    if detectors.number_resolving:
-        raise ValueError("sampling is implemented for threshold detectors only")
-    _validate_trees(trees)
-    covered = sorted(t.mode for t in trees)
-    tree_by_mode = {t.mode: t for t in trees}
-    occ_dist = marginal_distribution(state, covered)
-    occs = sorted(occ_dist)
-    probs = np.array([occ_dist[o] for o in occs])
-    total = probs.sum()
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValueError("state must be normalized for sampling")
-
-    rng = evolve.derived_rng(seed)
-    draws = rng.choice(len(occs), size=shots, p=probs / total)
-    counts_per_occ = np.bincount(draws, minlength=len(occs))
-
-    results: dict[frozenset, int] = {}
-    for occ_index, n_shots in enumerate(counts_per_occ):
-        if n_shots == 0:
-            continue
-        occ = occs[occ_index]
-        hit_ids: list[str] = []
-        hit_counts: list[np.ndarray] = []
-        for mode, n in zip(covered, occ):
-            tree = tree_by_mode[mode]
-            pvals = [p for _, p in tree.leaves] + [tree.loss]
-            routed = rng.multinomial(n, pvals, size=int(n_shots))
-            hit_ids.extend(tree.detector_ids())
-            hit_counts.append(routed[:, :-1])
-        hits = np.concatenate(hit_counts, axis=1) if hit_counts else np.zeros((int(n_shots), 0))
-        effs = np.array([detectors.eff(d) for d in hit_ids])
-        dark = detectors.dark_count_prob
-        p_click = 1.0 - (1.0 - effs) ** hits * (1.0 - dark)
-        clicked = rng.random(hits.shape) < p_click
-        for row in clicked:
-            pattern = frozenset(d for d, hit in zip(hit_ids, row) if hit)
-            results[pattern] = results.get(pattern, 0) + 1
-    return results
 
 
 # -- rate normalization ------------------------------------------------------
@@ -414,10 +333,6 @@ def topology_from_json_dict(data: dict) -> tuple[list[SplitterTree], DetectorMod
     return trees, model
 
 
-def topology_from_json(text: str) -> tuple[list[SplitterTree], DetectorModel]:
-    return topology_from_json_dict(json.loads(text))
-
-
 # -- distribution CSV I/O ------------------------------------------------------
 
 
@@ -439,15 +354,15 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buffer.getvalue()
 
 
-def write_distribution_csv(path, dist: Mapping) -> None:
-    rows = sorted((format_outcome(k), v) for k, v in dist.items())
-    with open(path, "w", newline="") as handle:
-        handle.write(csv_text(("outcome", "probability"), [(k, repr(float(v))) for k, v in rows]))
+def distribution_csv_text(dist: Mapping) -> str:
+    """Columns outcome,probability, one row per outcome in text order."""
+    rows = sorted((format_outcome(k), float(v)) for k, v in dist.items())
+    return csv_text(("outcome", "probability"), [(k, repr(v)) for k, v in rows])
 
 
 def read_distribution_csv(path) -> dict[str, float]:
-    """Reads columns outcome,probability; a short row or a probability that is
-    not a finite number raises ValueError."""
+    """Reads columns outcome,probability; a short row, a repeated outcome or a
+    probability that is not a finite number raises ValueError."""
     dist: dict[str, float] = {}
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
@@ -460,5 +375,7 @@ def read_distribution_csv(path) -> dict[str, float]:
             p = float(value)  # not a number: ValueError
             if not math.isfinite(p):
                 raise ValueError(f"{path}, line {reader.line_num}: probability {value!r} is not finite")
+            if outcome in dist:
+                raise ValueError(f"{path}, line {reader.line_num}: outcome {outcome!r} is repeated")
             dist[outcome] = p
     return dist

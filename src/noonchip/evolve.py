@@ -4,7 +4,7 @@ Two independent routes are provided on purpose:
 
 * `apply` expands the input's creation-operator polynomial term by term,
   substituting a_k^dag -> sum_j U[j, k] a_j^dag and collecting monomials.
-* `transition_amplitude` and `output_distribution` evaluate matrix elements
+* `amplitude` and `output_distribution` evaluate matrix elements
   <t|U|s> = Per(U[t, s]) / sqrt(prod s_i! prod t_j!), with U[t, s] the
   row/column repeated matrix, through the repeated-row Ryser kernel.
 
@@ -15,7 +15,6 @@ Exact amplitude arithmetic throughout; global phase is never normalized away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -102,29 +101,6 @@ def _raise_mode(poly: dict[Occupation, complex], column: np.ndarray) -> dict[Occ
     return result
 
 
-@dataclass(frozen=True)
-class TransitionQuery:
-    """A single matrix element <output_occ| U |input_occ>."""
-
-    matrix: np.ndarray
-    input_occ: Occupation
-    output_occ: Occupation
-
-
-def transition_amplitude(query: TransitionQuery) -> complex:
-    """<t|U|s> via the permanent of the row/column repeated matrix.
-
-    Photon-number mismatch between input and output gives amplitude 0.
-    """
-    u = _check_matrix(query.matrix)
-    s = _check_occupation(query.input_occ, u.shape[1])
-    t = _check_occupation(query.output_occ, u.shape[0])
-    _check_photon_cap(max(sum(s), sum(t)))
-    if sum(s) != sum(t):
-        return 0j
-    return complex(_amplitudes(u, s, [t])[0])
-
-
 def _amplitudes(u: np.ndarray, s: Occupation, outputs: list[Occupation]) -> np.ndarray:
     """<t|U|s> for every output t holding as many photons as s."""
     norms = [math.sqrt(math.prod(map(math.factorial, s + t))) for t in outputs]
@@ -132,8 +108,17 @@ def _amplitudes(u: np.ndarray, s: Occupation, outputs: list[Occupation]) -> np.n
 
 
 def amplitude(matrix: np.ndarray, input_occ: Iterable[int], output_occ: Iterable[int]) -> complex:
-    """Convenience wrapper building the TransitionQuery."""
-    return transition_amplitude(TransitionQuery(matrix, tuple(input_occ), tuple(output_occ)))
+    """<t|U|s> via the permanent of the row/column repeated matrix.
+
+    Photon-number mismatch between input and output gives amplitude 0.
+    """
+    u = _check_matrix(matrix)
+    s = _check_occupation(input_occ, u.shape[1])
+    t = _check_occupation(output_occ, u.shape[0])
+    _check_photon_cap(max(sum(s), sum(t)))
+    if sum(s) != sum(t):
+        return 0j
+    return complex(_amplitudes(u, s, [t])[0])
 
 
 def output_distribution(matrix: np.ndarray, input_occ: Iterable[int]) -> dict[Occupation, float]:
@@ -149,27 +134,17 @@ def output_distribution(matrix: np.ndarray, input_occ: Iterable[int]) -> dict[Oc
 # -- sampling ----------------------------------------------------------------
 
 
-def derived_rng(seed: int, worker_index: int = 0) -> np.random.Generator:
-    """Deterministic per-worker stream: SeedSequence(seed, spawn_key=(worker,)).
+def derived_rng(seed: int) -> np.random.Generator:
+    """Deterministic stream for a root seed.
 
-    Parallel workers must call this with distinct worker_index values; the
-    streams are independent and reproducible for a fixed root seed.
+    Built as SeedSequence(seed, spawn_key=(0,)); a fixed seed gives the same
+    draws in every run.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(worker_index,)))
-
-
-def sample_output(matrix: np.ndarray, input_occ: Iterable[int], rng_seed: int) -> Occupation:
-    """One draw from |<t|U|s>|^2."""
-    occs, counts = sample_output_counts(matrix, input_occ, rng_seed, shots=1)
-    return occs[int(np.argmax(counts))]
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
 
 
 def sample_output_counts(
-    matrix: np.ndarray,
-    input_occ: Iterable[int],
-    rng_seed: int,
-    shots: int,
-    worker_index: int = 0,
+    matrix: np.ndarray, input_occ: Iterable[int], rng_seed: int, shots: int
 ) -> tuple[list[Occupation], np.ndarray]:
     """Histogram of output occupations over the given number of draws."""
     dist = output_distribution(matrix, input_occ)
@@ -178,7 +153,7 @@ def sample_output_counts(
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"output probabilities sum to {total:.12g}, expected 1")
-    rng = derived_rng(rng_seed, worker_index)
+    rng = derived_rng(rng_seed)
     draws = rng.choice(len(occs), size=shots, p=probs / total)
     counts = np.bincount(draws, minlength=len(occs))
     return occs, counts

@@ -8,7 +8,6 @@ vector so that serialization and reports are deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -69,10 +68,6 @@ class FockState:
     def basis_state(cls, occupation: Iterable[int]) -> "FockState":
         occ = _coerce_occupation(occupation)
         return cls(len(occ), {occ: 1.0})
-
-    @classmethod
-    def vacuum(cls, mode_count: int) -> "FockState":
-        return cls(mode_count, {(0,) * mode_count: 1.0})
 
     # -- basic queries -----------------------------------------------------
 
@@ -135,19 +130,12 @@ class FockState:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "FockState":
         amps = {
             tuple(term["occ"]): complex(term["re"], term["im"]) for term in data["terms"]
         }
         return cls(data["modes"], amps)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FockState":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -174,15 +162,6 @@ def make_noon(spec: NoonSpec) -> FockState:
     phase = complex(math.cos(spec.alpha), math.sin(spec.alpha))
     root_half = 1.0 / math.sqrt(2.0)
     return FockState(2, {(spec.n, spec.m): root_half, (spec.m, spec.n): phase * root_half})
-
-
-def tensor(a: FockState, b: FockState) -> FockState:
-    """Tensor product; b's modes are appended after a's."""
-    amps: dict[Occupation, complex] = {}
-    for occ_a, amp_a in a.amplitudes.items():
-        for occ_b, amp_b in b.amplitudes.items():
-            amps[occ_a + occ_b] = amp_a * amp_b
-    return FockState(a.mode_count + b.mode_count, amps)
 
 
 def inner_product(a: FockState, b: FockState) -> complex:

@@ -8,9 +8,7 @@ and returns the renormalized conditional state on the remaining modes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import Mapping
 
 from . import evolve
 from .circuit import ChipParams
@@ -58,10 +56,6 @@ class HeraldResult:
     def is_null(self) -> bool:
         return self.probability == 0.0
 
-    @property
-    def raw_amplitude_norm(self) -> float:
-        return float(np.sqrt(self.probability))
-
     def to_json_dict(self) -> dict:
         return {
             "probability": self.probability,
@@ -100,17 +94,3 @@ def heralded_output(chip: ChipParams, input_state: FockState, pattern: HeraldPat
     """Runs the chip on the input and projects onto the herald pattern."""
     evolved = evolve.apply(chip.matrix(), input_state)
     return project(evolved, pattern)
-
-
-def herald_scan(
-    chip: ChipParams,
-    input_state: FockState,
-    pattern: HeraldPattern,
-    phi_grid: Iterable[float],
-) -> list[tuple[float, float, FockState]]:
-    """(phi, herald probability, conditional state) across a phase grid."""
-    points = []
-    for phi in phi_grid:
-        result = heralded_output(chip.with_phi(float(phi)), input_state, pattern)
-        points.append((float(phi), result.probability, result.conditional_state))
-    return points

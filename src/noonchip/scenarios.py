@@ -133,9 +133,6 @@ class ScenarioConfig:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data) -> "ScenarioConfig":
         if not isinstance(data, dict):
@@ -147,14 +144,6 @@ class ScenarioConfig:
             return cls(**data)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -381,10 +370,7 @@ def _distribution_files(
         body = {detect.format_outcome(k): float(v) for k, v in dist.items()}
         output.files["distribution.json"] = _dump_json(body)
     else:
-        rows = sorted((detect.format_outcome(k), float(v)) for k, v in dist.items())
-        output.files["distribution.csv"] = detect.csv_text(
-            ("outcome", "probability"), [(k, repr(v)) for k, v in rows]
-        )
+        output.files["distribution.csv"] = detect.distribution_csv_text(dist)
     output.distributions["distribution"] = dist
     if list_outcomes:
         for occ, p in sorted(dist.items()):

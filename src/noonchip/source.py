@@ -6,17 +6,17 @@ relevant input sectors are |n, n> with amplitude proportional to xi^n.  Higher
 sectors fake lower-order heralds whenever threshold detectors cannot tell one
 photon from two; contamination_report quantifies those channels.
 
-Partial distinguishability enters as a convex mixture: with pairwise overlap
-x the observed statistics are x * quantum + (1 - x) * fully distinguishable,
-where the distinguishable arm routes each photon independently through
-|U[j, m]|^2.
+Partial distinguishability enters hom_dip as a convex mixture: with pairwise
+overlap x the observed statistics are x * quantum + (1 - x) * fully
+distinguishable, where the distinguishable arm routes each photon
+independently through |U[j, m]|^2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,13 +40,6 @@ class SpdcParams:
             raise ValueError("overlap must lie in [0, 1]")
         if not 0.0 <= self.xi < 1.0:
             raise ValueError("xi must lie in [0, 1)")
-
-
-def spdc_state(params: SpdcParams) -> FockState:
-    """Normalized two-mode pair state sum_n xi^n |n, n> up to n_max."""
-    norm = math.sqrt(sum(params.xi ** (2 * n) for n in range(params.n_max + 1)))
-    amps = {(n, n): params.xi**n / norm for n in range(params.n_max + 1)}
-    return FockState(2, amps)
 
 
 def sector_weights(params: SpdcParams) -> dict[int, float]:
@@ -117,39 +110,6 @@ def hom_dip(params: SpdcParams, eta: float = 0.5, pairs: int = 2) -> float:
         raise ValueError("distinguishable coincidence probability vanishes; visibility undefined")
     p_mixed = params.overlap * p_quantum + (1.0 - params.overlap) * p_classical
     return float((p_classical - p_mixed) / p_classical)
-
-
-def heralded_distribution_with_overlap(
-    chip: ChipParams,
-    input_occ: Sequence[int],
-    pattern: herald.HeraldPattern,
-    overlap: float,
-) -> tuple[dict[Occupation, float], float]:
-    """Heralded photon-count distribution on the kept modes under partial
-    distinguishability; returns (conditional distribution, herald probability).
-    """
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError("overlap must lie in [0, 1]")
-    u = chip.matrix()
-    occ = tuple(int(x) for x in input_occ)
-    quantum = {
-        out: abs(amp) ** 2
-        for out, amp in evolve.apply(u, FockState.basis_state(occ)).amplitudes.items()
-    }
-    classical = distinguishable_output_distribution(u, occ)
-    kept = tuple(m for m in range(len(occ)) if m not in pattern.requirements)
-    joint: dict[Occupation, float] = {}
-    for dist, weight in ((quantum, overlap), (classical, 1.0 - overlap)):
-        if weight == 0.0:
-            continue
-        for out, p in dist.items():
-            if all(out[m] == c for m, c in pattern.requirements.items()):
-                key = tuple(out[m] for m in kept)
-                joint[key] = joint.get(key, 0.0) + weight * p
-    herald_prob = sum(joint.values())
-    if herald_prob == 0.0:
-        return {}, 0.0
-    return {k: v / herald_prob for k, v in joint.items()}, herald_prob
 
 
 # -- contamination analysis ----------------------------------------------------

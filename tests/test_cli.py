@@ -31,6 +31,7 @@ def run_cli(argv):
 def assert_one_config_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1, err
+    return err
 
 
 def read_dir(path):
@@ -40,7 +41,7 @@ def read_dir(path):
 def test_preset_round_trips_through_json():
     for name in PRESET_NAMES:
         config = preset(name)
-        back = ScenarioConfig.from_json(config.to_json())
+        back = ScenarioConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict())))
         assert back == config
 
 
@@ -102,7 +103,7 @@ def test_wrong_config_types_exit_2(tmp_path, capsys):
         ("fringe", "fig3b-4point", ("sweep", "grid"), 5),
     ]
     for command, name, keys, value in cases:
-        data = json.loads(preset(name).to_json())
+        data = preset(name).to_json_dict()
         block = data
         for key in keys[:-1]:
             block = block[key]
@@ -182,7 +183,7 @@ def test_outputs_are_deterministic(tmp_path):
 def test_config_file_run(tmp_path):
     config = preset("fig2a")
     path = tmp_path / "scenario.json"
-    path.write_text(config.to_json())
+    path.write_text(json.dumps(config.to_json_dict()))
     out = tmp_path / "run"
     assert run_cli(["simulate", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "herald.json").is_file()
@@ -197,7 +198,7 @@ def test_relative_file_paths_resolve_against_the_config(tmp_path, monkeypatch):
     monkeypatch.chdir(elsewhere)
     lossy = with_loss(ChipParams().circuit(), 1, 0.9)
     (config_dir / "chip.json").write_text(json.dumps(circuit_to_json_dict(lossy)))
-    simulate = json.loads(preset("fig2a").to_json())
+    simulate = preset("fig2a").to_json_dict()
     simulate["circuit"] = {"file": "chip.json"}
     (config_dir / "simulate.json").write_text(json.dumps(simulate))
     assert run_cli(["simulate", "--config", "../configs/simulate.json", "--out", "sim"]) == 0
@@ -207,7 +208,7 @@ def test_relative_file_paths_resolve_against_the_config(tmp_path, monkeypatch):
     trees, model = detect.paper_6fold_topology()
     topology = detect.topology_to_json_dict(trees, model)
     (config_dir / "topology.json").write_text(json.dumps(topology))
-    contamination = json.loads(preset("fig4-contamination").to_json())
+    contamination = preset("fig4-contamination").to_json_dict()
     contamination["detection"] = {"file": "topology.json"}
     (config_dir / "contamination.json").write_text(json.dumps(contamination))
     assert run_cli(["contamination", "--config", "../configs/contamination.json", "--out", "file"]) == 0
@@ -218,7 +219,7 @@ def test_relative_file_paths_resolve_against_the_config(tmp_path, monkeypatch):
 def test_contamination_rejects_partial_overlap(tmp_path):
     # the pair state is evolved as indistinguishable photons; an overlap
     # below 1 would be silently ignored
-    data = json.loads(preset("fig4-contamination").to_json())
+    data = preset("fig4-contamination").to_json_dict()
     data["input"]["spdc"]["overlap"] = 0.5
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
@@ -227,9 +228,9 @@ def test_contamination_rejects_partial_overlap(tmp_path):
 
 def test_nan_phase_exits_2(tmp_path):
     # a NaN phase is bad input, not a non-unitary chip
-    chip = json.loads(preset("fig2a").to_json())
+    chip = preset("fig2a").to_json_dict()
     chip["circuit"]["chip"]["phi"] = math.nan
-    fringe = json.loads(preset("fig3b-4point").to_json())
+    fringe = preset("fig3b-4point").to_json_dict()
     fringe["sweep"]["grid"][1] = math.nan
     for command, data in (("simulate", chip), ("fringe", fringe)):
         path = tmp_path / f"{command}.json"
@@ -253,7 +254,7 @@ def test_unknown_preset_exits_2():
 
 def test_both_config_and_preset_exits_2(tmp_path):
     path = tmp_path / "scenario.json"
-    path.write_text(preset("fig2a").to_json())
+    path.write_text(json.dumps(preset("fig2a").to_json_dict()))
     assert run_cli(["simulate", "--preset", "fig2a", "--config", str(path)]) == 2
     assert run_cli(["simulate"]) == 2
 
@@ -276,8 +277,8 @@ def test_fidelity_command(tmp_path, capsys):
     res = run_simulate(preset("fig2a"))
     dist = res.distributions["distribution"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    detect.write_distribution_csv(a, dist)
-    detect.write_distribution_csv(b, dist)
+    a.write_text(detect.distribution_csv_text(dist))
+    b.write_text(detect.distribution_csv_text(dist))
     assert run_cli(["fidelity", str(a), str(b)]) == 0
     printed = capsys.readouterr().out.strip()
     assert float(printed) == pytest.approx(1.0, abs=1e-9)
@@ -285,21 +286,21 @@ def test_fidelity_command(tmp_path, capsys):
 
 def test_fidelity_missing_file_exits_2(tmp_path):
     a = tmp_path / "a.csv"
-    detect.write_distribution_csv(a, {"x": 1.0})
+    a.write_text(detect.distribution_csv_text({"x": 1.0}))
     assert run_cli(["fidelity", str(a), str(tmp_path / "nope.csv")]) == 2
 
 
 def test_fidelity_unnormalized_exits_2(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    detect.write_distribution_csv(a, {"x": 1.0})
-    detect.write_distribution_csv(b, {"x": 0.25})
+    a.write_text(detect.distribution_csv_text({"x": 1.0}))
+    b.write_text(detect.distribution_csv_text({"x": 0.25}))
     assert run_cli(["fidelity", str(a), str(b)]) == 2
 
 
 def test_fidelity_non_finite_probability_exits_2(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     a.write_text("outcome,probability\nx,nan\n")
-    detect.write_distribution_csv(b, {"x": 1.0})
+    b.write_text(detect.distribution_csv_text({"x": 1.0}))
     assert run_cli(["fidelity", str(a), str(b)]) == 2
     assert_one_config_error(capsys)
 
@@ -307,9 +308,20 @@ def test_fidelity_non_finite_probability_exits_2(tmp_path, capsys):
 def test_fidelity_short_row_exits_2(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     a.write_text("outcome,probability\nx\n")
-    detect.write_distribution_csv(b, {"x": 1.0})
+    b.write_text(detect.distribution_csv_text({"x": 1.0}))
     assert run_cli(["fidelity", str(a), str(b)]) == 2
     assert_one_config_error(capsys)
+
+
+def test_fidelity_repeated_outcome_exits_2(tmp_path, capsys):
+    # the second row used to replace the first, and the sum check then
+    # failed without naming the repeated outcome
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("outcome,probability\nx,0.5\nx,0.5\n")
+    b.write_text(detect.distribution_csv_text({"x": 1.0}))
+    assert run_cli(["fidelity", str(a), str(b)]) == 2
+    err = assert_one_config_error(capsys)
+    assert f"{a}, line 3: outcome 'x' is repeated" in err
 
 
 def test_coincidence_command(tmp_path):
@@ -344,10 +356,29 @@ def test_coincidence_profile(tmp_path):
     out = tmp_path / "run"
     assert run_cli(["coincidence", "--profile", "--out", str(out)]) == 0
     lines = (out / "window_profile.csv").read_text().splitlines()
+    assert len(lines) == 1 + 21
     assert lines[0] == "delay_ns,probability"
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == 1.0
+
+
+def test_coincidence_profile_row_cap(tmp_path, capsys):
+    # the profile has 4 * window_cycles + 9 rows: 21 at the default of 3
+    cfg = tmp_path / "coinc.json"
+    out = tmp_path / "run"
+    largest = (cli.MAX_PROFILE_ROWS - 9) // 4
+    cfg.write_text(json.dumps({"window_cycles": largest}))
+    assert run_cli(["coincidence", "--profile", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "window_profile.csv").read_text().splitlines()
+    assert len(lines) == 1 + 4 * largest + 9 <= 1 + cli.MAX_PROFILE_ROWS
+    capsys.readouterr()
+
+    cfg.write_text(json.dumps({"window_cycles": 25_000}))
+    out = tmp_path / "too-long"
+    assert run_cli(["coincidence", "--profile", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "100009 rows" in assert_one_config_error(capsys)
+    assert not out.exists()
 
 
 def test_coincidence_needs_input():

@@ -1,4 +1,4 @@
-"""Clock synchronization, coincidence grouping, trapezoid window profile."""
+"""Clock ticks, coincidence grouping, trapezoid window profile."""
 
 import math
 
@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noonchip import evolve
+from noonchip import coinc, evolve
 from noonchip.coinc import (
     CoincidenceConfig,
     PulseEvent,
     Pulses,
+    coincidence_rows,
     count_coincidences,
     empirical_window_profile,
     read_pulse_csv,
-    synchronize,
     window_profile,
-    write_coincidence_csv,
     write_pulse_csv,
 )
+from noonchip.detect import csv_text
 
 CFG = CoincidenceConfig()  # 2.9 ns clock, 3-cycle window, 50 ns dead time
 
@@ -47,19 +47,19 @@ def test_config_validation():
     assert CoincidenceConfig(window_cycles=np.int64(2), n_channels=4).window_ns == pytest.approx(5.8)
 
 
+def ticks(times, clock_phase=0.0, config=CFG):
+    return coinc._ticks(np.array(times, dtype=float), config, clock_phase).tolist()
+
+
 def test_synchronize_ceils_to_tick():
-    events = [PulseEvent("A", 0.0), PulseEvent("B", 4.0), PulseEvent("C", 5.8)]
-    synced = synchronize(events, CFG)
-    assert synced[0].t == pytest.approx(0.0, abs=1e-12)
-    assert synced[1].t == pytest.approx(5.8, abs=1e-12)  # next tick after 4.0
-    assert synced[2].t == pytest.approx(5.8, abs=1e-12)  # already on a tick
+    # 4.0 moves to the next tick (5.8 ns); 5.8 is already on one
+    assert ticks([0.0, 4.0, 5.8]) == [0, 2, 2]
 
 
 def test_synchronize_with_clock_phase():
-    synced = synchronize([PulseEvent("A", 0.0)], CFG, clock_phase=0.5)
-    assert synced[0].t == pytest.approx(0.5, abs=1e-12)
-    synced = synchronize([PulseEvent("A", 0.6)], CFG, clock_phase=0.5)
-    assert synced[0].t == pytest.approx(0.5 + 2.9, abs=1e-12)
+    # ticks sit at 0.5 + k * 2.9 ns
+    assert ticks([0.0], clock_phase=0.5) == [0]
+    assert ticks([0.6], clock_phase=0.5) == [1]
 
 
 def test_pair_within_window():
@@ -184,10 +184,9 @@ def test_pulse_csv_round_trip(tmp_path):
     assert list(back) == events
 
 
-def test_coincidence_csv(tmp_path):
-    path = tmp_path / "counts.csv"
-    write_coincidence_csv(path, {frozenset({"B", "A"}): 3})
-    assert path.read_bytes() == b"channels,count\nA;B,3\n"
+def test_coincidence_csv():
+    text = csv_text(("channels", "count"), coincidence_rows({frozenset({"B", "A"}): 3}))
+    assert text == "channels,count\nA;B,3\n"
 
 
 # -- the array counter against a pulse-by-pulse reference -------------------------
@@ -344,4 +343,4 @@ def test_tick_range_is_checked():
     with pytest.raises(ValueError, match="2\\*\\*53"):
         count_coincidences([PulseEvent("A", 1e300), PulseEvent("B", 1e300)], cfg)
     with pytest.raises(ValueError, match="2\\*\\*53"):
-        synchronize([PulseEvent("A", 1e300)], cfg)
+        ticks([1e300], config=cfg)

@@ -1,12 +1,12 @@
 """Splitter cascades, click statistics, rate correction, fidelity."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from noonchip import detect
 from noonchip.circuit import ChipParams
 from noonchip.detect import (
     DetectorModel,
@@ -17,9 +17,8 @@ from noonchip.detect import (
     normalize_rates,
     occupancy_rates,
     paper_6fold_topology,
-    sample_click_patterns,
     simulated_reference_distribution,
-    topology_from_json,
+    topology_from_json_dict,
     topology_to_json_dict,
 )
 from noonchip.fock import FockState, marginal_distribution
@@ -149,18 +148,6 @@ def test_click_distribution_brute_force_two_photons():
         assert dist[key] == pytest.approx(value, abs=1e-12)
 
 
-def test_number_resolving_response():
-    tree = SplitterTree(0, (("D", 1.0),))
-    dist = click_distribution(
-        FockState.basis_state((2,)),
-        [tree],
-        DetectorModel(efficiency=0.8, number_resolving=True),
-    )
-    assert dist[frozenset({("D", 2)})] == pytest.approx(0.64, abs=1e-12)
-    assert dist[frozenset({("D", 1)})] == pytest.approx(0.32, abs=1e-12)
-    assert dist[frozenset()] == pytest.approx(0.04, abs=1e-12)
-
-
 def test_paper_topology_shape():
     trees, model = paper_6fold_topology()
     assert [t.mode for t in trees] == [0, 1, 2, 3]
@@ -170,25 +157,7 @@ def test_paper_topology_shape():
     assert trees[3].detector_ids() == ("Dl",)
     for t in trees[1:3]:
         assert all(p == 0.25 for _, p in t.leaves)
-    assert not model.number_resolving
-
-
-def test_sampling_matches_exact_distribution():
-    res = heralded_output(
-        ChipParams(), FockState.basis_state((0, 2, 2, 0)), HeraldPattern({0: 1, 3: 1})
-    )
-    trees = [uniform_tree(0, 4, "J"), uniform_tree(1, 4, "K")]
-    model = DetectorModel(efficiency=0.9)
-    exact = click_distribution(res.conditional_state, trees, model)
-    shots = 30000
-    counts = sample_click_patterns(res.conditional_state, trees, model, seed=21, shots=shots)
-    assert sum(counts.values()) == shots
-    emp = {k: v / shots for k, v in counts.items()}
-    tv = 0.5 * sum(abs(emp.get(k, 0.0) - p) for k, p in exact.items())
-    tv += 0.5 * sum(p for k, p in emp.items() if k not in exact)
-    assert tv < 0.02
-    again = sample_click_patterns(res.conditional_state, trees, model, seed=21, shots=shots)
-    assert counts == again
+    assert model == DetectorModel()
 
 
 def test_normalize_rates_efficiency_correction():
@@ -308,8 +277,10 @@ def test_reference_distribution_common_herald_coupler_drops_out():
 def test_topology_json_round_trip():
     trees, model = paper_6fold_topology()
     data = topology_to_json_dict(trees, model)
-    back_trees, back_model = topology_from_json(__import__("json").dumps(data))
+    back_trees, back_model = topology_from_json_dict(json.loads(json.dumps(data)))
     assert [t.mode for t in back_trees] == [t.mode for t in trees]
     for a, b in zip(back_trees, trees):
         assert a.leaves == b.leaves
-    assert back_model.number_resolving == model.number_resolving
+    for t in trees:
+        for d in t.detector_ids():
+            assert back_model.eff(d) == model.eff(d)

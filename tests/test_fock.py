@@ -15,7 +15,6 @@ from noonchip.fock import (
     marginal_distribution,
     multinomial,
     state_fidelity,
-    tensor,
 )
 
 
@@ -25,12 +24,6 @@ def test_basis_state_single_term():
     assert s.amplitude((0, 2, 2, 0)) == 1.0 + 0j
     assert s.amplitude((2, 0, 0, 2)) == 0j
     assert s.norm_squared() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_vacuum():
-    v = FockState.vacuum(3)
-    assert v.items() == [((0, 0, 0), 1.0 + 0j)]
-    assert v.photon_sectors() == [0]
 
 
 def test_constructor_validation():
@@ -102,16 +95,6 @@ def test_noon_spec_validation():
         NoonSpec(n=-1, m=0)
 
 
-def test_tensor_product():
-    a = FockState(1, {(0,): 1 / math.sqrt(2), (1,): 1 / math.sqrt(2)})
-    b = FockState.basis_state((2,))
-    t = tensor(a, b)
-    assert t.mode_count == 2
-    assert t.amplitude((0, 2)) == pytest.approx(1 / math.sqrt(2))
-    assert t.amplitude((1, 2)) == pytest.approx(1 / math.sqrt(2))
-    assert t.norm_squared() == pytest.approx(1.0, abs=1e-14)
-
-
 def test_inner_product_antilinear_first_argument():
     a = FockState(1, {(0,): 1j})
     b = FockState(1, {(0,): 1.0})
@@ -181,7 +164,7 @@ def test_json_round_trip():
     amps = rng.normal(size=len(occs)) + 1j * rng.normal(size=len(occs))
     amps /= np.linalg.norm(amps)
     s = FockState(2, dict(zip(occs, amps)))
-    back = FockState.from_json(s.to_json())
+    back = FockState.from_json_dict(json.loads(json.dumps(s.to_json_dict())))
     assert back.mode_count == s.mode_count
     for occ, amp in s.items():
         assert back.amplitude(occ) == amp  # exact: repr round trip

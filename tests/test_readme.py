@@ -1,9 +1,14 @@
-"""The README's example scenario config and coincidence settings run as written."""
+"""The README's examples run as written, and the package's exports resolve."""
 
+import contextlib
+import io
 import json
 import re
 from pathlib import Path
 
+import pytest
+
+import noonchip
 from noonchip import cli, coinc
 from noonchip.coinc import PulseEvent
 
@@ -25,3 +30,18 @@ def test_readme_json_examples_run(tmp_path):
     argv = ["coincidence", str(pulses), "--config", str(settings_file), "--out", str(tmp_path / "cc")]
     assert cli.main(argv) == 0
     assert (tmp_path / "cc" / "coincidences.csv").read_text() == "channels,count\nA;B,1\n"
+
+
+def test_readme_library_example_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        exec(compile(block, "README.md", "exec"), {})
+    probability, kept_modes, _ = stdout.getvalue().splitlines()
+    assert float(probability) == pytest.approx(4 / 81, rel=1e-12)
+    assert kept_modes == "(1, 2)"
+
+
+def test_package_exports_resolve():
+    for name in noonchip.__all__:
+        assert hasattr(noonchip, name), name

@@ -5,18 +5,15 @@ import math
 import pytest
 
 from noonchip.circuit import ChipParams, dc_matrix
-from noonchip.fock import FockState, marginal_distribution
-from noonchip.herald import HeraldPattern, heralded_output
+from noonchip.herald import HeraldPattern
 from noonchip.source import (
     SpdcParams,
     contamination_report,
     distinguishable_output_distribution,
-    heralded_distribution_with_overlap,
     hom_dip,
     sector_chip_input,
     sector_weights,
     spdc_chip_input,
-    spdc_state,
 )
 
 PATTERN = HeraldPattern({0: 1, 3: 1})
@@ -31,22 +28,6 @@ def test_spdc_params_validation():
         SpdcParams(xi=0.1, n_max=-1)
     with pytest.raises(ValueError):
         SpdcParams(xi=0.1, overlap=1.5)
-
-
-def test_spdc_state_geometric_amplitudes():
-    params = SpdcParams(xi=0.085, n_max=4)
-    s = spdc_state(params)
-    assert s.mode_count == 2
-    assert s.norm_squared() == pytest.approx(1.0, abs=1e-12)
-    for n in range(4):
-        ratio = s.amplitude((n + 1, n + 1)) / s.amplitude((n, n))
-        assert ratio == pytest.approx(0.085, abs=1e-12)
-    assert s.amplitude((1, 0)) == 0j
-
-
-def test_spdc_state_zero_squeezing_is_vacuum():
-    s = spdc_state(SpdcParams(xi=0.0, n_max=4))
-    assert s.items() == [((0, 0), 1.0 + 0j)]
 
 
 def test_sector_weights():
@@ -101,31 +82,6 @@ def test_hom_dip_linear_in_overlap():
     assert hom_dip(SpdcParams(xi=0.085, n_max=4, overlap=0.25)) == pytest.approx(
         1 / 12, abs=1e-10
     )
-
-
-def test_overlap_mixture_endpoints():
-    chip = ChipParams()
-    occ = (0, 2, 2, 0)
-    quantum, p_q = heralded_distribution_with_overlap(chip, occ, PATTERN, 1.0)
-    res = heralded_output(chip, FockState.basis_state(occ), PATTERN)
-    assert p_q == pytest.approx(res.probability, abs=1e-12)
-    ideal = marginal_distribution(res.conditional_state, (0, 1))
-    for k, v in ideal.items():
-        assert quantum.get(k, 0.0) == pytest.approx(v, abs=1e-12)
-
-
-def test_overlap_mixture_is_convex():
-    chip = ChipParams()
-    occ = (0, 2, 2, 0)
-    q_dist, p_q = heralded_distribution_with_overlap(chip, occ, PATTERN, 1.0)
-    c_dist, p_c = heralded_distribution_with_overlap(chip, occ, PATTERN, 0.0)
-    x = 0.3
-    mix, p_mix = heralded_distribution_with_overlap(chip, occ, PATTERN, x)
-    assert p_mix == pytest.approx(x * p_q + (1 - x) * p_c, abs=1e-12)
-    keys = set(q_dist) | set(c_dist)
-    for k in keys:
-        want = (x * p_q * q_dist.get(k, 0.0) + (1 - x) * p_c * c_dist.get(k, 0.0)) / p_mix
-        assert mix.get(k, 0.0) == pytest.approx(want, abs=1e-12)
 
 
 def fig4_report():
