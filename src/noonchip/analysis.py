@@ -14,7 +14,7 @@ the two branches shows up as a drop of that coincidence probability to 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,39 +35,36 @@ from .fock import FockState, Occupation, marginal_distribution
 class FringeSample:
     phi: float
     probability: float
-    pattern: Mapping[int, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class FringeScenario:
     """A phase sweep: chip settings, input state, and the counted pattern.
 
-    The pattern maps mode index to the demanded photon count; modes not
-    listed are summed over.
+    The pattern demands exact photon counts on some modes (a mapping from
+    mode index to count becomes a HeraldPattern); modes not listed are
+    summed over.
     """
 
     chip: ChipParams
     input_state: FockState
-    pattern: Mapping[int, int]
+    pattern: herald.HeraldPattern | Mapping[int, int]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "pattern", {int(m): int(n) for m, n in dict(self.pattern).items()}
-        )
-        if not self.pattern:
-            raise ValueError("fringe pattern needs at least one mode")
+        if not isinstance(self.pattern, herald.HeraldPattern):
+            object.__setattr__(self, "pattern", herald.HeraldPattern(self.pattern))
 
 
 def fringe_scan(scenario: FringeScenario, phi_grid: Iterable[float]) -> list[FringeSample]:
     """Probability of the detection pattern at each phase setting."""
-    modes = sorted(scenario.pattern)
-    wanted = tuple(scenario.pattern[m] for m in modes)
+    modes = scenario.pattern.modes()
+    wanted = tuple(scenario.pattern.requirements[m] for m in modes)
     samples = []
     for phi in phi_grid:
         chip = scenario.chip.with_phi(float(phi))
         state = evolve.apply(chip.matrix(), scenario.input_state)
         prob = marginal_distribution(state, modes).get(wanted, 0.0)
-        samples.append(FringeSample(float(phi), prob, dict(scenario.pattern)))
+        samples.append(FringeSample(float(phi), prob))
     return samples
 
 
@@ -93,7 +90,7 @@ def probe_fringe_scan(
         )
         evolved = evolve.apply(compile_circuit(probe), state)
         prob = abs(evolved.amplitude(wanted)) ** 2
-        samples.append(FringeSample(float(theta), prob, {0: wanted[0], 1: wanted[1]}))
+        samples.append(FringeSample(float(theta), prob))
     return samples
 
 
@@ -249,33 +246,17 @@ def reverse_pass(
 
 
 def sagnac_scenario(
-    eta1: float,
-    eta2: float,
-    eta3: float,
-    eta4: float,
-    phi: float,
-    input_state: FockState | None = None,
-    pattern: herald.HeraldPattern | None = None,
+    chip: ChipParams, input_state: FockState, pattern: herald.HeraldPattern
 ) -> ReverseResult:
     """Full round trip: herald a state on the forward pass, then read it out
     through the reverse pass.
 
-    Defaults to the two-pair input and single-photon heralds, for which the
-    ideal heralded state is (|2,0> + |0,2>)/sqrt(2) and the readout gives a
-    |1,1> coincidence with certainty.
+    For the two-pair input (0, 2, 2, 0) and one herald photon on each outer
+    mode, the ideal heralded state is (|2,0> + |0,2>)/sqrt(2) and the readout
+    gives a |1,1> coincidence with certainty.
     """
-    chip = ChipParams(eta1, eta2, eta3, eta4, phi)
-    if input_state is None:
-        input_state = FockState.basis_state((0, 2, 2, 0))
-    if pattern is None:
-        pattern = herald.HeraldPattern({0: 1, 3: 1})
     forward = herald.heralded_output(chip, input_state, pattern)
     if forward.is_null:
         return ReverseResult({}, 0.0, {}, herald_probability=0.0)
-    result = reverse_pass(forward.conditional_state, eta2, eta3, eta4)
-    return ReverseResult(
-        result.detection_distribution,
-        result.full_extraction_probability,
-        result.conditional_distribution,
-        herald_probability=forward.probability,
-    )
+    result = reverse_pass(forward.conditional_state, chip.eta2, chip.eta3, chip.eta4)
+    return replace(result, herald_probability=forward.probability)

@@ -22,9 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import index
 from typing import Union
 
 import numpy as np
+
+from .fock import check_keys
 
 
 @dataclass(frozen=True)
@@ -177,7 +180,12 @@ def with_loss(circ: Interferometer, mode: int, transmission: float) -> Interfero
 #    {"type": "loss", "t": 0.667, "mode": 0}]}
 #
 # "modes" counts signal modes only; environment modes for loss taps are
-# assigned in element order after the signal modes on load.
+# assigned in element order after the signal modes on load.  A key outside
+# this form, or a mode that is not an integer, is rejected.
+
+#: the keys each element type takes
+ELEMENT_KEYS = {"dc": ("type", "eta", "modes"), "phase": ("type", "phi", "mode"),
+                "loss": ("type", "t", "mode")}
 
 
 def circuit_to_json_dict(circ: Interferometer) -> dict:
@@ -193,20 +201,24 @@ def circuit_to_json_dict(circ: Interferometer) -> dict:
 
 
 def circuit_from_json_dict(data: dict) -> Interferometer:
-    base_modes = int(data["modes"])
-    n_loss = sum(1 for e in data.get("elements", []) if e["type"] == "loss")
+    check_keys(data, "circuit", ("modes", "labels", "elements"))
     elements: list[Element] = []
-    next_env = base_modes
+    next_env = index(data["modes"])
     for entry in data.get("elements", []):
         kind = entry["type"]
-        if kind == "dc":
-            elements.append(DirectionalCoupler(float(entry["eta"]), tuple(entry["modes"])))
-        elif kind == "phase":
-            elements.append(PhaseShifter(float(entry["phi"]), int(entry["mode"])))
-        elif kind == "loss":
-            elements.append(LossTap(float(entry["t"]), int(entry["mode"]), next_env))
-            next_env += 1
-        else:
+        if kind not in ELEMENT_KEYS:
             raise ValueError(f"unknown element type {kind!r}")
-    labels = {str(k): int(v) for k, v in data.get("labels", {}).items()}
-    return Interferometer(base_modes + n_loss, tuple(elements), labels)
+        check_keys(entry, f"{kind} element", ELEMENT_KEYS[kind])
+        if kind == "dc":
+            a, b = entry["modes"]
+            elements.append(DirectionalCoupler(float(entry["eta"]), (index(a), index(b))))
+        elif kind == "phase":
+            elements.append(PhaseShifter(float(entry["phi"]), index(entry["mode"])))
+        else:
+            elements.append(LossTap(float(entry["t"]), index(entry["mode"]), next_env))
+            next_env += 1
+    labels = data.get("labels", {})
+    if not isinstance(labels, dict):
+        raise ValueError("labels must map port names to modes")
+    labels = {str(k): index(v) for k, v in labels.items()}
+    return Interferometer(next_env, tuple(elements), labels)

@@ -170,13 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a message may quote input that holds line breaks; stderr gets one line
     try:
         return args.func(args)
     except (NonUnitaryError, NumericError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print("numerical failure:", *str(exc).splitlines(), file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
-        print(f"config error: {exc}", file=sys.stderr)
+        print("config error:", *str(exc).splitlines(), file=sys.stderr)
         return EXIT_CONFIG
 
 

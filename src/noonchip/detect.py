@@ -15,11 +15,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 from . import herald
 from .circuit import ChipParams
-from .fock import FockState, Occupation, marginal_distribution, multinomial
+from .fock import FockState, Occupation, check_keys, marginal_distribution, multinomial
 
 ClickPattern = frozenset  # frozenset[str] of clicked detector ids
 
@@ -41,8 +42,8 @@ class SplitterTree:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate detector ids in tree on mode {self.mode}")
         for d, p in self.leaves:
-            if p < 0.0:
-                raise ValueError(f"negative leaf probability for {d}")
+            if not p >= 0.0:
+                raise ValueError(f"leaf probability for {d} is {p}, not >= 0")
         if sum(p for _, p in self.leaves) > 1.0 + PROB_SUM_TOL:
             raise ValueError(f"leaf probabilities on mode {self.mode} exceed 1")
 
@@ -320,15 +321,21 @@ def topology_to_json_dict(
 
 
 def topology_from_json_dict(data: dict) -> tuple[list[SplitterTree], DetectorModel]:
-    trees = [
-        SplitterTree(
-            int(entry["mode"]),
-            tuple((leaf["det"], float(leaf["p"])) for leaf in entry["leaves"]),
-        )
-        for entry in data["trees"]
-    ]
+    """Reads the topology_to_json_dict form; a key outside it, or an efficiency
+    for an id that is no leaf, raises ValueError."""
+    check_keys(data, "detection", ("trees", "efficiency"))
+    trees = []
+    for entry in data["trees"]:
+        check_keys(entry, "splitter tree", ("mode", "leaves"))
+        leaves = []
+        for leaf in entry["leaves"]:
+            check_keys(leaf, "leaf", ("det", "p"))
+            leaves.append((leaf["det"], float(leaf["p"])))
+        trees.append(SplitterTree(index(entry["mode"]), tuple(leaves)))
     _validate_trees(trees)
-    efficiency = {str(k): float(v) for k, v in data.get("efficiency", {}).items()}
+    efficiency = data.get("efficiency", {})
+    check_keys(efficiency, "efficiency", tuple(d for t in trees for d in t.detector_ids()))
+    efficiency = {str(k): float(v) for k, v in efficiency.items()}
     model = DetectorModel(efficiency=efficiency if efficiency else 1.0)
     return trees, model
 

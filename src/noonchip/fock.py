@@ -8,6 +8,7 @@ vector so that serialization and reports are deterministic.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -132,10 +133,24 @@ class FockState:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FockState":
-        amps = {
-            tuple(term["occ"]): complex(term["re"], term["im"]) for term in data["terms"]
-        }
+        check_keys(data, "state", ("modes", "terms"))
+        amps = {}
+        for term in data["terms"]:
+            check_keys(term, "state term", ("occ", "re", "im"))
+            amp = complex(term["re"], term["im"])
+            if not cmath.isfinite(amp):
+                raise ValueError(f"amplitude {amp} of {term['occ']} is not finite")
+            amps[tuple(term["occ"])] = amp
         return cls(data["modes"], amps)
+
+
+def check_keys(data, what: str, allowed: tuple[str, ...]) -> None:
+    """Raises ValueError unless data is a JSON object with keys only from allowed."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = ", ".join(repr(key) for key in sorted(set(data) - set(allowed)))
+    if unknown:
+        raise ValueError(f"{what} takes only the keys {', '.join(allowed)}; got {unknown}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ from .fock import FockState, Occupation
 
 @dataclass(frozen=True)
 class HeraldPattern:
-    """Exact counts required on herald modes, e.g. {0: 1, 3: 1}."""
+    """Exact counts required on some modes, e.g. {0: 1, 3: 1}: a herald, or
+    the counted pattern of a fringe scan."""
 
     requirements: Mapping[int, int]
 
@@ -25,9 +26,9 @@ class HeraldPattern:
         reqs = {int(m): int(n) for m, n in dict(self.requirements).items()}
         for m, n in reqs.items():
             if m < 0 or n < 0:
-                raise ValueError(f"invalid herald requirement {m}: {n}")
+                raise ValueError(f"invalid count requirement {m}: {n}")
         if not reqs:
-            raise ValueError("herald pattern needs at least one mode")
+            raise ValueError("a count pattern needs at least one mode")
         object.__setattr__(self, "requirements", reqs)
 
     def modes(self) -> tuple[int, ...]:

@@ -2,10 +2,11 @@
 
 A ScenarioConfig captures one reproducible computation: circuit settings, an
 input state, optional herald pattern, detection topology, and sweep settings.
-Each kind reads a fixed set of the optional fields (OPTIONAL_FIELDS), and a
-config that sets any other is rejected.  Configs serialize to JSON and
-round-trip identically, and every preset below reproduces one of the chip's
-benchmark curves:
+Each kind reads a fixed set of the optional fields (OPTIONAL_FIELDS) and
+cannot run without some of them (REQUIRED_FIELDS); a config that sets any
+other field is rejected.  Configs serialize to JSON and round-trip
+identically, and every preset below reproduces one of the chip's benchmark
+curves:
 
 * fig2a          heralded two-photon path entanglement at phi = 0
 * fig2b-sagnac   readout of the heralded state through the reverse pass
@@ -18,17 +19,21 @@ benchmark curves:
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping, TypeVar
 
 import numpy as np
 
 from . import analysis, detect, evolve, herald, source
 from .circuit import ChipParams, Interferometer, circuit_from_json_dict, compile_circuit
 from .fock import FockState
+
+T = TypeVar("T")
 
 
 class ConfigError(ValueError):
@@ -50,6 +55,22 @@ def load_json(path, what: str):
         raise ConfigError(f"invalid JSON in {file}: {exc}") from exc
 
 
+def _parse(what: str, build: Callable[[], T]) -> T:
+    """build(); a KeyError, TypeError or ValueError from it is bad <what> input,
+    and so is an OverflowError (a JSON number too large for a float)."""
+    try:
+        return build()
+    except KeyError as exc:
+        raise ConfigError(f"bad {what}: missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _block(block: dict, what: str):
+    """The JSON an inline or file block holds."""
+    return block["inline"] if "inline" in block else load_json(block["file"], what)
+
+
 def _one_of(block, name: str, keys: tuple[str, ...]) -> None:
     if not isinstance(block, dict) or len(block) != 1 or next(iter(block)) not in keys:
         raise ConfigError(f"{name} must give exactly one of: {', '.join(keys)}")
@@ -63,13 +84,22 @@ OPTIONAL_FIELDS = {
     "contamination": ("herald", "detection", "signal_photons"),
 }
 
+#: the optional fields a scenario kind cannot run without
+REQUIRED_FIELDS = {
+    "sagnac": ("herald",),
+    "fringe": ("sweep",),
+    "contamination": ("herald", "signal_photons"),
+}
+
 SWEEP_KEYS = ("parameter", "grid", "pattern")
 
 
 def _numbers(value, kind: type | tuple[type, ...] = (int, float)) -> bool:
-    """A JSON list of numbers of the given kind (a bool is not a number)."""
+    """A JSON list of numbers of the given kind, each finite and within the
+    range of a float (a bool is not a number)."""
     return isinstance(value, (list, tuple)) and all(
-        isinstance(x, kind) and not isinstance(x, bool) for x in value
+        isinstance(x, kind) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+        for x in value
     )
 
 
@@ -94,23 +124,27 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         _one_of(self.circuit, "circuit", ("chip", "file", "inline"))
         _one_of(self.input, "input", ("occupation", "state", "spdc"))
-        unread = [
+        given = [
             name
             for name in ("herald", "detection", "sweep", "signal_photons")
-            if getattr(self, name) is not None and name not in OPTIONAL_FIELDS[self.kind]
+            if getattr(self, name) is not None
         ]
+        unread = [name for name in given if name not in OPTIONAL_FIELDS[self.kind]]
         if unread:
             raise ConfigError(f"{self.kind} scenarios do not read: {', '.join(unread)}")
+        missing = [name for name in REQUIRED_FIELDS.get(self.kind, ()) if name not in given]
+        if missing:
+            raise ConfigError(f"{self.kind} scenarios need: {', '.join(missing)}")
         if self.detection is not None:
             _one_of(self.detection, "detection", ("preset", "file", "inline"))
-        if self.sweep is not None and (
-            not isinstance(self.sweep, dict) or not set(self.sweep) <= set(SWEEP_KEYS)
+        if self.sweep is not None and not (
+            isinstance(self.sweep, dict) and {"grid", "pattern"} <= set(self.sweep) <= set(SWEEP_KEYS)
         ):
-            raise ConfigError(f"sweep takes only the keys: {', '.join(SWEEP_KEYS)}")
+            raise ConfigError("sweep takes a grid, a pattern and optionally the parameter")
         sweep = self.sweep or {}
         chip = self.circuit.get("chip", {})
         if not (isinstance(chip, dict) and _numbers(list(chip.values()))):
-            raise ConfigError("circuit.chip must map coupler names to numbers")
+            raise ConfigError("circuit.chip must map coupler names to finite numbers")
         if "occupation" in self.input and not _numbers(self.input["occupation"], int):
             raise ConfigError("input.occupation must be a list of integer photon counts")
         if self.herald is not None and not _counts(self.herald):
@@ -118,15 +152,15 @@ class ScenarioConfig:
         if "pattern" in sweep and not _counts(sweep["pattern"]):
             raise ConfigError("sweep.pattern must map modes to integer photon counts")
         if "grid" in sweep and not _numbers(sweep["grid"]):
-            raise ConfigError("sweep.grid must be a list of numbers")
+            raise ConfigError("sweep.grid must be a list of finite numbers")
+        if sweep.get("parameter", "phi") != "phi":
+            raise ConfigError("only phi sweeps are supported")
         if self.detection is not None and not isinstance(self.detection.get("preset", ""), str):
             raise ConfigError("detection.preset must be a name")
-        if self.signal_photons is not None and not _numbers([self.signal_photons], int):
-            raise ConfigError("signal_photons must be an integer")
-        if self.kind == "fringe" and not self.sweep:
-            raise ConfigError("fringe scenarios need a sweep block")
-        if self.kind == "contamination" and self.signal_photons is None:
-            raise ConfigError("contamination scenarios need signal_photons")
+        if self.signal_photons is not None and not (
+            _numbers([self.signal_photons], int) and self.signal_photons >= 0
+        ):
+            raise ConfigError("signal_photons must be a non-negative integer")
 
     # -- serialization ----------------------------------------------------
 
@@ -163,50 +197,32 @@ class ScenarioConfig:
     def chip_params(self) -> ChipParams:
         if "chip" not in self.circuit:
             raise ConfigError(f"{self.kind} scenarios need circuit.chip settings")
-        try:
-            return ChipParams(**self.circuit["chip"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad chip settings: {exc}") from exc
+        return _parse("chip settings", lambda: ChipParams(**self.circuit["chip"]))
 
     def interferometer(self) -> Interferometer:
         if "chip" in self.circuit:
             return self.chip_params().circuit()
-        if "inline" in self.circuit:
-            data = self.circuit["inline"]
-        else:
-            data = load_json(self.circuit["file"], "circuit")
-        try:
-            return circuit_from_json_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad circuit: {exc!r}") from exc
+        data = _block(self.circuit, "circuit")
+        return _parse("circuit", lambda: circuit_from_json_dict(data))
 
     def input_state(self, mode_count: int) -> FockState:
+        if "spdc" in self.input:
+            params = self.spdc_params()
+            if mode_count != 4:
+                raise ConfigError("the pair-source input is defined on the four-mode chip")
+            return source.spdc_chip_input(params)
         if "occupation" in self.input:
-            occ = self.input["occupation"]
-            if len(occ) != mode_count:
-                raise ConfigError(
-                    f"input occupation has {len(occ)} modes, circuit has {mode_count}"
-                )
-            return FockState.basis_state(occ)
-        if "state" in self.input:
-            state = FockState.from_json_dict(self.input["state"])
-            if state.mode_count != mode_count:
-                raise ConfigError(
-                    f"input state has {state.mode_count} modes, circuit has {mode_count}"
-                )
-            return state
-        params = self.spdc_params()
-        if mode_count != 4:
-            raise ConfigError("the pair-source input is defined on the four-mode chip")
-        return source.spdc_chip_input(params)
+            state = FockState.basis_state(self.input["occupation"])
+        else:
+            state = _parse("input.state", lambda: FockState.from_json_dict(self.input["state"]))
+        if state.mode_count != mode_count:
+            raise ConfigError(f"input has {state.mode_count} modes, circuit has {mode_count}")
+        return state
 
     def spdc_params(self) -> source.SpdcParams:
         if "spdc" not in self.input:
             raise ConfigError("this scenario needs a pair-source input block")
-        try:
-            params = source.SpdcParams(**self.input["spdc"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad pair-source settings: {exc}") from exc
+        params = _parse("pair-source settings", lambda: source.SpdcParams(**self.input["spdc"]))
         # the scenarios evolve one pure pair state; nothing reads the overlap
         if params.overlap != 1.0:
             raise ConfigError("input.spdc.overlap must be 1.0: scenarios model indistinguishable pairs")
@@ -215,10 +231,7 @@ class ScenarioConfig:
     def herald_pattern(self) -> herald.HeraldPattern | None:
         if self.herald is None:
             return None
-        try:
-            return herald.HeraldPattern({int(m): int(n) for m, n in self.herald.items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad herald pattern: {exc}") from exc
+        return _parse("herald pattern", lambda: herald.HeraldPattern(self.herald))
 
     def detection_topology(self) -> tuple[list[detect.SplitterTree], detect.DetectorModel] | None:
         if self.detection is None:
@@ -228,121 +241,84 @@ class ScenarioConfig:
             if name not in detect.TOPOLOGY_PRESETS:
                 raise ConfigError(f"unknown detection preset {name!r}")
             return detect.TOPOLOGY_PRESETS[name]()
-        if "inline" in self.detection:
-            data = self.detection["inline"]
-        else:
-            data = load_json(self.detection["file"], "detection topology")
-        try:
-            return detect.topology_from_json_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad detection topology: {exc!r}") from exc
+        data = _block(self.detection, "detection topology")
+        return _parse("detection topology", lambda: detect.topology_from_json_dict(data))
 
     def sweep_grid(self) -> np.ndarray:
-        if self.sweep.get("parameter", "phi") != "phi":
-            raise ConfigError("only phi sweeps are supported")
-        grid = self.sweep.get("grid")
-        if grid is None:
-            raise ConfigError("sweep needs an explicit grid")
-        return np.asarray([float(x) for x in grid])
+        return np.asarray([float(x) for x in self.sweep["grid"]])
 
-    def sweep_pattern(self) -> dict[int, int]:
-        if "pattern" not in self.sweep:
-            raise ConfigError("sweep needs a detection pattern")
-        return {int(m): int(n) for m, n in self.sweep["pattern"].items()}
+    def sweep_pattern(self) -> herald.HeraldPattern:
+        return _parse("sweep pattern", lambda: herald.HeraldPattern(self.sweep["pattern"]))
 
 
 # -- presets -----------------------------------------------------------------
 
 
-def _chip_block(phi: float = 0.0) -> dict:
-    return {
-        "chip": {
-            "eta1": 0.5,
-            "eta2": 0.5,
-            "eta3": 1.0 / 3.0,
-            "eta4": 1.0 / 3.0,
-            "phi": phi,
-        }
-    }
+def _chip_block(phi: float) -> dict:
+    return {"chip": {"eta1": 0.5, "eta2": 0.5, "eta3": 1.0 / 3.0, "eta4": 1.0 / 3.0, "phi": phi}}
 
 
-def _dense_grid() -> list[float]:
-    return [4.0 * math.pi * i / 256 for i in range(256)]
+_DENSE_GRID = [4.0 * math.pi * i / 256 for i in range(256)]
+_FOUR_POINTS = [math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0, 2.0 * math.pi]
+_HERALD_IL = {"0": 1, "3": 1}
+_SIX_FOLD = {"0": 1, "1": 4, "2": 0, "3": 1}
+
+#: the named benchmark scenarios, as ScenarioConfig fields without the name
+PRESETS: dict[str, dict] = {
+    "fig2a": dict(
+        kind="simulate",
+        circuit=_chip_block(0.0),
+        input={"occupation": [0, 2, 2, 0]},
+        herald=_HERALD_IL,
+    ),
+    "fig4": dict(
+        kind="simulate",
+        circuit=_chip_block(math.pi / 2.0),
+        input={"occupation": [0, 3, 3, 0]},
+        herald=_HERALD_IL,
+    ),
+    "fig2b-sagnac": dict(
+        kind="sagnac",
+        circuit=_chip_block(0.0),
+        input={"occupation": [0, 2, 2, 0]},
+        herald=_HERALD_IL,
+    ),
+    "fig3a": dict(
+        kind="fringe",
+        circuit=_chip_block(0.0),
+        input={"occupation": [0, 1, 0, 0]},
+        sweep={"parameter": "phi", "grid": _DENSE_GRID, "pattern": {"1": 1}},
+    ),
+    "fig3b": dict(
+        kind="fringe",
+        circuit=_chip_block(0.0),
+        input={"occupation": [0, 3, 3, 0]},
+        sweep={"parameter": "phi", "grid": _DENSE_GRID, "pattern": _SIX_FOLD},
+    ),
+    "fig3b-4point": dict(
+        kind="fringe",
+        circuit=_chip_block(0.0),
+        input={"occupation": [0, 3, 3, 0]},
+        sweep={"parameter": "phi", "grid": _FOUR_POINTS, "pattern": _SIX_FOLD},
+    ),
+    "fig4-contamination": dict(
+        kind="contamination",
+        circuit=_chip_block(math.pi / 2.0),
+        input={"spdc": {"xi": 0.085, "n_max": 4, "overlap": 1.0}},
+        herald=_HERALD_IL,
+        detection={"preset": "paper-6fold"},
+        signal_photons=4,
+    ),
+}
+
+PRESET_NAMES = tuple(sorted(PRESETS))
 
 
 def preset(name: str) -> ScenarioConfig:
     """One of the named benchmark scenarios; raises ConfigError if unknown."""
-    herald_il = {"0": 1, "3": 1}
-    presets: dict[str, dict] = {
-        "fig2a": dict(
-            kind="simulate",
-            circuit=_chip_block(0.0),
-            input={"occupation": [0, 2, 2, 0]},
-            herald=herald_il,
-        ),
-        "fig4": dict(
-            kind="simulate",
-            circuit=_chip_block(math.pi / 2.0),
-            input={"occupation": [0, 3, 3, 0]},
-            herald=herald_il,
-        ),
-        "fig2b-sagnac": dict(
-            kind="sagnac",
-            circuit=_chip_block(0.0),
-            input={"occupation": [0, 2, 2, 0]},
-            herald=herald_il,
-        ),
-        "fig3a": dict(
-            kind="fringe",
-            circuit=_chip_block(0.0),
-            input={"occupation": [0, 1, 0, 0]},
-            sweep={"parameter": "phi", "grid": _dense_grid(), "pattern": {"1": 1}},
-        ),
-        "fig3b": dict(
-            kind="fringe",
-            circuit=_chip_block(0.0),
-            input={"occupation": [0, 3, 3, 0]},
-            sweep={
-                "parameter": "phi",
-                "grid": _dense_grid(),
-                "pattern": {"0": 1, "1": 4, "2": 0, "3": 1},
-            },
-        ),
-        "fig3b-4point": dict(
-            kind="fringe",
-            circuit=_chip_block(0.0),
-            input={"occupation": [0, 3, 3, 0]},
-            sweep={
-                "parameter": "phi",
-                "grid": [math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0, 2.0 * math.pi],
-                "pattern": {"0": 1, "1": 4, "2": 0, "3": 1},
-            },
-        ),
-        "fig4-contamination": dict(
-            kind="contamination",
-            circuit=_chip_block(math.pi / 2.0),
-            input={"spdc": {"xi": 0.085, "n_max": 4, "overlap": 1.0}},
-            herald=herald_il,
-            detection={"preset": "paper-6fold"},
-            signal_photons=4,
-        ),
-    }
-    if name not in presets:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(presets))}"
-        )
-    return ScenarioConfig(name=name, **presets[name])
-
-
-PRESET_NAMES = (
-    "fig2a",
-    "fig2b-sagnac",
-    "fig3a",
-    "fig3b",
-    "fig3b-4point",
-    "fig4",
-    "fig4-contamination",
-)
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    return ScenarioConfig(name=name, **copy.deepcopy(PRESETS[name]))
 
 
 # -- runners -------------------------------------------------------------------
@@ -358,7 +334,6 @@ class ScenarioOutput:
 
     summary: list[str]
     files: dict[str, str] = field(default_factory=dict)
-    distributions: dict[str, dict] = field(default_factory=dict)
 
 
 def _distribution_files(
@@ -371,7 +346,6 @@ def _distribution_files(
         output.files["distribution.json"] = _dump_json(body)
     else:
         output.files["distribution.csv"] = detect.distribution_csv_text(dist)
-    output.distributions["distribution"] = dist
     if list_outcomes:
         for occ, p in sorted(dist.items()):
             output.summary.append(f"  {detect.format_outcome(occ)}  {p!r}")
@@ -383,7 +357,6 @@ def run_simulate(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
     if config.kind != "simulate":
         raise ConfigError(f"expected a simulate scenario, got kind {config.kind!r}")
     circ = config.interferometer()
-    matrix = compile_circuit(circ)
     # user inputs address signal modes; loss-tap environment modes start empty
     state = config.input_state(circ.signal_mode_count)
     if state.mode_count != circ.mode_count:
@@ -392,7 +365,7 @@ def run_simulate(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
             circ.mode_count,
             {occ + (0,) * pad: a for occ, a in state.amplitudes.items()},
         )
-    evolved = evolve.apply(matrix, state)
+    evolved = evolve.apply(compile_circuit(circ), state)
     pattern = config.herald_pattern()
     output = ScenarioOutput(summary=[])
     if pattern is None:
@@ -404,7 +377,6 @@ def run_simulate(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
         output.summary.append(f"herald probability: {result.probability!r}")
         if result.is_null:
             output.summary.append("herald impossible for this input (flagged, empty state)")
-            output.distributions["distribution"] = {}
             return output
         state_out = result.conditional_state
         output.summary.append(
@@ -418,14 +390,8 @@ def run_simulate(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
 
 def run_sagnac(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
     chip = config.chip_params()
-    circ = chip.circuit()
-    state = config.input_state(circ.mode_count)
-    pattern = config.herald_pattern()
-    result = analysis.sagnac_scenario(
-        chip.eta1, chip.eta2, chip.eta3, chip.eta4, chip.phi,
-        input_state=state,
-        pattern=pattern,
-    )
+    state = config.input_state(chip.circuit().mode_count)
+    result = analysis.sagnac_scenario(chip, state, config.herald_pattern())
     output = ScenarioOutput(summary=[])
     body = {
         "herald_probability": result.herald_probability,
@@ -452,11 +418,9 @@ def run_fringe(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
     if config.kind != "fringe":
         raise ConfigError(f"expected a fringe scenario, got kind {config.kind!r}")
     chip = config.chip_params()
-    circ = chip.circuit()
-    state = config.input_state(circ.mode_count)
+    state = config.input_state(chip.circuit().mode_count)
     scenario = analysis.FringeScenario(chip, state, config.sweep_pattern())
-    grid = config.sweep_grid()
-    samples = analysis.fringe_scan(scenario, grid)
+    samples = analysis.fringe_scan(scenario, config.sweep_grid())
 
     output = ScenarioOutput(summary=[])
     if fmt == "json":
@@ -483,7 +447,6 @@ def run_fringe(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
         output.summary.append(f"fringe period: {period!r}")
     else:
         output.summary.append(note)
-    output.distributions["fringe"] = {s.phi: s.probability for s in samples}
     return output
 
 
@@ -493,13 +456,10 @@ def run_contamination(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutpu
     chip = config.chip_params()
     params = config.spdc_params()
     pattern = config.herald_pattern()
-    if pattern is None:
-        raise ConfigError("contamination scenarios need a herald pattern")
-    topology = config.detection_topology()
-    trees, model = topology if topology is not None else (None, None)
+    trees, model = config.detection_topology() or (None, None)
     try:
         report = source.contamination_report(
-            chip, params, pattern, int(config.signal_photons), trees, model
+            chip, params, pattern, config.signal_photons, trees, model
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -34,8 +35,11 @@ class SpdcParams:
     overlap: float = 1.0
 
     def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError("n_max must be >= 0")
+        # a sector of more than evolve.MAX_PHOTONS photons cannot be evolved
+        top = evolve.MAX_PHOTONS // 2
+        n = self.n_max
+        if not (isinstance(n, Integral) and not isinstance(n, bool) and 0 <= n <= top):
+            raise ValueError(f"n_max must be an integer in [0, {top}], got {n!r}")
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError("overlap must lie in [0, 1]")
         if not 0.0 <= self.xi < 1.0:

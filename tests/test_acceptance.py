@@ -322,7 +322,11 @@ def test_c11_backward_readout():
     )
     p_pure = pure.conditional_distribution.get((1, 1), 0.0)
     p_mix = dephased.conditional_distribution.get((1, 1), 0.0)
-    full = sagnac_scenario(0.5, 0.5, 1 / 3, 1 / 3, 0.0)
+    full = sagnac_scenario(
+        ChipParams(0.5, 0.5, 1 / 3, 1 / 3, 0.0),
+        FockState.basis_state((0, 2, 2, 0)),
+        PATTERN_IL,
+    )
     ok = (
         abs(p_pure - 1.0) < 1e-10
         and abs(p_mix - 0.5) < 1e-10

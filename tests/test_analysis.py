@@ -17,6 +17,7 @@ from noonchip.analysis import (
 )
 from noonchip.circuit import ChipParams
 from noonchip.fock import FockState, make_noon, NoonSpec
+from noonchip.herald import HeraldPattern
 
 
 def grid(n, span):
@@ -122,10 +123,18 @@ def test_fringe_period_needs_uniform_grid():
         fringe_period([(x, math.sin(x)) for x in xs])
 
 
+def test_fringe_pattern_is_a_count_pattern():
+    single = FockState.basis_state((0, 1, 0, 0))
+    assert FringeScenario(ChipParams(), single, {"1": 1}).pattern == HeraldPattern({1: 1})
+    for pattern in ({1: -1}, {}):
+        with pytest.raises(ValueError):
+            FringeScenario(ChipParams(), single, pattern)
+
+
 def test_fringe_period_accepts_tuples_and_samples():
     xs = grid(64, 4 * math.pi)
     tuples = [(float(x), 0.5 + 0.4 * math.cos(3 * x)) for x in xs]
-    samples = [FringeSample(float(x), 0.5 + 0.4 * math.cos(3 * x), None) for x in xs]
+    samples = [FringeSample(float(x), 0.5 + 0.4 * math.cos(3 * x)) for x in xs]
     want = 2 * math.pi / 3
     assert fringe_period(tuples) == pytest.approx(want, rel=1e-9)
     assert fringe_period(samples) == pytest.approx(want, rel=1e-9)
@@ -179,13 +188,21 @@ def test_reverse_ensemble_weights_validated():
 
 
 def test_sagnac_round_trip():
-    res = sagnac_scenario(0.5, 0.5, 1 / 3, 1 / 3, 0.0)
+    res = sagnac_scenario(
+        ChipParams(0.5, 0.5, 1 / 3, 1 / 3, 0.0),
+        FockState.basis_state((0, 2, 2, 0)),
+        HeraldPattern({0: 1, 3: 1}),
+    )
     assert res.herald_probability == pytest.approx(4 / 81, abs=1e-12)
     assert res.conditional_distribution[(1, 1)] == pytest.approx(1.0, abs=1e-10)
     assert res.full_extraction_probability == pytest.approx(4 / 9, abs=1e-12)
 
 
 def test_sagnac_detection_distribution_normalized():
-    res = sagnac_scenario(0.5, 0.5, 1 / 3, 1 / 3, 0.4)
+    res = sagnac_scenario(
+        ChipParams(0.5, 0.5, 1 / 3, 1 / 3, 0.4),
+        FockState.basis_state((0, 2, 2, 0)),
+        HeraldPattern({0: 1, 3: 1}),
+    )
     assert sum(res.detection_distribution.values()) == pytest.approx(1.0, abs=1e-9)
     assert sum(res.conditional_distribution.values()) == pytest.approx(1.0, abs=1e-9)

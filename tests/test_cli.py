@@ -64,6 +64,8 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         ScenarioConfig(**{**base, "kind": "contamination"})  # needs signal_photons
     with pytest.raises(ConfigError):
+        ScenarioConfig(**{**base, "kind": "sagnac"})  # needs a herald
+    with pytest.raises(ConfigError):
         ScenarioConfig.from_json_dict({**base, "surprise": 1})
     sweep = {"parameter": "phi", "grid": [0.0, 1.0], "pattern": {"1": 1}}
     unread = [
@@ -94,14 +96,8 @@ def test_config_validation_errors():
             ScenarioConfig.from_json_dict({**base, **extra})
 
 
-def test_wrong_config_types_exit_2(tmp_path, capsys):
-    # each of these ended in a traceback (exit 1) when the runner first used it
-    cases = [
-        ("simulate", "fig2a", ("herald",), [1]),
-        ("simulate", "fig2a", ("input", "occupation"), 5),
-        ("fringe", "fig3b-4point", ("sweep", "pattern"), [1]),
-        ("fringe", "fig3b-4point", ("sweep", "grid"), 5),
-    ]
+def assert_damaged_presets_exit_2(tmp_path, capsys, cases):
+    """Each (command, preset, key path, value) run with that one value set."""
     for command, name, keys, value in cases:
         data = preset(name).to_json_dict()
         block = data
@@ -110,8 +106,91 @@ def test_wrong_config_types_exit_2(tmp_path, capsys):
         block[keys[-1]] = value
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(data))
-        assert run_cli([command, "--config", str(path)]) == 2
+        assert run_cli([command, "--config", str(path)]) == 2, (keys, value)
         assert_one_config_error(capsys)
+
+
+def test_wrong_config_types_exit_2(tmp_path, capsys):
+    # each of these ended in a traceback (exit 1) when the runner first used it
+    no_labels = {**circuit_to_json_dict(ChipParams().circuit()), "labels": None}
+    assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("simulate", "fig2a", ("herald",), [1]),
+        ("simulate", "fig2a", ("input", "occupation"), 5),
+        ("fringe", "fig3b-4point", ("sweep", "pattern"), [1]),
+        ("fringe", "fig3b-4point", ("sweep", "grid"), 5),
+        ("simulate", "fig2a", ("circuit",), {"inline": no_labels}),
+    ])
+
+
+def test_malformed_input_state_exits_2(tmp_path, capsys):
+    # a KeyError or TypeError traceback (exit 1) before; a NaN amplitude was dropped
+    nan_term = {"occ": [0, 2, 2, 0], "re": math.nan, "im": 0.0}
+    assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("simulate", "fig2a", ("input",), {"state": {"modes": 4}}),
+        ("simulate", "fig2a", ("input",), {"state": [1, 2]}),
+        ("simulate", "fig2a", ("input",), {"state": {"modes": 4, "terms": [nan_term]}}),
+    ])
+
+
+def test_out_of_range_fields_exit_2(tmp_path, capsys):
+    # a negative signal or sweep count ran to all-zero results with exit 0; a
+    # sagnac config without a herald heralded {0: 1, 3: 1}; an n_max of NaN
+    # ended in a TypeError traceback and 3.5 or true ran as an integer
+    assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("contamination", "fig4-contamination", ("signal_photons",), -2),
+        ("fringe", "fig3b-4point", ("sweep", "pattern", "1"), -1),
+        ("simulate", "fig2b-sagnac", ("herald",), None),
+        ("contamination", "fig4-contamination", ("input", "spdc", "n_max"), math.nan),
+        ("contamination", "fig4-contamination", ("input", "spdc", "n_max"), 3.5),
+        ("contamination", "fig4-contamination", ("input", "spdc", "n_max"), True),
+    ])
+
+
+def test_numbers_too_large_for_a_float_exit_2(tmp_path, capsys):
+    # each ended in an OverflowError traceback
+    huge = 2**1100
+    state = {"modes": 4, "terms": [{"occ": [0, 2, 2, 0], "re": huge, "im": 0}]}
+    assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("simulate", "fig2a", ("circuit", "chip", "phi"), huge),
+        ("fringe", "fig3b-4point", ("sweep", "grid", 0), huge),
+        ("simulate", "fig2a", ("input",), {"state": state}),
+    ])
+
+
+def test_unknown_key_in_detection_block_exits_2(tmp_path, capsys):
+    # dark_count_prob was read by nothing: the run matched ideal detectors
+    trees, model = detect.paper_6fold_topology()
+    extra_top = detect.topology_to_json_dict(trees, model)
+    extra_top["dark_count_prob"] = 0.5
+    extra_leaf = detect.topology_to_json_dict(trees, model)
+    extra_leaf["trees"][1]["leaves"][0]["eff"] = 0.5
+    # an efficiency for an id that is no leaf was ignored the same way
+    no_leaf = detect.topology_to_json_dict(trees, model)
+    no_leaf["efficiency"]["X9"] = 0.5
+    # the message quotes the key, and stays one line when the key holds a line break
+    line_break = detect.topology_to_json_dict(trees, model)
+    line_break["efficiency"]["\n"] = 0.5
+    assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("contamination", "fig4-contamination", ("detection",), {"inline": extra_top}),
+        ("contamination", "fig4-contamination", ("detection",), {"inline": extra_leaf}),
+        ("contamination", "fig4-contamination", ("detection",), {"inline": no_leaf}),
+        ("contamination", "fig4-contamination", ("detection",), {"inline": line_break}),
+    ])
+
+
+def test_unknown_key_in_circuit_block_exits_2(tmp_path, capsys):
+    typo = circuit_to_json_dict(ChipParams().circuit())
+    typo["elements"][1]["phi_typo"] = 1.0
+    extra_top = circuit_to_json_dict(ChipParams().circuit())
+    extra_top["loss"] = 0.1
+    # a fractional mode ran as its integer part
+    fractional = circuit_to_json_dict(ChipParams().circuit())
+    fractional["elements"][1]["mode"] = 2.7
+    assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("simulate", "fig2a", ("circuit",), {"inline": typo}),
+        ("simulate", "fig2a", ("circuit",), {"inline": extra_top}),
+        ("simulate", "fig2a", ("circuit",), {"inline": fractional}),
+    ])
 
 
 def test_simulate_preset_writes_expected_files(tmp_path):
@@ -275,10 +354,9 @@ def test_numeric_failure_exits_3(monkeypatch):
 
 def test_fidelity_command(tmp_path, capsys):
     res = run_simulate(preset("fig2a"))
-    dist = res.distributions["distribution"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    a.write_text(detect.distribution_csv_text(dist))
-    b.write_text(detect.distribution_csv_text(dist))
+    a.write_text(res.files["distribution.csv"])
+    b.write_text(res.files["distribution.csv"])
     assert run_cli(["fidelity", str(a), str(b)]) == 0
     printed = capsys.readouterr().out.strip()
     assert float(printed) == pytest.approx(1.0, abs=1e-9)

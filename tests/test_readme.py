@@ -17,11 +17,14 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_readme_json_examples_run(tmp_path):
     blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
-    scenario, settings = (json.loads(block) for block in blocks)
+    *scenarios, settings = (json.loads(block) for block in blocks)
 
-    config = tmp_path / "scenario.json"
-    config.write_text(json.dumps(scenario))
-    assert cli.main([scenario["kind"], "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    assert len(scenarios) == 2
+    for scenario in scenarios:
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(scenario))
+        out = str(tmp_path / scenario["name"])
+        assert cli.main([scenario["kind"], "--config", str(config), "--out", out]) == 0
 
     settings_file = tmp_path / "coincidence.json"
     settings_file.write_text(json.dumps(settings))

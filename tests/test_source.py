@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from noonchip.circuit import ChipParams, dc_matrix
@@ -26,6 +27,11 @@ def test_spdc_params_validation():
         SpdcParams(xi=-0.1)
     with pytest.raises(ValueError):
         SpdcParams(xi=0.1, n_max=-1)
+    # the sector cutoff is a count, and a sector above MAX_PHOTONS cannot be evolved
+    for n_max in (math.nan, 3.5, True, 6):
+        with pytest.raises(ValueError):
+            SpdcParams(xi=0.1, n_max=n_max)
+    assert SpdcParams(xi=0.1, n_max=np.int64(5)).n_max == 5
     with pytest.raises(ValueError):
         SpdcParams(xi=0.1, overlap=1.5)
 
