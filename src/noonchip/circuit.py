@@ -21,7 +21,7 @@ with device values eta1 = eta2 = 1/2 and eta3 = eta4 = 1/3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import index
 from typing import Union
 
@@ -37,7 +37,7 @@ class DirectionalCoupler:
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+            raise ValueError(f"directional coupler eta must lie in [0, 1], got {self.eta}")
         if self.modes[0] == self.modes[1]:
             raise ValueError("coupler needs two distinct modes")
 
@@ -46,6 +46,10 @@ class DirectionalCoupler:
 class PhaseShifter:
     phi: float
     mode: int
+
+    def __post_init__(self):
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phase shifter phi must be finite, got {self.phi}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,7 @@ class LossTap:
 
     def __post_init__(self):
         if not 0.0 <= self.transmission <= 1.0:
-            raise ValueError(f"transmission must lie in [0, 1], got {self.transmission}")
+            raise ValueError(f"loss tap transmission must lie in [0, 1], got {self.transmission}")
         if self.mode == self.env_mode:
             raise ValueError("loss tap needs a distinct environment mode")
 
@@ -68,15 +72,10 @@ Element = Union[DirectionalCoupler, PhaseShifter, LossTap]
 
 @dataclass(frozen=True)
 class Interferometer:
-    """Ordered element list on mode_count modes (environment modes included).
-
-    labels maps port names to mode indices; both input-side and output-side
-    names may point at the same index.
-    """
+    """Ordered element list on mode_count modes (environment modes included)."""
 
     mode_count: int
     elements: tuple[Element, ...] = ()
-    labels: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         for elem in self.elements:
@@ -140,8 +139,7 @@ def chip_circuit(eta1: float, eta2: float, eta3: float, eta4: float, phi: float)
         DirectionalCoupler(eta4, (2, 3)),
         DirectionalCoupler(eta2, (1, 2)),
     )
-    labels = {"a": 0, "b": 1, "c": 2, "d": 3, "i": 0, "j": 1, "k": 2, "l": 3}
-    return Interferometer(4, elements, labels)
+    return Interferometer(4, elements)
 
 
 @dataclass(frozen=True)
@@ -169,12 +167,12 @@ def with_loss(circ: Interferometer, mode: int, transmission: float) -> Interfero
     if not 0 <= mode < circ.mode_count:
         raise ValueError(f"mode {mode} out of range")
     tap = LossTap(transmission, mode, circ.mode_count)
-    return Interferometer(circ.mode_count + 1, circ.elements + (tap,), dict(circ.labels))
+    return Interferometer(circ.mode_count + 1, circ.elements + (tap,))
 
 
 # -- serialization ---------------------------------------------------------
 #
-# {"modes": M, "labels": {...}, "elements": [
+# {"modes": M, "elements": [
 #    {"type": "dc", "eta": 0.5, "modes": [1, 2]},
 #    {"type": "phase", "phi": 1.57, "mode": 2},
 #    {"type": "loss", "t": 0.667, "mode": 0}]}
@@ -197,11 +195,11 @@ def circuit_to_json_dict(circ: Interferometer) -> dict:
             elements.append({"type": "phase", "phi": elem.phi, "mode": elem.mode})
         else:
             elements.append({"type": "loss", "t": elem.transmission, "mode": elem.mode})
-    return {"modes": circ.signal_mode_count, "labels": dict(circ.labels), "elements": elements}
+    return {"modes": circ.signal_mode_count, "elements": elements}
 
 
 def circuit_from_json_dict(data: dict) -> Interferometer:
-    check_keys(data, "circuit", ("modes", "labels", "elements"))
+    check_keys(data, "circuit", ("modes", "elements"))
     elements: list[Element] = []
     next_env = index(data["modes"])
     for entry in data.get("elements", []):
@@ -217,8 +215,4 @@ def circuit_from_json_dict(data: dict) -> Interferometer:
         else:
             elements.append(LossTap(float(entry["t"]), index(entry["mode"]), next_env))
             next_env += 1
-    labels = data.get("labels", {})
-    if not isinstance(labels, dict):
-        raise ValueError("labels must map port names to modes")
-    labels = {str(k): index(v) for k, v in labels.items()}
-    return Interferometer(next_env, tuple(elements), labels)
+    return Interferometer(next_env, tuple(elements))

@@ -1,28 +1,30 @@
 """Splitter cascades, threshold detectors, and click-pattern statistics.
 
 Photon-count measurement is emulated by fanning each measured mode out over
-a tree of splitters onto single-photon (threshold) detectors.  Classical
-routing after the quantum evolution is exact for photon-counting statistics:
-each photon independently lands on leaf d with probability p_d, so n photons
-resolve onto n distinct chosen detectors with probability n! * prod_d p_d.
-
-Leaf probabilities may sum to less than 1; the deficit is loss.
+a tree of splitters onto single-photon (threshold) detectors.  Each photon
+lands on leaf d independently with probability p_d (the deficit from 1 is
+loss), so at fixed photon counts per mode the trees route and click
+independently.  click_distribution therefore builds one table per tree and
+photon count n, the probability of each set of clicked leaves summed over
+the multinomial routings with the threshold law 1 - (1 - eff)^c (1 - dark),
+and adds the product of the trees' tables for each covered occupation.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from . import herald
 from .circuit import ChipParams
 from .fock import FockState, Occupation, check_keys, marginal_distribution, multinomial
-
-ClickPattern = frozenset  # frozenset[str] of clicked detector ids
 
 PROB_SUM_TOL = 1e-9
 
@@ -74,14 +76,27 @@ class DetectorModel:
     efficiency: float | Mapping[str, float] = 1.0
     dark_count_prob: float = 0.0
 
+    def __post_init__(self):
+        efficiency = self.efficiency
+        if isinstance(efficiency, Mapping):
+            efficiency = {d: _probability(f"efficiency for {d!r}", v) for d, v in efficiency.items()}
+        else:
+            efficiency = _probability("efficiency", efficiency)
+        object.__setattr__(self, "efficiency", efficiency)
+        object.__setattr__(self, "dark_count_prob", _probability("dark_count_prob", self.dark_count_prob))
+
     def eff(self, det: str) -> float:
         if isinstance(self.efficiency, Mapping):
-            value = float(self.efficiency.get(det, 1.0))
-        else:
-            value = float(self.efficiency)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"efficiency for {det!r} must lie in [0, 1]")
-        return value
+            return self.efficiency.get(det, 1.0)
+        return self.efficiency
+
+
+def _probability(what: str, value) -> float:
+    """value as a float in [0, 1]; NaN and infinities fail the range check."""
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} must lie in [0, 1]")
+    return value
 
 
 def _validate_trees(trees: Sequence[SplitterTree]) -> None:
@@ -110,26 +125,18 @@ def cascade_resolve_probability(
     return math.factorial(n_photons) * product
 
 
-def _threshold_response(
-    hits: Mapping[str, int], all_ids: Sequence[str], model: DetectorModel
-) -> dict[ClickPattern, float]:
-    """Click-pattern distribution given photon counts per detector."""
-    dark = model.dark_count_prob
-    patterns: dict[frozenset, float] = {frozenset(): 1.0}
-    for det in all_ids:
-        c = hits.get(det, 0)
-        if c == 0 and dark == 0.0:
-            continue
-        p_click = 1.0 - (1.0 - model.eff(det)) ** c * (1.0 - dark)
-        updated: dict[frozenset, float] = {}
-        for pattern, weight in patterns.items():
-            if p_click > 0.0:
-                key = pattern | {det}
-                updated[key] = updated.get(key, 0.0) + weight * p_click
-            if p_click < 1.0:
-                updated[pattern] = updated.get(pattern, 0.0) + weight * (1.0 - p_click)
-        patterns = updated
-    return patterns
+def _tree_table(tree: SplitterTree, n: int, effs: Sequence[float], dark: float) -> np.ndarray:
+    """Click distribution of one tree holding n photons as a 2^L vector: entry
+    b is the probability that exactly the leaves in bitmask b click, the first
+    leaf being the highest bit."""
+    clicks = [[1.0 - (1.0 - eff) ** c * (1.0 - dark) for c in range(n + 1)] for eff in effs]
+    table = np.zeros(1 << len(effs))
+    for counts, p_route in multinomial(n, [p for _, p in tree.leaves] + [tree.loss]).items():
+        row = np.array([p_route])
+        for leaf, c in zip(clicks, counts):  # zip drops the trailing loss slot
+            row = np.multiply.outer(row, (1.0 - leaf[c], leaf[c])).ravel()
+        table += row
+    return table
 
 
 def click_distribution(
@@ -138,30 +145,28 @@ def click_distribution(
     detectors: DetectorModel = DetectorModel(),
 ) -> dict[frozenset, float]:
     """Exact click-pattern distribution for the state's tree-covered modes,
-    keyed by the frozenset of clicked detector ids."""
+    keyed by the frozenset of clicked detector ids; patterns of probability
+    zero are left out.  The sum runs over one dense array of all 2^D click
+    patterns of the D detectors, the first tree's leaves highest, hence the
+    limit on D."""
     _validate_trees(trees)
-    covered = sorted(t.mode for t in trees)
-    tree_by_mode = {t.mode: t for t in trees}
-    all_ids = [d for m in covered for d in tree_by_mode[m].detector_ids()]
-    occ_dist = marginal_distribution(state, covered)
-
-    out: dict[frozenset, float] = {}
-    for occ, p_occ in occ_dist.items():
-        joint: list[tuple[dict[str, int], float]] = [({}, 1.0)]
-        for mode, n in zip(covered, occ):
-            tree = tree_by_mode[mode]
-            ids = tree.detector_ids()
-            probs = [p for _, p in tree.leaves] + [tree.loss]
-            extended = []
-            for counts, p_route in multinomial(n, probs).items():
-                hits = dict(zip(ids, counts))  # zip drops the trailing loss slot
-                for base, p_base in joint:
-                    extended.append(({**base, **hits}, p_base * p_route))
-            joint = extended
-        for hits, p_route in joint:
-            for pattern, p_click in _threshold_response(hits, all_ids, detectors).items():
-                out[pattern] = out.get(pattern, 0.0) + p_occ * p_route * p_click
-    return out
+    ordered = sorted(trees, key=lambda t: t.mode)
+    if sum(len(t.leaves) for t in ordered) > 20:
+        raise ValueError("click statistics take at most 20 detectors (2^20 click patterns)")
+    effs = [[detectors.eff(d) for d in t.detector_ids()] for t in ordered]
+    tables: list[dict[int, np.ndarray]] = [{} for _ in ordered]
+    total = np.zeros([1 << len(t.leaves) for t in ordered])
+    for occ, p_occ in marginal_distribution(state, [t.mode for t in ordered]).items():
+        term = np.array(p_occ)
+        for tree, tree_effs, cache, n in zip(ordered, effs, tables, occ):
+            if n not in cache:
+                cache[n] = _tree_table(tree, n, tree_effs, detectors.dark_count_prob)
+            term = np.multiply.outer(term, cache[n])
+        total += term
+    leaf_keys = [[frozenset(itertools.compress(t.detector_ids(), bits))
+                  for bits in itertools.product((0, 1), repeat=len(t.leaves))] for t in ordered]
+    return {frozenset().union(*parts): p
+            for parts, p in zip(itertools.product(*leaf_keys), total.ravel().tolist()) if p > 0.0}
 
 
 # -- rate normalization ------------------------------------------------------
@@ -306,17 +311,12 @@ TOPOLOGY_PRESETS = {"paper-6fold": paper_6fold_topology}
 def topology_to_json_dict(
     trees: Sequence[SplitterTree], detectors: DetectorModel
 ) -> dict:
-    efficiency: dict[str, float]
-    if isinstance(detectors.efficiency, Mapping):
-        efficiency = {str(k): float(v) for k, v in detectors.efficiency.items()}
-    else:
-        efficiency = {d: float(detectors.efficiency) for t in trees for d in t.detector_ids()}
+    ordered = sorted(trees, key=lambda t: t.mode)
     return {
         "trees": [
-            {"mode": t.mode, "leaves": [{"det": d, "p": p} for d, p in t.leaves]}
-            for t in sorted(trees, key=lambda t: t.mode)
+            {"mode": t.mode, "leaves": [{"det": d, "p": p} for d, p in t.leaves]} for t in ordered
         ],
-        "efficiency": efficiency,
+        "efficiency": {d: detectors.eff(d) for t in ordered for d in t.detector_ids()},
     }
 
 
@@ -335,9 +335,7 @@ def topology_from_json_dict(data: dict) -> tuple[list[SplitterTree], DetectorMod
     _validate_trees(trees)
     efficiency = data.get("efficiency", {})
     check_keys(efficiency, "efficiency", tuple(d for t in trees for d in t.detector_ids()))
-    efficiency = {str(k): float(v) for k, v in efficiency.items()}
-    model = DetectorModel(efficiency=efficiency if efficiency else 1.0)
-    return trees, model
+    return trees, DetectorModel(efficiency=efficiency or 1.0)
 
 
 # -- distribution CSV I/O ------------------------------------------------------

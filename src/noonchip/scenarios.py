@@ -31,7 +31,7 @@ import numpy as np
 
 from . import analysis, detect, evolve, herald, source
 from .circuit import ChipParams, Interferometer, circuit_from_json_dict, compile_circuit
-from .fock import FockState
+from .fock import NORM_TOL, FockState
 
 T = TypeVar("T")
 
@@ -215,6 +215,8 @@ class ScenarioConfig:
             state = FockState.basis_state(self.input["occupation"])
         else:
             state = _parse("input.state", lambda: FockState.from_json_dict(self.input["state"]))
+            if abs(state.norm_squared() - 1.0) > NORM_TOL:
+                raise ConfigError(f"input.state must be normalized (norm^2 = {state.norm_squared()!r})")
         if state.mode_count != mode_count:
             raise ConfigError(f"input has {state.mode_count} modes, circuit has {mode_count}")
         return state

@@ -10,6 +10,7 @@ from noonchip.circuit import (
     ChipParams,
     DirectionalCoupler,
     Interferometer,
+    LossTap,
     PhaseShifter,
     chip_circuit,
     circuit_from_json_dict,
@@ -92,10 +93,9 @@ def test_random_circuits_compile_to_unitaries():
         assert np.max(np.abs(u.conj().T @ u - np.eye(m))) < 1e-12
 
 
-def test_chip_circuit_layout_and_labels():
+def test_chip_circuit_layout():
     circ = chip_circuit(0.5, 0.5, 1 / 3, 1 / 3, 0.2)
     assert circ.mode_count == 4
-    assert circ.labels == {"a": 0, "b": 1, "c": 2, "d": 3, "i": 0, "j": 1, "k": 2, "l": 3}
     kinds = [type(e).__name__ for e in circ.elements]
     assert kinds == [
         "DirectionalCoupler",
@@ -166,10 +166,9 @@ def test_element_mode_range_validation():
         Interferometer(2, (DirectionalCoupler(0.5, (1, 1)),))
 
 
-def test_json_round_trip_preserves_matrix_and_labels():
+def test_json_round_trip_preserves_matrix():
     circ = chip_circuit(0.42, 0.5, 0.3, 0.35, 1.1)
     back = circuit_from_json_dict(json.loads(json.dumps(circuit_to_json_dict(circ))))
-    assert back.labels == circ.labels
     assert np.max(np.abs(compile_circuit(back) - compile_circuit(circ))) < 1e-15
 
 
@@ -183,4 +182,23 @@ def test_json_round_trip_with_loss():
 
 def test_json_rejects_unknown_element_type():
     with pytest.raises(ValueError):
-        circuit_from_json_dict({"modes": 2, "labels": {}, "elements": [{"type": "squeezer"}]})
+        circuit_from_json_dict({"modes": 2, "elements": [{"type": "squeezer"}]})
+
+
+def test_json_rejects_labels_key():
+    # port labels were read and kept, but no result ever depended on them
+    data = {**circuit_to_json_dict(ChipParams().circuit()), "labels": {"zz": 99}}
+    with pytest.raises(ValueError, match="labels"):
+        circuit_from_json_dict(data)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda x: DirectionalCoupler(x, (0, 1)), "directional coupler eta"),
+    (lambda x: PhaseShifter(x, 0), "phase shifter phi"),
+    (lambda x: LossTap(x, 0, 1), "loss tap transmission"),
+], ids=["coupler", "phase", "loss"])
+def test_element_rejects_non_finite_setting(build, message):
+    # an infinite phase reached math.cos and failed as "math domain error"
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=message):
+            build(value)

@@ -97,7 +97,9 @@ def test_config_validation_errors():
 
 
 def assert_damaged_presets_exit_2(tmp_path, capsys, cases):
-    """Each (command, preset, key path, value) run with that one value set."""
+    """Each (command, preset, key path, value) run with that one value set;
+    returns the error lines."""
+    errors = []
     for command, name, keys, value in cases:
         data = preset(name).to_json_dict()
         block = data
@@ -107,7 +109,8 @@ def assert_damaged_presets_exit_2(tmp_path, capsys, cases):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(data))
         assert run_cli([command, "--config", str(path)]) == 2, (keys, value)
-        assert_one_config_error(capsys)
+        errors.append(assert_one_config_error(capsys))
+    return errors
 
 
 def test_wrong_config_types_exit_2(tmp_path, capsys):
@@ -130,6 +133,42 @@ def test_malformed_input_state_exits_2(tmp_path, capsys):
         ("simulate", "fig2a", ("input",), {"state": [1, 2]}),
         ("simulate", "fig2a", ("input",), {"state": {"modes": 4, "terms": [nan_term]}}),
     ])
+
+
+def test_unnormalized_input_state_exits_2(tmp_path, capsys):
+    # taken as it was before: amplitude 0.1 gave herald probability 4.94e-4
+    small = [{"occ": [0, 2, 2, 0], "re": 0.1, "im": 0.0}]
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("simulate", "fig2a", ("input",), {"state": {"modes": 4, "terms": terms}})
+        for terms in (small, [])
+    ])
+    assert all("input.state" in err for err in errors)
+
+
+def test_inline_circuit_labels_and_non_finite_phase_exit_2(tmp_path, capsys):
+    # labels changed no result and were accepted; an infinite phase failed
+    # in math.cos as "math domain error", which named neither field nor element
+    labelled = {**circuit_to_json_dict(ChipParams().circuit()), "labels": {"zz": 99}}
+    infinite = circuit_to_json_dict(ChipParams().circuit())
+    infinite["elements"][1]["phi"] = math.inf
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("simulate", "fig2a", ("circuit",), {"inline": labelled}),
+        ("simulate", "fig2a", ("circuit",), {"inline": infinite}),
+    ])
+    assert "labels" in errors[0] and "phase shifter phi" in errors[1]
+
+
+def test_detector_efficiency_out_of_range_exits_2(tmp_path, capsys):
+    trees, model = detect.paper_6fold_topology()
+    topologies = []
+    for value in (1.5, math.nan):
+        topologies.append(detect.topology_to_json_dict(trees, model))
+        topologies[-1]["efficiency"]["J1"] = value
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("contamination", "fig4-contamination", ("detection",), {"inline": topology})
+        for topology in topologies
+    ])
+    assert all("efficiency for 'J1' must lie in [0, 1]" in err for err in errors)
 
 
 def test_out_of_range_fields_exit_2(tmp_path, capsys):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noonchip.circuit import ChipParams
 from noonchip.detect import (
@@ -21,7 +23,7 @@ from noonchip.detect import (
     topology_from_json_dict,
     topology_to_json_dict,
 )
-from noonchip.fock import FockState, marginal_distribution
+from noonchip.fock import FockState, marginal_distribution, multinomial
 from noonchip.herald import HeraldPattern, heralded_output
 
 
@@ -146,6 +148,113 @@ def test_click_distribution_brute_force_two_photons():
     assert set(dist) == set(want)
     for key, value in want.items():
         assert dist[key] == pytest.approx(value, abs=1e-12)
+
+
+def _threshold_response(hits, all_ids, model):
+    """Click-pattern distribution given photon counts per detector."""
+    dark = model.dark_count_prob
+    patterns = {frozenset(): 1.0}
+    for det in all_ids:
+        c = hits.get(det, 0)
+        if c == 0 and dark == 0.0:
+            continue
+        p_click = 1.0 - (1.0 - model.eff(det)) ** c * (1.0 - dark)
+        updated = {}
+        for pattern, weight in patterns.items():
+            if p_click > 0.0:
+                key = pattern | {det}
+                updated[key] = updated.get(key, 0.0) + weight * p_click
+            if p_click < 1.0:
+                updated[pattern] = updated.get(pattern, 0.0) + weight * (1.0 - p_click)
+        patterns = updated
+    return patterns
+
+
+def reference_click_distribution(state, trees, detectors):
+    """The per-routing walk: every joint routing of the photons over all
+    trees, then the threshold response of all detectors to it."""
+    covered = sorted(t.mode for t in trees)
+    tree_by_mode = {t.mode: t for t in trees}
+    all_ids = [d for m in covered for d in tree_by_mode[m].detector_ids()]
+    out = {}
+    for occ, p_occ in marginal_distribution(state, covered).items():
+        joint = [({}, 1.0)]
+        for mode, n in zip(covered, occ):
+            tree = tree_by_mode[mode]
+            probs = [p for _, p in tree.leaves] + [tree.loss]
+            extended = []
+            for counts, p_route in multinomial(n, probs).items():
+                hits = dict(zip(tree.detector_ids(), counts))
+                for base, p_base in joint:
+                    extended.append(({**base, **hits}, p_base * p_route))
+            joint = extended
+        for hits, p_route in joint:
+            for pattern, p_click in _threshold_response(hits, all_ids, detectors).items():
+                out[pattern] = out.get(pattern, 0.0) + p_occ * p_route * p_click
+    return out
+
+
+#: a leaf probability or amplitude part is 0 or at least 1e-6; a click or
+#: no-click factor is 0 or at least 1.1e-16 whatever the efficiency, since it
+#: is a difference from 1.  So no product of at most 4 photons over 12
+#: detectors reaches the subnormal range, where a relative error says nothing
+SIZE = st.just(0.0) | st.floats(1e-6, 1.0)
+PROBABILITY = st.floats(0.0, 1.0)
+
+
+@st.composite
+def click_cases(draw):
+    modes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+    trees = []
+    for mode in modes:
+        weights = draw(st.lists(SIZE, min_size=1, max_size=4))
+        scale = draw(st.floats(0.5, 1.0)) / max(1.0, sum(weights))  # lossy sums allowed
+        trees.append(SplitterTree(
+            mode, tuple((f"M{mode}D{i}", w * scale) for i, w in enumerate(weights))))
+    ids = [d for t in trees for d in t.detector_ids()]
+    if draw(st.booleans()):
+        efficiency = draw(PROBABILITY)
+    else:  # per id; an id left out counts as efficiency 1
+        efficiency = {d: draw(PROBABILITY) for d in ids if draw(st.booleans())}
+    dark = draw(st.just(0.0) | st.floats(0.0, 0.2, exclude_min=True, exclude_max=True))
+    terms = draw(st.lists(
+        st.tuples(st.lists(st.integers(0, 3), max_size=4), SIZE, SIZE), min_size=1, max_size=4))
+    amplitudes = {}
+    for photon_modes, re, im in terms:
+        occ = tuple(photon_modes.count(m) for m in range(4))
+        amplitudes[occ] = complex(re, im) / math.sqrt(2 * len(terms))  # norm^2 <= 1
+    return FockState(4, amplitudes), trees, DetectorModel(efficiency, dark)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(click_cases())
+def test_click_distribution_matches_per_routing_walk(case):
+    state, trees, detectors = case
+    got = click_distribution(state, trees, detectors)
+    want = reference_click_distribution(state, trees, detectors)
+    assert set(got) == set(want)
+    for pattern, p in want.items():
+        assert got[pattern] == pytest.approx(p, rel=1e-12, abs=0.0)
+    norm = sum(marginal_distribution(state, [t.mode for t in trees]).values())
+    assert sum(got.values()) == pytest.approx(norm, rel=1e-12, abs=1e-300)
+
+
+def test_detector_model_validated_once():
+    assert DetectorModel(efficiency={"A": 0.5}).eff("B") == 1.0
+    for bad in (-0.1, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="efficiency must lie"):
+            DetectorModel(efficiency=bad)
+        with pytest.raises(ValueError, match="efficiency for 'A' must lie"):
+            DetectorModel(efficiency={"A": bad})
+        with pytest.raises(ValueError, match="dark_count_prob must lie"):
+            DetectorModel(dark_count_prob=bad)
+
+
+def test_click_distribution_rejects_oversized_topology():
+    # the dense pattern array would hold 2^21 entries
+    trees = [SplitterTree(m, tuple((f"M{m}D{i}", 0.1) for i in range(7))) for m in range(3)]
+    with pytest.raises(ValueError, match="at most 20 detectors"):
+        click_distribution(FockState.basis_state((1, 0, 0)), trees)
 
 
 def test_paper_topology_shape():

@@ -55,6 +55,24 @@ def test_preset_outputs_match_pinned_hashes():
     assert preset_hashes() == json.loads(GOLDEN.read_text())
 
 
+#: fig4-contamination's contamination.json as the per-routing click walk wrote
+#: it, before the per-tree click tables changed the summation order
+WALK_CONTAMINATION = {
+    "true_event_probability": 5.778157567623171e-10,
+    "false_event_probability": 3.89290116147916e-11,
+    "false_to_true_ratio": 0.06737270688657412,
+}
+
+
+def test_fig4_contamination_keeps_walk_values(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["contamination", "--preset", "fig4-contamination", "--out", str(tmp_path)])
+    assert code == 0
+    body = json.loads((tmp_path / "contamination.json").read_text())
+    for key, want in WALK_CONTAMINATION.items():
+        assert abs(body[key] - want) <= 1e-12 * want, key
+
+
 def test_summary_is_the_stdout_without_out(capsys):
     # the premise of preset_hashes, checked on the smallest preset
     assert cli.main(["simulate", "--preset", "fig2a"]) == 0
