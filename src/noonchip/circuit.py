@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from operator import index
 from typing import Union
 
 import numpy as np
 
-from .fock import check_keys
+from .fock import check_keys, is_number
 
 
 @dataclass(frozen=True)
@@ -36,8 +35,8 @@ class DirectionalCoupler:
     modes: tuple[int, int]
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"directional coupler eta must lie in [0, 1], got {self.eta}")
+        if not (is_number(self.eta) and 0.0 <= self.eta <= 1.0):
+            raise ValueError(f"directional coupler eta must lie in [0, 1], got {self.eta!r}")
         if self.modes[0] == self.modes[1]:
             raise ValueError("coupler needs two distinct modes")
 
@@ -48,8 +47,8 @@ class PhaseShifter:
     mode: int
 
     def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phase shifter phi must be finite, got {self.phi}")
+        if not is_number(self.phi):
+            raise ValueError(f"phase shifter phi must be a finite number, got {self.phi!r}")
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,8 @@ class LossTap:
     env_mode: int
 
     def __post_init__(self):
-        if not 0.0 <= self.transmission <= 1.0:
-            raise ValueError(f"loss tap transmission must lie in [0, 1], got {self.transmission}")
+        if not (is_number(self.transmission) and 0.0 <= self.transmission <= 1.0):
+            raise ValueError(f"loss tap transmission must lie in [0, 1], got {self.transmission!r}")
         if self.mode == self.env_mode:
             raise ValueError("loss tap needs a distinct environment mode")
 
@@ -179,7 +178,8 @@ def with_loss(circ: Interferometer, mode: int, transmission: float) -> Interfero
 #
 # "modes" counts signal modes only; environment modes for loss taps are
 # assigned in element order after the signal modes on load.  A key outside
-# this form, or a mode that is not an integer, is rejected.
+# this form is rejected, and so is a setting that is not a finite number or a
+# mode that is not an integer (fock.is_number: a bool or a string is neither).
 
 #: the keys each element type takes
 ELEMENT_KEYS = {"dc": ("type", "eta", "modes"), "phase": ("type", "phi", "mode"),
@@ -201,18 +201,23 @@ def circuit_to_json_dict(circ: Interferometer) -> dict:
 def circuit_from_json_dict(data: dict) -> Interferometer:
     check_keys(data, "circuit", ("modes", "elements"))
     elements: list[Element] = []
-    next_env = index(data["modes"])
+    next_env = data["modes"]
+    if not is_number(next_env, int):
+        raise ValueError(f"circuit modes must be an integer, got {next_env!r}")
     for entry in data.get("elements", []):
         kind = entry["type"]
         if kind not in ELEMENT_KEYS:
             raise ValueError(f"unknown element type {kind!r}")
         check_keys(entry, f"{kind} element", ELEMENT_KEYS[kind])
+        modes = entry["modes"] if kind == "dc" else [entry["mode"]]
+        if not all(is_number(m, int) for m in modes):
+            raise ValueError(f"{kind} element modes must be integers, got {modes!r}")
         if kind == "dc":
-            a, b = entry["modes"]
-            elements.append(DirectionalCoupler(float(entry["eta"]), (index(a), index(b))))
+            a, b = modes
+            elements.append(DirectionalCoupler(entry["eta"], (a, b)))
         elif kind == "phase":
-            elements.append(PhaseShifter(float(entry["phi"]), index(entry["mode"])))
+            elements.append(PhaseShifter(entry["phi"], modes[0]))
         else:
-            elements.append(LossTap(float(entry["t"]), index(entry["mode"]), next_env))
+            elements.append(LossTap(entry["t"], modes[0], next_env))
             next_env += 1
     return Interferometer(next_env, tuple(elements))

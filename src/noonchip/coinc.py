@@ -33,6 +33,7 @@ import numpy as np
 
 from . import evolve
 from .detect import csv_text
+from .fock import is_number
 
 #: |tick| must stay below this: float64 holds every integer up to 2**53
 MAX_TICK = 2**53
@@ -72,11 +73,6 @@ class Pulses:
         return map(PulseEvent, self.channels.tolist(), self.t.tolist())
 
 
-def _count(value, upper: float) -> bool:
-    """True for an integer (not a bool) in [1, upper]."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and 1 <= value <= upper
-
-
 @dataclass(frozen=True)
 class CoincidenceConfig:
     t_clk: float = 2.9
@@ -86,13 +82,14 @@ class CoincidenceConfig:
     jitter_sigma_ns: float = 0.0
 
     def __post_init__(self):
-        if not _count(self.window_cycles, MAX_TICK):
+        if not (is_number(self.window_cycles, numbers.Integral) and 1 <= self.window_cycles <= MAX_TICK):
             raise ValueError(f"window_cycles must be an integer in [1, 2**53], got {self.window_cycles!r}")
-        if self.n_channels is not None and not _count(self.n_channels, math.inf):
+        if self.n_channels is not None and not (
+            is_number(self.n_channels, numbers.Integral) and self.n_channels >= 1
+        ):
             raise ValueError(f"n_channels must be null or a positive integer, got {self.n_channels!r}")
-        values = (self.t_clk, self.dead_time_ns, self.jitter_sigma_ns)
-        if not all(math.isfinite(x) for x in values):
-            raise ValueError("coincidence settings must be finite")
+        if not all(is_number(x) for x in (self.t_clk, self.dead_time_ns, self.jitter_sigma_ns)):
+            raise ValueError("coincidence settings must be finite numbers")
         if self.t_clk <= 0.0:
             raise ValueError("t_clk must be positive")
         if self.dead_time_ns < 0.0 or self.jitter_sigma_ns < 0.0:
@@ -267,27 +264,28 @@ def empirical_window_profile(
 def read_pulse_csv(path) -> Pulses:
     """Reads a pulse stream with columns channel,t_ns; every time must be finite.
 
-    Columns are found by header name and blank lines are skipped; a short
-    row, a time that is not a finite number or a NUL character (which numpy
-    strings drop from the end of a channel name) raises ValueError.
+    Columns are found by header name, any line end is taken and blank lines
+    are skipped; a short row, a time that is not a finite number, a CSV error
+    or a NUL character (which numpy strings drop from the end of a channel
+    name) raises ValueError naming the file.
     """
     with open(path, newline="") as handle:
         text = handle.read()
-    if "\0" in text:
-        raise ValueError(f"{path}: NUL character in the pulse file")
-    reader = csv.reader(io.StringIO(text))
-    column = {name: i for i, name in enumerate(next(reader, None) or ())}
-    if not {"channel", "t_ns"} <= column.keys():
-        raise ValueError(f"{path}: expected columns 'channel,t_ns'")
-    rows = [row for row in reader if row]
-    c, k = column["channel"], column["t_ns"]
-    width = max(c, k) + 1
-    if min(map(len, rows), default=width) < width:
-        short = next(row for row in rows if len(row) < width)
-        raise ValueError(f"{path}: row {short!r} has fewer than {width} fields")
     try:
+        if "\0" in text:
+            raise ValueError("NUL character in the pulse file")
+        header, *rows = list(csv.reader(io.StringIO(text, newline=""))) or [[]]
+        column = {name: i for i, name in enumerate(header)}
+        if not {"channel", "t_ns"} <= column.keys():
+            raise ValueError("expected columns 'channel,t_ns'")
+        rows = [row for row in rows if row]
+        c, k = column["channel"], column["t_ns"]
+        width = max(c, k) + 1
+        if min(map(len, rows), default=width) < width:
+            short = next(row for row in rows if len(row) < width)
+            raise ValueError(f"row {short!r} has fewer than {width} fields")
         return Pulses([row[c] for row in rows], np.array([row[k] for row in rows], dtype=float))
-    except ValueError as exc:
+    except (csv.Error, ValueError) as exc:  # csv.Error: e.g. a field over csv's size limit
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -17,14 +17,13 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from operator import index
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import herald
 from .circuit import ChipParams
-from .fock import FockState, Occupation, check_keys, marginal_distribution, multinomial
+from .fock import FockState, Occupation, check_keys, is_number, marginal_distribution, multinomial
 
 PROB_SUM_TOL = 1e-9
 
@@ -37,15 +36,15 @@ class SplitterTree:
     leaves: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
+        for d, p in self.leaves:
+            if not (is_number(p) and p >= 0.0):
+                raise ValueError(f"leaf probability for {d} is {p!r}, not a number >= 0")
         object.__setattr__(
             self, "leaves", tuple((str(d), float(p)) for d, p in self.leaves)
         )
         ids = [d for d, _ in self.leaves]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate detector ids in tree on mode {self.mode}")
-        for d, p in self.leaves:
-            if not p >= 0.0:
-                raise ValueError(f"leaf probability for {d} is {p}, not >= 0")
         if sum(p for _, p in self.leaves) > 1.0 + PROB_SUM_TOL:
             raise ValueError(f"leaf probabilities on mode {self.mode} exceed 1")
 
@@ -92,11 +91,10 @@ class DetectorModel:
 
 
 def _probability(what: str, value) -> float:
-    """value as a float in [0, 1]; NaN and infinities fail the range check."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{what} must lie in [0, 1]")
-    return value
+    """value as a float in [0, 1]; a bool, a string, NaN or an infinity fails."""
+    if not (is_number(value) and 0.0 <= value <= 1.0):
+        raise ValueError(f"{what} must lie in [0, 1], got {value!r}")
+    return float(value)
 
 
 def _validate_trees(trees: Sequence[SplitterTree]) -> None:
@@ -282,8 +280,7 @@ def simulated_reference_distribution(
     result = herald.heralded_output(chip, input_state, pattern)
     if result.is_null:
         return {}
-    state = result.conditional_state
-    return marginal_distribution(state, range(state.mode_count))
+    return {occ: abs(a) ** 2 for occ, a in result.conditional_state.amplitudes.items()}
 
 
 # -- topology presets and serialization ---------------------------------------
@@ -330,8 +327,10 @@ def topology_from_json_dict(data: dict) -> tuple[list[SplitterTree], DetectorMod
         leaves = []
         for leaf in entry["leaves"]:
             check_keys(leaf, "leaf", ("det", "p"))
-            leaves.append((leaf["det"], float(leaf["p"])))
-        trees.append(SplitterTree(index(entry["mode"]), tuple(leaves)))
+            leaves.append((leaf["det"], leaf["p"]))
+        if not is_number(entry["mode"], int):
+            raise ValueError(f"tree mode must be an integer, got {entry['mode']!r}")
+        trees.append(SplitterTree(entry["mode"], tuple(leaves)))
     _validate_trees(trees)
     efficiency = data.get("efficiency", {})
     check_keys(efficiency, "efficiency", tuple(d for t in trees for d in t.detector_ids()))
@@ -366,21 +365,25 @@ def distribution_csv_text(dist: Mapping) -> str:
 
 
 def read_distribution_csv(path) -> dict[str, float]:
-    """Reads columns outcome,probability; a short row, a repeated outcome or a
-    probability that is not a finite number raises ValueError."""
+    """Reads columns outcome,probability; a short row, a repeated outcome, a
+    probability that is not a finite number or a CSV error raises ValueError
+    naming the file and line."""
     dist: dict[str, float] = {}
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"outcome", "probability"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns 'outcome,probability'")
-        for row in reader:
-            outcome, value = row["outcome"], row["probability"]
-            if outcome is None or value is None:
-                raise ValueError(f"{path}, line {reader.line_num}: expected outcome,probability")
-            p = float(value)  # not a number: ValueError
-            if not math.isfinite(p):
-                raise ValueError(f"{path}, line {reader.line_num}: probability {value!r} is not finite")
-            if outcome in dist:
-                raise ValueError(f"{path}, line {reader.line_num}: outcome {outcome!r} is repeated")
-            dist[outcome] = p
+        try:
+            if reader.fieldnames is None or not {"outcome", "probability"} <= set(reader.fieldnames):
+                raise ValueError("expected columns 'outcome,probability'")
+            for row in reader:
+                outcome, value = row["outcome"], row["probability"]
+                if outcome is None or value is None:
+                    raise ValueError("expected outcome,probability")
+                p = float(value)  # not a number: ValueError
+                if not math.isfinite(p):
+                    raise ValueError(f"probability {value!r} is not finite")
+                if outcome in dist:
+                    raise ValueError(f"outcome {outcome!r} is repeated")
+                dist[outcome] = p
+        except (csv.Error, ValueError) as exc:  # csv.Error: e.g. a field over csv's size limit
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return dist

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Occupation = tuple[int, ...]
 
@@ -153,6 +155,11 @@ def check_keys(data, what: str, allowed: tuple[str, ...]) -> None:
         raise ValueError(f"{what} takes only the keys {', '.join(allowed)}; got {unknown}")
 
 
+def is_number(value, kind: type | tuple[type, ...] = (int, float)) -> bool:
+    """A JSON number of the given kind in a float's range: no bool, string or NaN."""
+    return isinstance(value, kind) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class NoonSpec:
     """Target two-mode state (|n,m> + e^{i alpha} |m,n>) / sqrt(2), n >= m."""
@@ -200,23 +207,46 @@ def state_fidelity(a: FockState, b: FockState) -> float:
     return abs(inner_product(a, b)) ** 2
 
 
-def marginal_distribution(state: FockState, modes: Iterable[int]) -> dict[Occupation, float]:
-    """Distribution of photon counts on a subset of modes.
-
-    Keys are tuples ordered by ascending mode index.  Over all modes this
-    reproduces |amplitude|^2 per occupation exactly.
-    """
+def _count_keys(state: FockState, modes: Iterable[int]) -> list[Callable[[Occupation], Occupation]]:
+    """Two maps from an occupation to its counts on the given modes and on the
+    others, each a tuple in ascending mode order built in one C call; no mode,
+    or one outside the state, raises ValueError."""
     selected = sorted(set(int(m) for m in modes))
     if not selected:
         raise ValueError("need at least one mode")
     for m in selected:
         if not 0 <= m < state.mode_count:
             raise ValueError(f"mode {m} out of range for {state.mode_count}-mode state")
+    kept = [m for m in range(state.mode_count) if m not in selected]
+    # itemgetter of one index gives the bare count; a slice keeps it a tuple
+    return [itemgetter(*ms) if len(ms) > 1 else itemgetter(slice(ms[0], ms[0] + 1) if ms else slice(0))
+            for ms in (selected, kept)]
+
+
+def marginal_distribution(state: FockState, modes: Iterable[int]) -> dict[Occupation, float]:
+    """Distribution of photon counts on a subset of modes.
+
+    Keys are tuples ordered by ascending mode index.  Over all modes this
+    reproduces |amplitude|^2 per occupation exactly.  Each value is the squared
+    norm of split's part under that key, summed without building the part.
+    """
+    key, _ = _count_keys(state, modes)
     dist: dict[Occupation, float] = {}
     for occ, amp in state.amplitudes.items():
-        key = tuple(occ[m] for m in selected)
-        dist[key] = dist.get(key, 0.0) + abs(amp) ** 2
+        counts = key(occ)
+        dist[counts] = dist.get(counts, 0.0) + abs(amp) ** 2
     return dist
+
+
+def split(state: FockState, modes: Iterable[int]) -> dict[Occupation, dict[Occupation, complex]]:
+    """The state grouped by its photon counts on the given modes, in one pass:
+    {counts on the modes: {occupation of the other modes: amplitude}}, both
+    keys in ascending mode order and each part in the state's term order."""
+    key, rest = _count_keys(state, modes)
+    parts: dict[Occupation, dict[Occupation, complex]] = {}
+    for occ, amp in state.amplitudes.items():
+        parts.setdefault(key(occ), {})[rest(occ)] = amp
+    return parts
 
 
 def basis_occupations(n_photons: int, n_modes: int) -> Iterator[Occupation]:

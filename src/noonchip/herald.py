@@ -12,7 +12,7 @@ from typing import Mapping
 
 from . import evolve
 from .circuit import ChipParams
-from .fock import FockState, Occupation
+from .fock import FockState, Occupation, split
 
 
 @dataclass(frozen=True)
@@ -69,26 +69,19 @@ class HeraldResult:
 
 def project(state: FockState, pattern: HeraldPattern) -> HeraldResult:
     """Projects onto the herald counts and strips the heralded modes."""
-    for m in pattern.modes():
-        if not 0 <= m < state.mode_count:
-            raise ValueError(f"herald mode {m} out of range for {state.mode_count}-mode state")
-    kept = tuple(m for m in range(state.mode_count) if m not in pattern.requirements)
-    if not kept:
-        raise ValueError("herald pattern covers every mode; nothing to condition on")
-
     reqs = pattern.requirements
-    amps: dict[Occupation, complex] = {}
-    for occ, amp in state.amplitudes.items():
-        if all(occ[m] == n for m, n in reqs.items()):
-            key = tuple(occ[m] for m in kept)
-            amps[key] = amps.get(key, 0j) + amp
+    part = split(state, reqs).get(tuple(reqs[m] for m in pattern.modes()), {})
+    kept = tuple(m for m in range(state.mode_count) if m not in reqs)
+    return HeraldResult(*condition(part, len(kept)), kept, pattern)
 
-    probability = sum(abs(a) ** 2 for a in amps.values())
-    if probability == 0.0:
-        empty = FockState(len(kept), {})
-        return HeraldResult(0.0, empty, kept, pattern)
-    raw = FockState(len(kept), amps)
-    return HeraldResult(raw.norm_squared(), raw.normalized(), kept, pattern)
+
+def condition(part: Mapping[Occupation, complex], mode_count: int) -> tuple[float, FockState]:
+    """(squared norm, normalized state) of one part of fock.split on the
+    mode_count modes not heralded; an empty part, a null herald, gives 0.0."""
+    if mode_count == 0:
+        raise ValueError("herald pattern covers every mode; nothing to condition on")
+    raw = FockState(mode_count, part)
+    return (raw.norm_squared(), raw.normalized()) if part else (0.0, raw)
 
 
 def heralded_output(chip: ChipParams, input_state: FockState, pattern: HeraldPattern) -> HeraldResult:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, TypeVar
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import analysis, detect, evolve, herald, source
 from .circuit import ChipParams, Interferometer, circuit_from_json_dict, compile_circuit
-from .fock import NORM_TOL, FockState
+from .fock import NORM_TOL, FockState, is_number
 
 T = TypeVar("T")
 
@@ -95,12 +94,8 @@ SWEEP_KEYS = ("parameter", "grid", "pattern")
 
 
 def _numbers(value, kind: type | tuple[type, ...] = (int, float)) -> bool:
-    """A JSON list of numbers of the given kind, each finite and within the
-    range of a float (a bool is not a number)."""
-    return isinstance(value, (list, tuple)) and all(
-        isinstance(x, kind) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
-        for x in value
-    )
+    """A JSON list of numbers of the given kind (fock.is_number)."""
+    return isinstance(value, (list, tuple)) and all(is_number(x, kind) for x in value)
 
 
 def _counts(value) -> bool:

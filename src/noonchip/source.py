@@ -23,7 +23,7 @@ import numpy as np
 
 from . import detect, evolve, herald
 from .circuit import ChipParams, dc_matrix
-from .fock import FockState, Occupation, basis_occupations, multinomial
+from .fock import FockState, Occupation, is_number, multinomial, split
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class SpdcParams:
         # a sector of more than evolve.MAX_PHOTONS photons cannot be evolved
         top = evolve.MAX_PHOTONS // 2
         n = self.n_max
-        if not (isinstance(n, Integral) and not isinstance(n, bool) and 0 <= n <= top):
+        if not (is_number(n, Integral) and 0 <= n <= top):
             raise ValueError(f"n_max must be an integer in [0, {top}], got {n!r}")
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError("overlap must lie in [0, 1]")
@@ -130,7 +130,7 @@ class SectorReport:
     signature_probability: float
     interpreted_rates: dict[Occupation, float]
     mislabeled: bool
-    herald_branches: dict[Occupation, dict]
+    herald_branches: dict[Occupation, tuple[float, FockState]]  # herald.condition of each split part
 
     def to_json_dict(self) -> dict:
         return {
@@ -147,11 +147,8 @@ class SectorReport:
             },
             "mislabeled": self.mislabeled,
             "herald_branches": {
-                detect.format_outcome(k): {
-                    "probability": v["probability"],
-                    "state": v["state"].to_json_dict(),
-                }
-                for k, v in sorted(self.herald_branches.items())
+                detect.format_outcome(k): {"probability": p, "state": state.to_json_dict()}
+                for k, (p, state) in sorted(self.herald_branches.items())
             },
         }
 
@@ -191,23 +188,6 @@ class ContaminationReport:
             "false_to_true_ratio": self.false_to_true_ratio,
             "sectors": [s.to_json_dict() for s in self.sectors],
         }
-
-
-def _herald_branches(
-    state: FockState, pattern: herald.HeraldPattern, total_photons: int
-) -> dict[Occupation, dict]:
-    """Decomposition by exact photon counts on the herald modes."""
-    modes = pattern.modes()
-    branches: dict[Occupation, dict] = {}
-    for herald_total in range(total_photons + 1):
-        for counts in basis_occupations(herald_total, len(modes)):
-            result = herald.project(state, herald.HeraldPattern(dict(zip(modes, counts))))
-            if result.probability > 0.0:
-                branches[counts] = {
-                    "probability": result.probability,
-                    "state": result.conditional_state,
-                }
-    return branches
 
 
 def contamination_report(
@@ -250,14 +230,18 @@ def contamination_report(
     signal_modes = sorted(m for m in tree_by_mode if m not in pattern.requirements)
     signal_ids = {m: set(tree_by_mode[m].detector_ids()) for m in signal_modes}
 
+    wanted = tuple(pattern.requirements[m] for m in pattern.modes())
     u = chip.matrix()
+    kept = u.shape[0] - len(wanted)
     weights = sector_weights(params)
     sectors: list[SectorReport] = []
     true_prob = 0.0
     false_prob = 0.0
     for n, weight in weights.items():
         evolved = evolve.apply(u, sector_chip_input(n))
-        exact = herald.project(evolved, pattern)
+        parts = split(evolved, pattern.modes())
+        branches = {counts: herald.condition(part, kept) for counts, part in parts.items()}
+        herald_probability, conditional = branches.get(wanted) or herald.condition({}, kept)
         clicks = detect.click_distribution(evolved, list(trees), detectors)
         interpreted: dict[Occupation, float] = {}
         for click_pattern, p in clicks.items():
@@ -280,21 +264,12 @@ def contamination_report(
             SectorReport(
                 n_pairs=n,
                 weight=weight,
-                herald_probability=exact.probability,
-                conditional_distribution=(
-                    {}
-                    if exact.is_null
-                    else dict(
-                        sorted(
-                            (occ, abs(a) ** 2)
-                            for occ, a in exact.conditional_state.amplitudes.items()
-                        )
-                    )
-                ),
+                herald_probability=herald_probability,
+                conditional_distribution={occ: abs(a) ** 2 for occ, a in conditional.items()},
                 signature_probability=signature,
                 interpreted_rates=interpreted,
                 mislabeled=mislabeled,
-                herald_branches=_herald_branches(evolved, pattern, 2 * n),
+                herald_branches=branches,
             )
         )
     return ContaminationReport(

@@ -171,6 +171,42 @@ def test_detector_efficiency_out_of_range_exits_2(tmp_path, capsys):
     assert all("efficiency for 'J1' must lie in [0, 1]" in err for err in errors)
 
 
+def test_string_or_bool_where_a_number_or_mode_belongs_exits_2(tmp_path, capsys):
+    # each ran with exit 0: float("0.5") read the string, and a bool passed
+    # as the integer 0 or 1
+    text_eta = circuit_to_json_dict(ChipParams().circuit())
+    text_eta["elements"][0]["eta"] = "0.5"
+    bool_mode = circuit_to_json_dict(ChipParams().circuit())
+    bool_mode["elements"][0]["modes"] = [True, 2]
+    trees, model = detect.paper_6fold_topology()
+    text_leaf = detect.topology_to_json_dict(trees, model)
+    text_leaf["trees"][0]["leaves"][0]["p"] = "1.0"
+    text_efficiency = {**detect.topology_to_json_dict(trees, model), "efficiency": {"Di": "0.5"}}
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("simulate", "fig2a", ("circuit",), {"inline": text_eta}),
+        ("simulate", "fig2a", ("circuit",), {"inline": bool_mode}),
+        ("contamination", "fig4-contamination", ("detection",), {"inline": text_leaf}),
+        ("contamination", "fig4-contamination", ("detection",), {"inline": text_efficiency}),
+    ])
+    assert "'0.5'" in errors[0] and "True" in errors[1]
+    assert "'1.0'" in errors[2] and "'0.5'" in errors[3]
+
+
+def test_coincidence_bool_setting_exits_2(tmp_path, capsys):
+    # a clock period of true ran as 1 ns
+    cfg = tmp_path / "coinc.json"
+    cfg.write_text(json.dumps({"t_clk": True}))
+    assert run_cli(["coincidence", "--profile", "--config", str(cfg)]) == 2
+    assert_one_config_error(capsys)
+
+
+def test_out_of_range_herald_mode_exits_2(tmp_path, capsys):
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("simulate", "fig2a", ("herald",), {"7": 1}),
+    ])
+    assert "mode 7" in errors[0]
+
+
 def test_out_of_range_fields_exit_2(tmp_path, capsys):
     # a negative signal or sweep count ran to all-zero results with exit 0; a
     # sagnac config without a herald heralded {0: 1, 3: 1}; an n_max of NaN

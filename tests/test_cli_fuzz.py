@@ -1,5 +1,6 @@
-"""Preset configs with one or two values replaced by random JSON still end in
-exit 0, 2 or 3, never a traceback, and a failure prints one stderr line."""
+"""Preset configs with one or two values replaced by random JSON, and fuzzed
+pulse and distribution CSV files, still end in exit 0, 2 or 3, never a
+traceback, and a failure prints one stderr line."""
 
 import contextlib
 import copy
@@ -76,3 +77,57 @@ def test_damaged_configs_exit_cleanly(name, data):
     assert code in (0, 2, 3)
     if code:
         assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
+
+
+# -- CSV inputs -------------------------------------------------------------------
+
+#: fields the CSV readers look for or choke on, plus random text
+FIELDS = st.sampled_from(
+    ("channel", "t_ns", "outcome", "probability", "A", "B", "0;1", '"', '"a,b"', "0", "1",
+     "0.5", "-1", "1e308", "1e309", "inf", "-inf", "nan", "1_0", " 1", "", "\0", "\x85", "é", "١",
+     "x" * 131073)  # one field past the csv module's size limit
+) | st.text(max_size=6)
+
+HEADERS = st.sampled_from(("channel,t_ns", "t_ns,channel", "outcome,probability",
+                           "probability,outcome,extra")) | st.lists(FIELDS, max_size=3).map(",".join)
+
+LINE_ENDS = st.sampled_from(("\n", "\r\n", "\r"))
+
+
+@st.composite
+def csv_bytes(draw):
+    """A CSV file's bytes: a header and rows of fuzzed fields, or raw bytes."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=40))
+    rows = draw(st.lists(st.lists(FIELDS, max_size=4).map(",".join), max_size=6))
+    end = draw(LINE_ENDS)
+    return end.join([draw(HEADERS)] + rows).encode("utf-8", "surrogatepass")
+
+
+def _run_files(command, contents):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, body in enumerate(contents):
+            paths.append(Path(tmp) / f"input{i}.csv")
+            paths[-1].write_bytes(body)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([command, *map(str, paths)])
+    assert code in (0, 2, 3)
+    if code:
+        assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(csv_bytes())
+def test_fuzzed_pulse_csv_exits_cleanly(body):
+    _run_files("coincidence", [body])
+
+
+REFERENCE = b"outcome,probability\n0;1,0.5\n1;0,0.5\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(csv_bytes(), st.booleans())
+def test_fuzzed_distribution_csv_exits_cleanly(body, first):
+    _run_files("fidelity", [body, REFERENCE] if first else [REFERENCE, body])

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noonchip.fock import (
     FockState,
@@ -14,6 +16,7 @@ from noonchip.fock import (
     make_noon,
     marginal_distribution,
     multinomial,
+    split,
     state_fidelity,
 )
 
@@ -140,6 +143,56 @@ def test_marginal_sums_to_one():
         assert sum(marginal_distribution(s, modes).values()) == pytest.approx(
             1.0, abs=1e-12
         )
+
+
+@st.composite
+def states_and_modes(draw):
+    """A state of up to 12 terms on 1-5 modes and a non-empty subset of its modes."""
+    modes = draw(st.integers(1, 5))
+    occs = draw(st.lists(st.tuples(*[st.integers(0, 3)] * modes), min_size=1, max_size=12,
+                         unique=True))
+    parts = st.floats(-1.0, 1.0, allow_subnormal=False)
+    amps = np.array([complex(draw(parts), draw(parts)) for _ in occs])
+    norm = np.linalg.norm(amps)
+    if norm > 1.0:
+        amps /= norm
+    subset = draw(st.lists(st.integers(0, modes - 1), min_size=1, max_size=modes))
+    return FockState(modes, dict(zip(occs, amps))), subset
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(states_and_modes())
+def test_split_reassembles_the_state_and_matches_the_marginal(case):
+    state, modes = case
+    parts = split(state, modes)
+    selected = sorted(set(modes))
+    kept = [m for m in range(state.mode_count) if m not in selected]
+    rebuilt = {}
+    for counts, part in parts.items():
+        assert part  # no empty part
+        for rest, amp in part.items():
+            occ = [0] * state.mode_count
+            for m, n in zip(selected + kept, counts + rest):
+                occ[m] = n
+            rebuilt[tuple(occ)] = amp
+    assert rebuilt == dict(state.amplitudes)
+    marginal = marginal_distribution(state, modes)
+    assert list(parts) == list(marginal)
+    for counts, part in parts.items():
+        norm = 0.0
+        for amp in part.values():  # the marginal's own order of summation
+            norm += abs(amp) ** 2
+        assert norm == marginal[counts]
+
+
+def test_split_rejects_missing_or_out_of_range_modes():
+    state = FockState.basis_state((1, 0, 2))
+    assert split(state, (2, 0, 2)) == {(1, 2): {(0,): 1.0}}
+    for modes in ((), (3,), (0, -1)):
+        with pytest.raises(ValueError):
+            split(state, modes)
+    with pytest.raises(ValueError, match="mode 3 out of range"):
+        split(state, (3,))
 
 
 def test_basis_occupations_count_matches_stars_and_bars():

@@ -8,7 +8,7 @@ import pytest
 
 from noonchip.circuit import ChipParams
 from noonchip.evolve import apply
-from noonchip.fock import FockState, make_noon, NoonSpec, state_fidelity
+from noonchip.fock import FockState, make_noon, NoonSpec, split, state_fidelity
 from noonchip.herald import HeraldPattern, heralded_output, project
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -131,13 +131,22 @@ def test_phi_zero_gives_unbalanced_flavor():
 
 
 def test_herald_completeness():
-    # exact-count patterns over the herald modes partition the output state
+    # exact-count patterns over the herald modes partition the output state,
+    # and the parts of split are those projections
     out = apply(ChipParams(phi=0.4).matrix(), FockState.basis_state((0, 2, 2, 0)))
+    parts = split(out, (0, 3))
     total = 0.0
     for ni in range(5):
         for nl in range(5 - ni):
-            total += project(out, HeraldPattern({0: ni, 3: nl})).probability
+            result = project(out, HeraldPattern({0: ni, 3: nl}))
+            total += result.probability
+            assert result.is_null == ((ni, nl) not in parts)
+            if not result.is_null:
+                assert result.probability == FockState(2, parts[ni, nl]).norm_squared()
     assert total == pytest.approx(1.0, abs=1e-12)
+    assert sum(FockState(2, part).norm_squared() for part in parts.values()) == pytest.approx(
+        1.0, abs=1e-12
+    )
 
 
 def test_null_herald_is_flagged_not_raised():

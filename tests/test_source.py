@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from noonchip.circuit import ChipParams, dc_matrix
+from noonchip.evolve import apply
+from noonchip.fock import FockState, basis_occupations
 from noonchip.herald import HeraldPattern
 from noonchip.source import (
     SpdcParams,
@@ -183,3 +185,38 @@ def test_contamination_report_json():
     assert d["false_to_true_ratio"] == pytest.approx(rep.false_to_true_ratio)
     assert len(d["sectors"]) == len(rep.sectors)
     __import__("json").dumps(d)
+
+
+def reference_branches(state, modes, total_photons):
+    """The per-composition loop that fock.split replaced: for each herald
+    composition up to total_photons, keep the matching terms and normalise."""
+    kept = [m for m in range(state.mode_count) if m not in modes]
+    branches = {}
+    for herald_total in range(total_photons + 1):
+        for counts in basis_occupations(herald_total, len(modes)):
+            amps = {
+                tuple(occ[m] for m in kept): a
+                for occ, a in state.amplitudes.items()
+                if all(occ[m] == c for m, c in zip(modes, counts))
+            }
+            if amps:
+                raw = FockState(len(kept), amps)
+                branches[counts] = (raw.norm_squared(), raw.normalized())
+    return branches
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.4, math.pi / 2])
+def test_herald_branches_match_the_per_composition_loop(phi):
+    chip = ChipParams(phi=phi)
+    rep = contamination_report(chip, SpdcParams(xi=0.085, n_max=4), PATTERN, signal_photons=4)
+    for sector in rep.sectors[1:]:
+        n = sector.n_pairs
+        evolved = apply(chip.matrix(), sector_chip_input(n))
+        reference = reference_branches(evolved, PATTERN.modes(), 2 * n)
+        assert set(sector.herald_branches) == set(reference)
+        for counts, (probability, state) in reference.items():
+            got_probability, got_state = sector.herald_branches[counts]
+            assert got_probability == probability
+            assert got_state.allclose(state, tol=1e-15)
+        wanted = reference.get((1, 1), (0.0, None))[0]
+        assert sector.herald_probability == wanted
