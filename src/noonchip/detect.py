@@ -4,10 +4,12 @@ Photon-count measurement is emulated by fanning each measured mode out over
 a tree of splitters onto single-photon (threshold) detectors.  Each photon
 lands on leaf d independently with probability p_d (the deficit from 1 is
 loss), so at fixed photon counts per mode the trees route and click
-independently.  click_distribution therefore builds one table per tree and
-photon count n, the probability of each set of clicked leaves summed over
-the multinomial routings with the threshold law 1 - (1 - eff)^c (1 - dark),
-and adds the product of the trees' tables for each covered occupation.
+independently.  click_array therefore builds one table per tree and photon
+count n, the probability of each set of clicked leaves summed over the
+multinomial routings with the threshold law 1 - (1 - eff)^c (1 - dark), and
+adds the product of the trees' tables for each covered occupation into one
+array with an axis of 2^L clicked-leaf bitmasks per tree, whose popcounts are
+the tree's click counts; click_distribution keys it by clicked-id frozensets.
 """
 
 from __future__ import annotations
@@ -126,27 +128,25 @@ def cascade_resolve_probability(
 def _tree_table(tree: SplitterTree, n: int, effs: Sequence[float], dark: float) -> np.ndarray:
     """Click distribution of one tree holding n photons as a 2^L vector: entry
     b is the probability that exactly the leaves in bitmask b click, the first
-    leaf being the highest bit."""
-    clicks = [[1.0 - (1.0 - eff) ** c * (1.0 - dark) for c in range(n + 1)] for eff in effs]
-    table = np.zeros(1 << len(effs))
-    for counts, p_route in multinomial(n, [p for _, p in tree.leaves] + [tree.loss]).items():
-        row = np.array([p_route])
-        for leaf, c in zip(clicks, counts):  # zip drops the trailing loss slot
-            row = np.multiply.outer(row, (1.0 - leaf[c], leaf[c])).ravel()
-        table += row
-    return table
+    leaf being the highest bit.  Built as one row per routing, summed in order."""
+    clicks = np.array([[1.0 - (1.0 - eff) ** c * (1.0 - dark) for c in range(n + 1)] for eff in effs])
+    routes = multinomial(n, [p for _, p in tree.leaves] + [tree.loss])
+    rows = np.array(list(routes.values()))[:, None]
+    for leaf, c in zip(clicks, np.array(list(routes)).T):  # zip drops the trailing loss column
+        factors = np.stack((1.0 - leaf[c], leaf[c]), axis=1)  # (no click, click) per routing
+        rows = (rows[:, :, None] * factors[:, None, :]).reshape(len(rows), -1)
+    return rows.sum(axis=0)
 
 
-def click_distribution(
+def click_array(
     state: FockState,
     trees: Sequence[SplitterTree],
     detectors: DetectorModel = DetectorModel(),
-) -> dict[frozenset, float]:
-    """Exact click-pattern distribution for the state's tree-covered modes,
-    keyed by the frozenset of clicked detector ids; patterns of probability
-    zero are left out.  The sum runs over one dense array of all 2^D click
-    patterns of the D detectors, the first tree's leaves highest, hence the
-    limit on D."""
+) -> tuple[list[SplitterTree], np.ndarray]:
+    """(trees in mode order, click probabilities) for the state's tree-covered
+    modes: one dense array with an axis of 2^L entries per tree, indexed by
+    the bitmask of the tree's clicked leaves, the first leaf the highest bit.
+    It holds all 2^D click patterns of the D detectors, hence the limit on D."""
     _validate_trees(trees)
     ordered = sorted(trees, key=lambda t: t.mode)
     if sum(len(t.leaves) for t in ordered) > 20:
@@ -161,6 +161,17 @@ def click_distribution(
                 cache[n] = _tree_table(tree, n, tree_effs, detectors.dark_count_prob)
             term = np.multiply.outer(term, cache[n])
         total += term
+    return ordered, total
+
+
+def click_distribution(
+    state: FockState,
+    trees: Sequence[SplitterTree],
+    detectors: DetectorModel = DetectorModel(),
+) -> dict[frozenset, float]:
+    """click_array keyed by the frozenset of clicked detector ids, in the
+    array's C order; patterns of probability zero are left out."""
+    ordered, total = click_array(state, trees, detectors)
     leaf_keys = [[frozenset(itertools.compress(t.detector_ids(), bits))
                   for bits in itertools.product((0, 1), repeat=len(t.leaves))] for t in ordered]
     return {frozenset().union(*parts): p

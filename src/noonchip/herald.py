@@ -24,6 +24,8 @@ class HeraldPattern:
 
     def __post_init__(self):
         reqs = {int(m): int(n) for m, n in dict(self.requirements).items()}
+        if len(reqs) != len(self.requirements):  # e.g. "3" and "03"
+            raise ValueError(f"two keys of {dict(self.requirements)!r} name the same mode")
         for m, n in reqs.items():
             if m < 0 or n < 0:
                 raise ValueError(f"invalid count requirement {m}: {n}")

@@ -4,7 +4,9 @@ and click-level contamination of heralded events.
 A degenerate pair source pumps both chip inputs b and c symmetrically, so the
 relevant input sectors are |n, n> with amplitude proportional to xi^n.  Higher
 sectors fake lower-order heralds whenever threshold detectors cannot tell one
-photon from two; contamination_report quantifies those channels.
+photon from two; contamination_report quantifies those channels.  It reads
+each sector's detect.click_array: the click count of a tree is the popcount
+of its axis index, so the event signature is a broadcast mask over the array.
 
 Partial distinguishability enters hom_dip as a convex mixture: with pairwise
 overlap x the observed statistics are x * quantum + (1 - x) * fully
@@ -222,13 +224,10 @@ def contamination_report(
             f"(needs sector {target})"
         )
 
-    tree_by_mode = {t.mode: t for t in trees}
+    covered = {t.mode for t in trees}
     for m in pattern.modes():
-        if m not in tree_by_mode:
+        if m not in covered:
             raise ValueError(f"herald mode {m} carries no splitter tree")
-    herald_ids = {m: set(tree_by_mode[m].detector_ids()) for m in pattern.modes()}
-    signal_modes = sorted(m for m in tree_by_mode if m not in pattern.requirements)
-    signal_ids = {m: set(tree_by_mode[m].detector_ids()) for m in signal_modes}
 
     wanted = tuple(pattern.requirements[m] for m in pattern.modes())
     u = chip.matrix()
@@ -242,17 +241,20 @@ def contamination_report(
         parts = split(evolved, pattern.modes())
         branches = {counts: herald.condition(part, kept) for counts, part in parts.items()}
         herald_probability, conditional = branches.get(wanted) or herald.condition({}, kept)
-        clicks = detect.click_distribution(evolved, list(trees), detectors)
+        ordered, clicks = detect.click_array(evolved, list(trees), detectors)
+        pops = [[b.bit_count() for b in range(size)] for size in clicks.shape]
+        keep, signal, signal_axes = clicks > 0.0, 0, []
+        for axis, tree in enumerate(ordered):  # broadcast each tree's click counts
+            pop = np.array(pops[axis]).reshape([-1 if a == axis else 1 for a in range(clicks.ndim)])
+            if tree.mode in pattern.requirements:
+                keep &= pop == pattern.requirements[tree.mode]
+            else:
+                signal = signal + pop
+                signal_axes.append(axis)
+        hits = np.nonzero(keep & (signal == signal_photons))  # in C order
         interpreted: dict[Occupation, float] = {}
-        for click_pattern, p in clicks.items():
-            if not all(
-                len(click_pattern & herald_ids[m]) == c
-                for m, c in pattern.requirements.items()
-            ):
-                continue
-            counts = tuple(len(click_pattern & signal_ids[m]) for m in signal_modes)
-            if sum(counts) != signal_photons:
-                continue
+        for index, p in zip(zip(*(h.tolist() for h in hits)), clicks[hits].tolist()):
+            counts = tuple(pops[a][index[a]] for a in signal_axes)
             interpreted[counts] = interpreted.get(counts, 0.0) + p
         signature = sum(interpreted.values())
         mislabeled = n != target and signature > 0.0

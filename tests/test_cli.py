@@ -207,6 +207,14 @@ def test_out_of_range_herald_mode_exits_2(tmp_path, capsys):
     assert "mode 7" in errors[0]
 
 
+def test_herald_keys_naming_one_mode_exit_2(tmp_path, capsys):
+    # "3" and "03" both read as mode 3: fig2a heralded {0: 1, 3: 0} with exit 0
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("simulate", "fig2a", ("herald",), {"0": 1, "3": 1, "03": 0}),
+    ])
+    assert "same mode" in errors[0]
+
+
 def test_out_of_range_fields_exit_2(tmp_path, capsys):
     # a negative signal or sweep count ran to all-zero results with exit 0; a
     # sagnac config without a herald heralded {0: 1, 3: 1}; an n_max of NaN

@@ -13,7 +13,9 @@ from noonchip.circuit import ChipParams
 from noonchip.detect import (
     DetectorModel,
     SplitterTree,
+    _tree_table,
     cascade_resolve_probability,
+    click_array,
     click_distribution,
     fidelity,
     normalize_rates,
@@ -194,9 +196,22 @@ def reference_click_distribution(state, trees, detectors):
     return out
 
 
+def reference_tree_table(tree, n, effs, dark):
+    """The per-routing row loop that the batched _tree_table replaced: one
+    numpy row per multinomial routing, added to the table in routing order."""
+    clicks = [[1.0 - (1.0 - eff) ** c * (1.0 - dark) for c in range(n + 1)] for eff in effs]
+    table = np.zeros(1 << len(effs))
+    for counts, p_route in multinomial(n, [p for _, p in tree.leaves] + [tree.loss]).items():
+        row = np.array([p_route])
+        for leaf, c in zip(clicks, counts):
+            row = np.multiply.outer(row, (1.0 - leaf[c], leaf[c])).ravel()
+        table += row
+    return table
+
+
 #: a leaf probability or amplitude part is 0 or at least 1e-6; a click or
 #: no-click factor is 0 or at least 1.1e-16 whatever the efficiency, since it
-#: is a difference from 1.  So no product of at most 4 photons over 12
+#: is a difference from 1.  So no product of at most 6 photons over 12
 #: detectors reaches the subnormal range, where a relative error says nothing
 SIZE = st.just(0.0) | st.floats(1e-6, 1.0)
 PROBABILITY = st.floats(0.0, 1.0)
@@ -217,8 +232,9 @@ def click_cases(draw):
     else:  # per id; an id left out counts as efficiency 1
         efficiency = {d: draw(PROBABILITY) for d in ids if draw(st.booleans())}
     dark = draw(st.just(0.0) | st.floats(0.0, 0.2, exclude_min=True, exclude_max=True))
+    photons = 6 if len(trees) == 1 else 4  # the walk's cost grows with trees x photons
     terms = draw(st.lists(
-        st.tuples(st.lists(st.integers(0, 3), max_size=4), SIZE, SIZE), min_size=1, max_size=4))
+        st.tuples(st.lists(st.integers(0, 3), max_size=photons), SIZE, SIZE), min_size=1, max_size=4))
     amplitudes = {}
     for photon_modes, re, im in terms:
         occ = tuple(photon_modes.count(m) for m in range(4))
@@ -237,6 +253,30 @@ def test_click_distribution_matches_per_routing_walk(case):
         assert got[pattern] == pytest.approx(p, rel=1e-12, abs=0.0)
     norm = sum(marginal_distribution(state, [t.mode for t in trees]).values())
     assert sum(got.values()) == pytest.approx(norm, rel=1e-12, abs=1e-300)
+    # the batched tables equal the row loop bit for bit, up to 6 photons per tree
+    for tree in trees:
+        effs = [detectors.eff(d) for d in tree.detector_ids()]
+        for n in range(7):
+            want_table = reference_tree_table(tree, n, effs, detectors.dark_count_prob)
+            assert np.array_equal(_tree_table(tree, n, effs, detectors.dark_count_prob), want_table)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(click_cases())
+def test_click_array_holds_every_pattern(case):
+    state, trees, detectors = case
+    ordered, total = click_array(state, trees, detectors)
+    assert [t.mode for t in ordered] == sorted(t.mode for t in trees)
+    assert total.shape == tuple(1 << len(t.leaves) for t in ordered)
+    # every tree table sums to 1, photons routed to loss included
+    assert total.sum() == pytest.approx(state.norm_squared(), rel=1e-12, abs=1e-300)
+    want = {}
+    for index in np.ndindex(total.shape):  # the first leaf of a tree is the highest bit
+        ids = [d for t, b in zip(ordered, index) for i, d in enumerate(t.detector_ids())
+               if b >> (len(t.leaves) - 1 - i) & 1]
+        if total[index] > 0.0:
+            want[frozenset(ids)] = float(total[index])
+    assert list(click_distribution(state, trees, detectors).items()) == list(want.items())
 
 
 def test_detector_model_validated_once():

@@ -22,6 +22,11 @@ def test_pattern_validation():
         HeraldPattern({0: -1})
     with pytest.raises(ValueError):
         HeraldPattern({})
+    # "3" and "03" are both mode 3: the later count silently replaced the earlier
+    with pytest.raises(ValueError, match="name the same mode"):
+        HeraldPattern({"0": 1, "3": 1, "03": 0})
+    with pytest.raises(ValueError, match="name the same mode"):
+        HeraldPattern({"3": 1, "03": 0})
 
 
 def test_two_pair_herald_rate_device_couplers():

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noonchip.circuit import ChipParams, dc_matrix
+from noonchip.detect import DetectorModel, SplitterTree, click_distribution
 from noonchip.evolve import apply
 from noonchip.fock import FockState, basis_occupations
 from noonchip.herald import HeraldPattern
@@ -220,3 +223,77 @@ def test_herald_branches_match_the_per_composition_loop(phi):
             assert got_state.allclose(state, tol=1e-15)
         wanted = reference.get((1, 1), (0.0, None))[0]
         assert sector.herald_probability == wanted
+
+
+def reference_interpreted(clicks, trees, pattern, signal_photons):
+    """The frozenset-intersection loop that the popcount masks replaced: each
+    click pattern of click_distribution tested against the herald counts and
+    the total signal count, summed per tuple of signal-tree click counts."""
+    tree_by_mode = {t.mode: t for t in trees}
+    herald_ids = {m: set(tree_by_mode[m].detector_ids()) for m in pattern.modes()}
+    signal_modes = sorted(m for m in tree_by_mode if m not in pattern.requirements)
+    signal_ids = {m: set(tree_by_mode[m].detector_ids()) for m in signal_modes}
+    interpreted = {}
+    for click_pattern, p in clicks.items():
+        if not all(len(click_pattern & herald_ids[m]) == c for m, c in pattern.requirements.items()):
+            continue
+        counts = tuple(len(click_pattern & signal_ids[m]) for m in signal_modes)
+        if sum(counts) != signal_photons:
+            continue
+        interpreted[counts] = interpreted.get(counts, 0.0) + p
+    return interpreted
+
+
+def lossy_tree(draw, mode):
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    scale = draw(st.floats(0.5, 1.0)) / max(1.0, sum(weights))
+    return SplitterTree(mode, tuple((f"M{mode}D{i}", w * scale) for i, w in enumerate(weights)))
+
+
+@st.composite
+def contamination_cases(draw):
+    """Herald trees of 1-3 leaves with counts up to 2, so a count may exceed
+    its tree's leaves; signal trees on none, some or all of the other modes."""
+    herald_modes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True))
+    pattern = HeraldPattern({m: draw(st.integers(0, 2)) for m in herald_modes})
+    modes = herald_modes + [m for m in range(4) if m not in herald_modes and draw(st.booleans())]
+    trees = [lossy_tree(draw, m) for m in modes]
+    if draw(st.booleans()):
+        efficiency = draw(st.floats(0.0, 1.0))
+    else:  # per id; an id left out counts as efficiency 1
+        efficiency = {d: draw(st.floats(0.0, 1.0)) for t in trees for d in t.detector_ids()
+                      if draw(st.booleans())}
+    dark = draw(st.just(0.0) | st.floats(1e-5, 1e-2))
+    target = draw(st.integers((pattern.photon_count() + 1) // 2, 3))
+    params = SpdcParams(xi=draw(st.floats(0.01, 0.5)), n_max=draw(st.integers(target, 3)))
+    chip = ChipParams(phi=draw(st.floats(0.0, math.pi)))
+    signal = 2 * target - pattern.photon_count()
+    return chip, params, pattern, signal, trees, DetectorModel(efficiency, dark)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(contamination_cases())
+@example((  # no signal tree: the signature is the herald alone
+    ChipParams(phi=0.4), SpdcParams(xi=0.2, n_max=2), PATTERN, 0,
+    [SplitterTree(0, (("Di", 0.9),)), SplitterTree(3, (("Dl", 1.0),))], DetectorModel(0.8, 1e-3),
+))
+@example((  # a herald count of 2 on a 1-leaf tree never shows
+    ChipParams(phi=1.0), SpdcParams(xi=0.2, n_max=2), HeraldPattern({0: 2}), 2,
+    [SplitterTree(0, (("Di", 1.0),)), SplitterTree(1, (("J1", 0.5), ("J2", 0.5)))], DetectorModel(),
+))
+def test_popcount_signature_matches_the_frozenset_loop(case):
+    chip, params, pattern, signal, trees, detectors = case
+    rep = contamination_report(chip, params, pattern, signal, trees, detectors)
+    true_prob, false_prob = 0.0, 0.0
+    for sector in rep.sectors:
+        evolved = apply(chip.matrix(), sector_chip_input(sector.n_pairs))
+        clicks = click_distribution(evolved, trees, detectors)
+        want = reference_interpreted(clicks, trees, pattern, signal)
+        assert list(sector.interpreted_rates.items()) == list(want.items())  # keys in order
+        assert sector.signature_probability == sum(want.values())
+        if sector.n_pairs == rep.target_sector:
+            true_prob = sector.weight * sum(want.values())
+        else:
+            false_prob += sector.weight * sum(want.values())
+    assert rep.true_event_probability == true_prob
+    assert rep.false_event_probability == false_prob
