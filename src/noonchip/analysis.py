@@ -28,7 +28,7 @@ from .circuit import (
     compile_circuit,
     with_loss,
 )
-from .fock import FockState, Occupation, marginal_distribution
+from .fock import FockState, Occupation, marginal_distribution, nonnegative_ints
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def probe_fringe_scan(
     if state.mode_count != 2:
         raise ValueError("probe scan expects a two-mode state")
     samples = []
-    wanted = tuple(int(n) for n in pattern)
+    wanted = nonnegative_ints(pattern)
     for theta in theta_grid:
         probe = Interferometer(
             2, (PhaseShifter(float(theta), 0), DirectionalCoupler(coupler_eta, (0, 1)))

@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .fock import check_keys, is_number
+from .fock import check_keys, is_number, nonnegative_ints, probability
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,7 @@ class DirectionalCoupler:
     modes: tuple[int, int]
 
     def __post_init__(self):
-        if not (is_number(self.eta) and 0.0 <= self.eta <= 1.0):
-            raise ValueError(f"directional coupler eta must lie in [0, 1], got {self.eta!r}")
+        probability("directional coupler eta", self.eta)
         if self.modes[0] == self.modes[1]:
             raise ValueError("coupler needs two distinct modes")
 
@@ -60,8 +59,7 @@ class LossTap:
     env_mode: int
 
     def __post_init__(self):
-        if not (is_number(self.transmission) and 0.0 <= self.transmission <= 1.0):
-            raise ValueError(f"loss tap transmission must lie in [0, 1], got {self.transmission!r}")
+        probability("loss tap transmission", self.transmission)
         if self.mode == self.env_mode:
             raise ValueError("loss tap needs a distinct environment mode")
 
@@ -78,9 +76,8 @@ class Interferometer:
 
     def __post_init__(self):
         for elem in self.elements:
-            for m in _element_modes(elem):
-                if not 0 <= m < self.mode_count:
-                    raise ValueError(f"element {elem} references mode {m} outside 0..{self.mode_count - 1}")
+            if max(nonnegative_ints(_element_modes(elem))) >= self.mode_count:
+                raise ValueError(f"element {elem} references a mode outside 0..{self.mode_count - 1}")
 
     @property
     def signal_mode_count(self) -> int:
@@ -98,8 +95,7 @@ def _element_modes(elem: Element) -> tuple[int, ...]:
 
 def dc_matrix(eta: float) -> np.ndarray:
     """2x2 directional-coupler matrix for transmissivity eta."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    probability("eta", eta)
     t = math.sqrt(eta)
     r = 1j * math.sqrt(1.0 - eta)
     return np.array([[t, r], [r, t]], dtype=np.complex128)

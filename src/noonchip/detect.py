@@ -10,6 +10,8 @@ multinomial routings with the threshold law 1 - (1 - eff)^c (1 - dark), and
 adds the product of the trees' tables for each covered occupation into one
 array with an axis of 2^L clicked-leaf bitmasks per tree, whose popcounts are
 the tree's click counts; click_distribution keys it by clicked-id frozensets.
+Tree modes and photon counts go through fock.nonnegative_ints, and leaf
+probabilities, efficiencies and dark counts through fock.probability.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 
 from . import herald
 from .circuit import ChipParams
-from .fock import FockState, Occupation, check_keys, is_number, marginal_distribution, multinomial
+from .fock import (FockState, Occupation, check_keys, is_number, marginal_distribution, multinomial,
+                   nonnegative_ints, probability)
 
 PROB_SUM_TOL = 1e-9
 
@@ -38,12 +41,9 @@ class SplitterTree:
     leaves: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
-        for d, p in self.leaves:
-            if not (is_number(p) and p >= 0.0):
-                raise ValueError(f"leaf probability for {d} is {p!r}, not a number >= 0")
-        object.__setattr__(
-            self, "leaves", tuple((str(d), float(p)) for d, p in self.leaves)
-        )
+        object.__setattr__(self, "mode", nonnegative_ints((self.mode,))[0])
+        leaves = tuple((str(d), probability(f"leaf probability for {d}", p)) for d, p in self.leaves)
+        object.__setattr__(self, "leaves", leaves)
         ids = [d for d, _ in self.leaves]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate detector ids in tree on mode {self.mode}")
@@ -80,23 +80,16 @@ class DetectorModel:
     def __post_init__(self):
         efficiency = self.efficiency
         if isinstance(efficiency, Mapping):
-            efficiency = {d: _probability(f"efficiency for {d!r}", v) for d, v in efficiency.items()}
+            efficiency = {d: probability(f"efficiency for {d!r}", v) for d, v in efficiency.items()}
         else:
-            efficiency = _probability("efficiency", efficiency)
+            efficiency = probability("efficiency", efficiency)
         object.__setattr__(self, "efficiency", efficiency)
-        object.__setattr__(self, "dark_count_prob", _probability("dark_count_prob", self.dark_count_prob))
+        object.__setattr__(self, "dark_count_prob", probability("dark_count_prob", self.dark_count_prob))
 
     def eff(self, det: str) -> float:
         if isinstance(self.efficiency, Mapping):
             return self.efficiency.get(det, 1.0)
         return self.efficiency
-
-
-def _probability(what: str, value) -> float:
-    """value as a float in [0, 1]; a bool, a string, NaN or an infinity fails."""
-    if not (is_number(value) and 0.0 <= value <= 1.0):
-        raise ValueError(f"{what} must lie in [0, 1], got {value!r}")
-    return float(value)
 
 
 def _validate_trees(trees: Sequence[SplitterTree]) -> None:
@@ -112,6 +105,7 @@ def cascade_resolve_probability(
     tree: SplitterTree, n_photons: int, target_detectors: Iterable[str]
 ) -> float:
     """Probability that n photons land one each on the given distinct leaves."""
+    (n_photons,) = nonnegative_ints((n_photons,))
     targets = list(target_detectors)
     if len(set(targets)) != len(targets):
         raise ValueError("target detectors must be distinct")

@@ -9,6 +9,8 @@ Two independent routes are provided on purpose:
   row/column repeated matrix, through the repeated-row Ryser kernel.
 
 They share no code beyond the matrix itself, so they cross-check each other.
+Occupations given to amplitude, output_distribution and sample_output_counts
+go through fock.nonnegative_ints, so 1.5 photons fail rather than count as 1.
 Exact amplitude arithmetic throughout; global phase is never normalized away.
 """
 
@@ -20,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .fock import FockState, Occupation, basis_occupations
+from .fock import FockState, Occupation, basis_occupations, nonnegative_ints
 
 #: hard cap: exact simulation beyond this photon number is out of scope
 MAX_PHOTONS = 10
@@ -41,15 +43,6 @@ def _check_matrix(matrix: np.ndarray, mode_count: int | None = None) -> np.ndarr
     if not np.isfinite(u).all():
         raise ValueError("matrix has non-finite entries")
     return u
-
-
-def _check_occupation(values: Iterable[int], modes: int) -> Occupation:
-    occ = tuple(int(n) for n in values)
-    if len(occ) != modes:
-        raise ValueError("occupation length does not match matrix dimension")
-    if any(n < 0 for n in occ):
-        raise ValueError("occupation numbers must be non-negative")
-    return occ
 
 
 def _check_photon_cap(n: int) -> None:
@@ -113,8 +106,8 @@ def amplitude(matrix: np.ndarray, input_occ: Iterable[int], output_occ: Iterable
     Photon-number mismatch between input and output gives amplitude 0.
     """
     u = _check_matrix(matrix)
-    s = _check_occupation(input_occ, u.shape[1])
-    t = _check_occupation(output_occ, u.shape[0])
+    s = nonnegative_ints(input_occ, u.shape[1])
+    t = nonnegative_ints(output_occ, u.shape[0])
     _check_photon_cap(max(sum(s), sum(t)))
     if sum(s) != sum(t):
         return 0j
@@ -124,7 +117,7 @@ def amplitude(matrix: np.ndarray, input_occ: Iterable[int], output_occ: Iterable
 def output_distribution(matrix: np.ndarray, input_occ: Iterable[int]) -> dict[Occupation, float]:
     """|<t|U|s>|^2 over the full output sector, via the permanent route."""
     u = _check_matrix(matrix)
-    s = _check_occupation(input_occ, u.shape[1])
+    s = nonnegative_ints(input_occ, u.shape[1])
     _check_photon_cap(sum(s))
     outputs = list(basis_occupations(sum(s), u.shape[0]))
     probs = np.abs(_amplitudes(u, s, outputs)) ** 2

@@ -3,7 +3,9 @@
 A state on M modes is stored as {(n_0, ..., n_{M-1}): amplitude} with terms
 below the pruning threshold dropped.  States are immutable; every operation
 returns a new instance.  Iteration order is lexicographic in the occupation
-vector so that serialization and reports are deterministic.
+vector so that serialization and reports are deterministic.  The package's
+value rules live here, one each: nonnegative_ints for photon counts and mode
+indices, probability for a value in [0, 1], is_number for a JSON number.
 """
 
 from __future__ import annotations
@@ -25,16 +27,21 @@ PRUNE_EPS = 1e-14
 NORM_TOL = 1e-12
 
 
-def _coerce_occupation(occ: Iterable[int], modes: int | None = None) -> Occupation:
+def nonnegative_ints(values: Iterable, length: int | None = None) -> Occupation:
+    """The one count rule, for occupations, counts and modes: Python ints equal to
+    the values and >= 0 (1.5, -1, "2", inf, NaN, None fail), length of them if given."""
     out = []
-    for n in occ:
-        as_int = int(n)
+    for n in values:
+        try:
+            as_int = int(n)
+        except (TypeError, ValueError, OverflowError):
+            as_int = -1
         if as_int != n or as_int < 0:
-            raise ValueError(f"occupation numbers must be non-negative integers, got {n!r}")
+            raise ValueError(f"expected non-negative integers, got {n!r}")
         out.append(as_int)
     key = tuple(out)
-    if modes is not None and len(key) != modes:
-        raise ValueError(f"occupation {key} has {len(key)} modes, expected {modes}")
+    if length is not None and len(key) != length:
+        raise ValueError(f"occupation {key} has {len(key)} modes, expected {length}")
     return key
 
 
@@ -56,7 +63,7 @@ class FockState:
             raise ValueError("mode_count must be >= 1")
         amps: dict[Occupation, complex] = {}
         for occ, amp in amplitudes.items():
-            key = _coerce_occupation(occ, mode_count)
+            key = nonnegative_ints(occ, mode_count)
             value = complex(amp)
             if abs(value) > PRUNE_EPS:
                 amps[key] = amps.get(key, 0j) + value
@@ -69,7 +76,7 @@ class FockState:
 
     @classmethod
     def basis_state(cls, occupation: Iterable[int]) -> "FockState":
-        occ = _coerce_occupation(occupation)
+        occ = nonnegative_ints(occupation)
         return cls(len(occ), {occ: 1.0})
 
     # -- basic queries -----------------------------------------------------
@@ -93,7 +100,7 @@ class FockState:
         return sorted(self._amps.items())
 
     def amplitude(self, occupation: Iterable[int]) -> complex:
-        return self._amps.get(_coerce_occupation(occupation, self._modes), 0j)
+        return self._amps.get(nonnegative_ints(occupation, self._modes), 0j)
 
     def norm_squared(self) -> float:
         return sum(abs(a) ** 2 for a in self._amps.values())
@@ -160,6 +167,14 @@ def is_number(value, kind: type | tuple[type, ...] = (int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
+def probability(what: str, value) -> float:
+    """The one probability rule: value as a float in [0, 1]; a bool, a
+    string, NaN or an infinity fails, naming what."""
+    if not (is_number(value) and 0.0 <= value <= 1.0):
+        raise ValueError(f"{what} must lie in [0, 1], got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class NoonSpec:
     """Target two-mode state (|n,m> + e^{i alpha} |m,n>) / sqrt(2), n >= m."""
@@ -167,7 +182,6 @@ class NoonSpec:
     n: int
     m: int
     alpha: float = 0.0
-    mode_pair: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
         if self.m < 0 or self.n < self.m:
@@ -211,12 +225,11 @@ def _count_keys(state: FockState, modes: Iterable[int]) -> list[Callable[[Occupa
     """Two maps from an occupation to its counts on the given modes and on the
     others, each a tuple in ascending mode order built in one C call; no mode,
     or one outside the state, raises ValueError."""
-    selected = sorted(set(int(m) for m in modes))
+    selected = sorted(set(nonnegative_ints(modes)))
     if not selected:
         raise ValueError("need at least one mode")
-    for m in selected:
-        if not 0 <= m < state.mode_count:
-            raise ValueError(f"mode {m} out of range for {state.mode_count}-mode state")
+    if selected[-1] >= state.mode_count:
+        raise ValueError(f"mode {selected[-1]} out of range for {state.mode_count}-mode state")
     kept = [m for m in range(state.mode_count) if m not in selected]
     # itemgetter of one index gives the bare count; a slice keeps it a tuple
     return [itemgetter(*ms) if len(ms) > 1 else itemgetter(slice(ms[0], ms[0] + 1) if ms else slice(0))

@@ -12,7 +12,7 @@ from typing import Mapping
 
 from . import evolve
 from .circuit import ChipParams
-from .fock import FockState, Occupation, split
+from .fock import FockState, Occupation, nonnegative_ints, split
 
 
 @dataclass(frozen=True)
@@ -23,12 +23,11 @@ class HeraldPattern:
     requirements: Mapping[int, int]
 
     def __post_init__(self):
-        reqs = {int(m): int(n) for m, n in dict(self.requirements).items()}
-        if len(reqs) != len(self.requirements):  # e.g. "3" and "03"
-            raise ValueError(f"two keys of {dict(self.requirements)!r} name the same mode")
-        for m, n in reqs.items():
-            if m < 0 or n < 0:
-                raise ValueError(f"invalid count requirement {m}: {n}")
+        given = dict(self.requirements)  # a JSON object's string keys are parsed as ints
+        modes = nonnegative_ints(int(m) if isinstance(m, str) else m for m in given)
+        reqs = dict(zip(modes, nonnegative_ints(given.values())))
+        if len(reqs) != len(given):  # e.g. "3" and "03"
+            raise ValueError(f"two keys of {given!r} name the same mode")
         if not reqs:
             raise ValueError("a count pattern needs at least one mode")
         object.__setattr__(self, "requirements", reqs)

@@ -36,12 +36,13 @@ def repeated_permanents(
     chunks of multiplicity vectors k, so memory stays O(outputs x modes).
     """
     u = np.asarray(matrix, dtype=np.complex128)
-    s = np.asarray(input_occ, dtype=np.int64)
-    t = np.asarray(list(output_occs), dtype=np.int64)
+    given_s, given_t = np.asarray(input_occ), np.asarray(list(output_occs))
+    with np.errstate(invalid="ignore"):  # NaN or inf casts to a value that fails the compare
+        s, t = given_s.astype(np.int64, copy=False), given_t.astype(np.int64, copy=False)
     if u.ndim != 2 or s.shape != (u.shape[1],) or t.ndim != 2 or t.shape[1] != u.shape[0]:
         raise ValueError(f"occupations do not fit a matrix of shape {u.shape}")
-    if (s < 0).any() or (t < 0).any():
-        raise ValueError("occupation numbers must be non-negative")
+    if (s != given_s).any() or (t != given_t).any() or (s < 0).any() or (t < 0).any():
+        raise ValueError("occupation numbers must be non-negative integers")
     photons = int(s.sum())
     if (t.sum(axis=1) != photons).any():
         raise ValueError("every output must hold as many photons as the input")

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import detect, evolve, herald
 from .circuit import ChipParams, dc_matrix
-from .fock import FockState, Occupation, is_number, multinomial, split
+from .fock import FockState, Occupation, is_number, multinomial, nonnegative_ints, probability, split
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,9 @@ class SpdcParams:
         n = self.n_max
         if not (is_number(n, Integral) and 0 <= n <= top):
             raise ValueError(f"n_max must be an integer in [0, {top}], got {n!r}")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError("overlap must lie in [0, 1]")
-        if not 0.0 <= self.xi < 1.0:
-            raise ValueError("xi must lie in [0, 1)")
+        probability("overlap", self.overlap)
+        if not (is_number(self.xi) and 0.0 <= self.xi < 1.0):
+            raise ValueError(f"xi must lie in [0, 1), got {self.xi!r}")
 
 
 def sector_weights(params: SpdcParams) -> dict[int, float]:
@@ -78,13 +77,9 @@ def distinguishable_output_distribution(
     Each photon routes independently: a photon entering mode m exits mode j
     with probability |U[j, m]|^2.  Interference terms vanish entirely.
     """
-    u = np.asarray(matrix, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    occ = tuple(int(x) for x in input_occ)
-    if len(occ) != u.shape[0]:
-        raise ValueError("occupation length does not match matrix dimension")
+    u = evolve._check_matrix(matrix)
     modes = u.shape[0]
+    occ = nonnegative_ints(input_occ, modes)
     dist: dict[Occupation, float] = {(0,) * modes: 1.0}
     for m, s in enumerate(occ):
         if s == 0:
@@ -111,9 +106,7 @@ def hom_dip(params: SpdcParams, eta: float = 0.5, pairs: int = 2) -> float:
     u = dc_matrix(eta)
     occ = (pairs, pairs)
     p_quantum = abs(evolve.amplitude(u, occ, occ)) ** 2
-    p_classical = distinguishable_output_distribution(u, occ).get(occ, 0.0)
-    if p_classical == 0.0:
-        raise ValueError("distinguishable coincidence probability vanishes; visibility undefined")
+    p_classical = distinguishable_output_distribution(u, occ)[occ]  # > 0 for whole pairs
     p_mixed = params.overlap * p_quantum + (1.0 - params.overlap) * p_classical
     return float((p_classical - p_mixed) / p_classical)
 

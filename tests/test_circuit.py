@@ -43,8 +43,8 @@ def test_dc_matrix_unitary(eta):
 
 
 def test_dc_matrix_eta_bounds():
-    for bad in (-0.1, 1.1):
-        with pytest.raises(ValueError):
+    for bad in (-0.1, 1.1, math.nan, True, "0.5"):
+        with pytest.raises(ValueError, match="eta must lie in"):
             dc_matrix(bad)
 
 
@@ -164,6 +164,10 @@ def test_element_mode_range_validation():
         Interferometer(2, (PhaseShifter(0.1, 5),))
     with pytest.raises(ValueError):
         Interferometer(2, (DirectionalCoupler(0.5, (1, 1)),))
+    # a fractional mode reached compile_circuit and failed there as an IndexError
+    for elem in (DirectionalCoupler(0.5, (0.5, 1)), PhaseShifter(0.1, -1), LossTap(0.5, 0, 1.5)):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Interferometer(2, (elem,))
 
 
 def test_json_round_trip_preserves_matrix():
@@ -199,6 +203,6 @@ def test_json_rejects_labels_key():
 ], ids=["coupler", "phase", "loss"])
 def test_element_rejects_non_finite_setting(build, message):
     # an infinite phase reached math.cos and failed as "math domain error"
-    for value in (math.inf, -math.inf, math.nan):
+    for value in (math.inf, -math.inf, math.nan, "0.5", True):
         with pytest.raises(ValueError, match=message):
             build(value)

@@ -38,8 +38,14 @@ def test_tree_validation():
         SplitterTree(0, (("A", 0.5), ("A", 0.5)))  # duplicate ids
     with pytest.raises(ValueError):
         SplitterTree(0, (("A", 0.7), ("B", 0.6)))  # probabilities exceed one
-    with pytest.raises(ValueError):
-        SplitterTree(0, (("A", -0.1),))
+    for bad in (-0.1, 1.5, math.nan, True, "0.5"):
+        with pytest.raises(ValueError, match="leaf probability for A must lie in"):
+            SplitterTree(0, (("A", bad),))
+    # a fractional mode was accepted
+    for bad in (1.5, -1, None):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            SplitterTree(bad, (("A", 0.5),))
+    assert SplitterTree(np.int64(2), (("A", 0.5),)).mode == 2
     tree = SplitterTree(0, (("A", 0.5), ("B", 0.25)))
     assert tree.loss == pytest.approx(0.25)
     assert tree.detector_ids() == ("A", "B")
@@ -93,6 +99,10 @@ def test_cascade_resolution_validation():
         cascade_resolve_probability(tree, 3, ("D0", "D1"))
     with pytest.raises(ValueError):
         cascade_resolve_probability(tree, 1, ("nope",))
+    # 2.0 photons raised a TypeError in math.factorial; 1.5 is no count
+    assert cascade_resolve_probability(tree, 2.0, ("D0", "D1")) == 1 / 8
+    with pytest.raises(ValueError, match="non-negative integers, got 1.5"):
+        cascade_resolve_probability(tree, 1.5, ("D0", "D1"))
 
 
 def test_click_distribution_two_photons_two_leaves():

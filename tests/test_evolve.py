@@ -141,6 +141,9 @@ def test_transition_query_validates_shapes():
         amplitude(u, (1, 1, 0), (1, 1))
     with pytest.raises(ValueError):
         amplitude(u, (1, -1), (0, 0))
+    # 1.5 photons were read as 1, giving the (0, 1, 1, 0) amplitude
+    with pytest.raises(ValueError, match="non-negative integers, got 1.5"):
+        amplitude(ChipParams().matrix(), (0, 1.5, 1.5, 0), (0, 1, 1, 0))
 
 
 def test_photon_cap():
@@ -180,6 +183,12 @@ def test_output_distribution_validates_input():
         output_distribution(u, (1, 1, 0))
     with pytest.raises(ValueError):
         output_distribution(u, (2, -1))
+    # both returned the (0, 1, 1, 0) statistics: 1.5 photons were read as 1
+    chip = ChipParams().matrix()
+    for draw in (lambda occ: output_distribution(chip, occ),
+                 lambda occ: sample_output_counts(chip, occ, rng_seed=1, shots=10)):
+        with pytest.raises(ValueError, match="non-negative integers, got 1.5"):
+            draw((0, 1.5, 1.5, 0))
 
 
 def test_output_distribution_sums_to_one():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noonchip.fock import (
@@ -16,9 +16,56 @@ from noonchip.fock import (
     make_noon,
     marginal_distribution,
     multinomial,
+    nonnegative_ints,
+    probability,
     split,
     state_fidelity,
 )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(
+    st.integers(0, 2**70), st.integers(0, 2**62).map(np.int64), st.integers(0, 2**53).map(float),
+), max_size=6))
+def test_count_rule_accepts_non_negative_whole_numbers(values):
+    got = nonnegative_ints(values, len(values))
+    assert got == tuple(values) and all(type(n) is int for n in got)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.integers(max_value=-1),
+    st.floats().filter(lambda x: not (x >= 0 and x == int(x)) if math.isfinite(x) else True),
+    st.text(), st.none(),
+))
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example("2")
+@example(1.5)
+def test_count_rule_rejects_everything_else(bad):
+    with pytest.raises(ValueError):
+        nonnegative_ints([1, bad])
+
+
+def test_count_rule_checks_the_length():
+    assert nonnegative_ints(iter([2.0, np.int32(1)]), 2) == (2, 1)
+    with pytest.raises(ValueError, match="has 1 modes, expected 2"):
+        nonnegative_ints([1], 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.floats(), st.integers(-3, 3), st.booleans(), st.text(), st.none()))
+@example(math.nextafter(1.0, 2.0))
+@example(math.inf)
+@example(math.nan)
+def test_probability_rule_takes_exactly_numbers_in_the_unit_interval(value):
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0:
+        got = probability("p", value)
+        assert type(got) is float and got == value
+    else:
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\], got "):
+            probability("p", value)
 
 
 def test_basis_state_single_term():
@@ -36,6 +83,10 @@ def test_constructor_validation():
         FockState(2, {(1, -1): 1.0})  # negative occupation
     with pytest.raises(ValueError):
         FockState(2, {(1, 0): 1.2})  # norm^2 > 1 + tol
+    # an infinity raised OverflowError, None a TypeError
+    for bad in (math.inf, math.nan, None, 0.5):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            FockState.basis_state((bad,))
 
 
 def test_pruning_below_epsilon():

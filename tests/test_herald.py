@@ -18,8 +18,11 @@ def test_pattern_validation():
     p = HeraldPattern({0: 1, 3: 1})
     assert p.modes() == (0, 3)
     assert p.photon_count() == 2
-    with pytest.raises(ValueError):
-        HeraldPattern({0: -1})
+    # a fractional count or mode was truncated: {0: 1.5} heralded {0: 1}
+    for bad in ({0: -1}, {-1: 1}, {0: 1.5}, {1.7: 1}, {0: math.inf}, {None: 1}, {"x": 1}):
+        with pytest.raises(ValueError):
+            HeraldPattern(bad)
+    assert HeraldPattern({"03": 1, np.int64(1): 2.0}).requirements == {3: 1, 1: 2}
     with pytest.raises(ValueError):
         HeraldPattern({})
     # "3" and "03" are both mode 3: the later count silently replaced the earlier

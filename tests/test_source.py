@@ -37,8 +37,13 @@ def test_spdc_params_validation():
         with pytest.raises(ValueError):
             SpdcParams(xi=0.1, n_max=n_max)
     assert SpdcParams(xi=0.1, n_max=np.int64(5)).n_max == 5
-    with pytest.raises(ValueError):
-        SpdcParams(xi=0.1, overlap=1.5)
+    # overlap True was taken as 1; xi "0.1" failed with a TypeError
+    for bad in (1.5, True, "0.5", math.nan):
+        with pytest.raises(ValueError, match="overlap must lie in"):
+            SpdcParams(xi=0.1, overlap=bad)
+    for bad in ("0.1", True, math.nan):
+        with pytest.raises(ValueError, match="xi must lie in"):
+            SpdcParams(xi=bad)
 
 
 def test_sector_weights():
@@ -64,6 +69,10 @@ def test_distinguishable_routing_single_photon():
     dist = distinguishable_output_distribution(u, (1, 0))
     assert dist[(1, 0)] == pytest.approx(0.3, abs=1e-12)
     assert dist[(0, 1)] == pytest.approx(0.7, abs=1e-12)
+    # 1.5 photons routed as one; a non-square or non-finite matrix is refused
+    for matrix, occ in ((u, (1.5, 0)), (u, (1, 0, 0)), (u[:, :1], (1,)), (u * np.nan, (1, 0))):
+        with pytest.raises(ValueError):
+            distinguishable_output_distribution(matrix, occ)
 
 
 def test_distinguishable_routing_twin_pairs():
@@ -81,6 +90,9 @@ def test_hom_dip_ideal_visibility():
     v = hom_dip(SpdcParams(xi=0.085, n_max=4, overlap=1.0))
     assert v == pytest.approx(1 / 3, abs=1e-10)
     assert 0.30 <= v <= 0.38  # measured band
+    # 1.5 pairs failed as a vanishing distinguishable coincidence probability
+    with pytest.raises(ValueError, match="non-negative integers, got 1.5"):
+        hom_dip(SpdcParams(), 0.5, 1.5)
 
 
 def test_hom_dip_linear_in_overlap():
