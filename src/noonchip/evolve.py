@@ -94,10 +94,20 @@ def _raise_mode(poly: dict[Occupation, complex], column: np.ndarray) -> dict[Occ
     return result
 
 
+#: n! as floats for n <= MAX_PHOTONS; every product of them that a norm takes
+#: is an integer below 2^53, so it is exact and its sqrt is math.sqrt's
+_FACTORIALS = np.array([float(math.factorial(n)) for n in range(MAX_PHOTONS + 1)])
+
+
+def _norms(s: Occupation, t: np.ndarray) -> np.ndarray:
+    """sqrt(prod s_j! prod t_j!) for each row t."""
+    return np.sqrt(_FACTORIALS[t].prod(axis=1) * _FACTORIALS[list(s)].prod())
+
+
 def _amplitudes(u: np.ndarray, s: Occupation, outputs: list[Occupation]) -> np.ndarray:
     """<t|U|s> for every output t holding as many photons as s."""
-    norms = [math.sqrt(math.prod(map(math.factorial, s + t))) for t in outputs]
-    return kernels.repeated_permanents(u, s, outputs) / norms
+    t = np.array(outputs)
+    return kernels.repeated_permanents(u, s, t) / _norms(s, t)
 
 
 def amplitude(matrix: np.ndarray, input_occ: Iterable[int], output_occ: Iterable[int]) -> complex:

@@ -14,7 +14,8 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import combinations_with_replacement
+from operator import itemgetter, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -184,7 +185,8 @@ class NoonSpec:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.m < 0 or self.n < self.m:
+        nonnegative_ints((self.n, self.m))
+        if self.n < self.m:
             raise ValueError(f"require n >= m >= 0, got n={self.n}, m={self.m}")
 
 
@@ -265,20 +267,17 @@ def split(state: FockState, modes: Iterable[int]) -> dict[Occupation, dict[Occup
 def basis_occupations(n_photons: int, n_modes: int) -> Iterator[Occupation]:
     """All occupation vectors with the given photon total, lexicographic order.
 
-    Yields C(n_photons + n_modes - 1, n_photons) vectors.
+    Yields C(n_photons + n_modes - 1, n_photons) vectors.  Stars and bars: the
+    running totals c_1 <= ... <= c_{M-1} of the first modes are the bars, so
+    each vector is the differences of (0, c, n_photons), and ascending bars
+    give ascending vectors.  Both arguments are checked at the call.
     """
-    if n_photons < 0 or n_modes < 1:
-        raise ValueError("need n_photons >= 0 and n_modes >= 1")
-
-    def rec(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in rec(remaining - first, slots - 1):
-                yield (first,) + rest
-
-    return rec(n_photons, n_modes)
+    n, modes = nonnegative_ints((n_photons, n_modes))
+    if modes < 1:
+        raise ValueError("need n_modes >= 1")
+    end = (n,)
+    return (tuple(map(sub, bars + end, (0,) + bars))
+            for bars in combinations_with_replacement(range(n + 1), modes - 1))
 
 
 def multinomial(n: int, probs: Sequence[float]) -> dict[Occupation, float]:

@@ -10,6 +10,7 @@ from noonchip.circuit import ChipParams, dc_matrix
 from noonchip.evolve import (
     MAX_PHOTONS,
     NonUnitaryError,
+    _norms,
     amplitude,
     apply,
     is_unitary,
@@ -114,6 +115,30 @@ def test_engines_agree_on_random_unitaries():
         for target in basis_occupations(n, m):
             d = abs(expanded.amplitude(target) - amplitude(u, occ, target))
             assert d < 1e-10
+    # the benchmark's shapes: (1,...,1) on a 6-mode Haar unitary, and
+    # (0,n,n,0) up to MAX_PHOTONS on the chip at seeded settings
+    shapes = [((1,) * 6, unitary_group.rvs(6, random_state=rng)) for _ in range(3)]
+    for n in range(1, MAX_PHOTONS // 2 + 1):
+        etas = {f"eta{i}": float(rng.uniform(0.1, 0.9)) for i in range(1, 5)}
+        chip = ChipParams(**etas, phi=float(rng.uniform(0.0, 2.0 * np.pi)))
+        shapes.append(((0, n, n, 0), chip.matrix()))
+    for occ, u in shapes:
+        by_permanent = output_distribution(u, occ)
+        by_apply = {t: abs(a) ** 2 for t, a in apply(u, FockState.basis_state(occ)).amplitudes.items()}
+        assert abs(sum(by_permanent.values()) - 1.0) <= 1e-9
+        for t in set(by_permanent) | set(by_apply):
+            assert abs(by_permanent.get(t, 0.0) - by_apply.get(t, 0.0)) <= 1e-10, (occ, t)
+
+
+def test_norms_match_math_sqrt_bit_for_bit():
+    # the float factorial table is exact while every product it takes stays
+    # below 2^53; lifting MAX_PHOTONS past that must fail here, not round
+    assert math.factorial(MAX_PHOTONS) ** 2 < 2**53
+    sector = list(basis_occupations(MAX_PHOTONS, 4))
+    t = np.array(sector)
+    for s in sector:
+        expected = [math.sqrt(math.prod(map(math.factorial, s + occ))) for occ in sector]
+        assert _norms(s, t).tolist() == expected, s
 
 
 def test_transition_photon_number_mismatch_is_zero():

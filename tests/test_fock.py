@@ -1,5 +1,6 @@
 """Sparse Fock-state container, NOON construction, and basis enumeration."""
 
+import itertools
 import json
 import math
 
@@ -147,6 +148,11 @@ def test_noon_spec_validation():
         NoonSpec(n=1, m=2)
     with pytest.raises(ValueError):
         NoonSpec(n=-1, m=0)
+    # the count rule: 1.5 photons were accepted, and strings raised TypeError
+    with pytest.raises(ValueError, match="non-negative integers"):
+        NoonSpec(1.5, 0.5)
+    with pytest.raises(ValueError, match="non-negative integers"):
+        NoonSpec("3", "1")
 
 
 def test_inner_product_antilinear_first_argument():
@@ -260,6 +266,15 @@ def test_basis_occupations_lexicographic():
     assert occs == sorted(occs)
     assert occs[0] == (0, 0, 3)
     assert occs[-1] == (3, 0, 0)
+    # exactly the sorted filter of the cube: output_distribution and
+    # multinomial take their key order from this enumeration
+    for n in range(9):
+        for m in range(1, 7):
+            cube = itertools.product(range(n + 1), repeat=m)
+            assert list(basis_occupations(n, m)) == sorted(occ for occ in cube if sum(occ) == n)
+    # checked at the call, not when the generator is first iterated
+    with pytest.raises(ValueError, match="non-negative integers"):
+        basis_occupations(1.5, 2)
 
 
 def test_json_round_trip():
@@ -300,3 +315,5 @@ def test_multinomial():
     # count vectors that need a zero-probability outcome are left out
     assert multinomial(2, [1.0, 0.0]) == {(2, 0): 1.0}
     assert sum(multinomial(4, [0.2, 0.3, 0.5]).values()) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError, match="non-negative integers"):
+        multinomial(1.5, [0.5, 0.5])

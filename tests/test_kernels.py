@@ -1,14 +1,16 @@
-"""Permanent kernel against a brute-force permutation oracle."""
+"""Permanent kernel against a brute-force permutation oracle and against its
+complex-power form, kept here as the reference for the power table."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noonchip import kernels
+from noonchip.evolve import MAX_PHOTONS
 from noonchip.fock import basis_occupations
 
 
@@ -115,6 +117,63 @@ def test_repeated_permanents_cover_a_sector_in_one_call():
     for t, value in zip(outputs, got):
         ref = permanent_by_permutations(repeated_submatrix(u, s, t))
         assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+def reference_repeated_permanents(u: np.ndarray, s, outputs) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel before its power table, in one chunk: complex powers
+    row_sums ** t and a product over modes for every term.  Returns the
+    permanents and, per output, the sum of the terms' magnitudes."""
+    s, t = np.asarray(s), np.asarray(outputs)
+    shape = tuple(int(n) + 1 for n in s)
+    k = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=1)
+    pascal = np.array([[math.comb(n, j) for j in range(max(shape))] for n in range(max(shape))])
+    weight = np.prod(pascal[s, k], axis=1) * (-1.0) ** k.sum(axis=1)
+    row_sums = (s - 2 * k) @ u.T
+    terms = weight[:, None] * np.prod(row_sums[:, None, :] ** t, axis=2)
+    scale = 2.0 ** -int(s.sum())
+    return terms.sum(axis=0) * scale, np.abs(terms).sum(axis=0) * scale
+
+
+#: most prod(s_j + 1) terms x outputs per drawn case; keeps the whole test
+#: under 2 s, and still admits every sector size (at most 3,003 outputs)
+MAX_WORK = 40_000
+
+
+def power_table_case(modes: int, s, seed: int, chunk_terms: int):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+    return u, tuple(s), list(basis_occupations(sum(s), modes)), chunk_terms
+
+
+@st.composite
+def power_table_cases(draw):
+    """A full sector of up to MAX_PHOTONS photons on 2-6 modes, an input whose
+    terms x outputs stay within MAX_WORK, a complex Gaussian matrix and a
+    chunk length in terms."""
+    modes = draw(st.integers(2, 6))
+    outputs = list(basis_occupations(draw(st.integers(0, MAX_PHOTONS)), modes))
+    inputs = [occ for occ in outputs if math.prod(n + 1 for n in occ) * len(outputs) <= MAX_WORK]
+    s = draw(st.sampled_from(inputs))
+    chunk_terms = draw(st.integers(1, max(1, math.prod(n + 1 for n in s) - 1)))
+    return power_table_case(modes, s, draw(st.integers(0, 2**32 - 1)), chunk_terms)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(power_table_cases())
+@example(power_table_case(6, (1,) * 6, 15, 7))  # the benchmark's 6-mode shape
+@example(power_table_case(4, (0, 5, 5, 0), 15, 11))
+@example(power_table_case(6, (0, 0, MAX_PHOTONS, 0, 0, 0), 15, 4))
+def test_power_table_matches_complex_powers(case):
+    u, s, outputs, chunk_terms = case
+    expected, magnitude = reference_repeated_permanents(u, s, outputs)
+    whole = kernels.repeated_permanents(u, s, outputs)
+    # a full sector of two or more modes has more outputs than any t_i + 1, so
+    # this bound puts chunk_terms terms in each chunk, splitting the sum
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_CHUNK_ELEMENTS", chunk_terms * len(outputs) * len(s))
+        chunked = kernels.repeated_permanents(u, s, outputs)
+    for got in (whole, chunked):
+        assert (np.abs(got - expected) <= 1e-12 * magnitude).all()
 
 
 def test_chunked_sum_matches_single_chunk(monkeypatch):
