@@ -4,12 +4,15 @@ Photon-count measurement is emulated by fanning each measured mode out over
 a tree of splitters onto single-photon (threshold) detectors.  Each photon
 lands on leaf d independently with probability p_d (the deficit from 1 is
 loss), so at fixed photon counts per mode the trees route and click
-independently.  click_array therefore builds one table per tree and photon
-count n, the probability of each set of clicked leaves summed over the
-multinomial routings with the threshold law 1 - (1 - eff)^c (1 - dark), and
-adds the product of the trees' tables for each covered occupation into one
-array with an axis of 2^L clicked-leaf bitmasks per tree, whose popcounts are
-the tree's click counts; click_distribution keys it by clicked-id frozensets.
+independently.  click_array therefore builds, per tree, one stack of click
+tables for 0..n_top photons by a per-photon recursion: a photon is detected
+on leaf l with probability p_l eff_l, switching that leaf's bit on, or missed
+with probability loss + sum p_l (1 - eff_l); dark counts then switch each
+leaf on independently.  Every term is non-negative, so nothing cancels.  The
+photon-count distribution of the covered modes, as a dense tensor, is
+contracted with each tree's stack in mode order into one array with an axis
+of 2^L clicked-leaf bitmasks per tree, whose popcounts are the tree's click
+counts; click_distribution keys it by clicked-id frozensets.
 Tree modes and photon counts go through fock.nonnegative_ints, and leaf
 probabilities, efficiencies and dark counts through fock.probability.
 """
@@ -27,8 +30,8 @@ import numpy as np
 
 from . import herald
 from .circuit import ChipParams
-from .fock import (FockState, Occupation, check_keys, is_number, marginal_distribution, multinomial,
-                   nonnegative_ints, probability)
+from .fock import (FockState, Occupation, check_keys, is_number, marginal_distribution, nonnegative_ints,
+                   probability)
 
 PROB_SUM_TOL = 1e-9
 
@@ -119,17 +122,30 @@ def cascade_resolve_probability(
     return math.factorial(n_photons) * product
 
 
-def _tree_table(tree: SplitterTree, n: int, effs: Sequence[float], dark: float) -> np.ndarray:
-    """Click distribution of one tree holding n photons as a 2^L vector: entry
-    b is the probability that exactly the leaves in bitmask b click, the first
-    leaf being the highest bit.  Built as one row per routing, summed in order."""
-    clicks = np.array([[1.0 - (1.0 - eff) ** c * (1.0 - dark) for c in range(n + 1)] for eff in effs])
-    routes = multinomial(n, [p for _, p in tree.leaves] + [tree.loss])
-    rows = np.array(list(routes.values()))[:, None]
-    for leaf, c in zip(clicks, np.array(list(routes)).T):  # zip drops the trailing loss column
-        factors = np.stack((1.0 - leaf[c], leaf[c]), axis=1)  # (no click, click) per routing
-        rows = (rows[:, :, None] * factors[:, None, :]).reshape(len(rows), -1)
-    return rows.sum(axis=0)
+def _tree_stack(tree: SplitterTree, detectors: DetectorModel, n_top: int) -> np.ndarray:
+    """Click tables of one tree for 0..n_top photons as an (n_top + 1, 2^L)
+    array: entry [n, b] is the probability that exactly the leaves in bitmask b
+    click when the tree's mode holds n photons, the first leaf the highest bit.
+
+    Each photon lands on leaf l and is detected with probability q_l = p_l eff_l,
+    or is missed (lost, or landed and not detected), so row n is row n - 1 with
+    the miss weight plus, for each leaf, q_l times row n - 1 with that leaf's
+    bit switched on.  Dark counts then switch each leaf on independently."""
+    probs = [p for _, p in tree.leaves]
+    effs = [detectors.eff(d) for d in tree.detector_ids()]
+    dark = detectors.dark_count_prob
+    miss = tree.loss + sum(p * (1.0 - eff) for p, eff in zip(probs, effs))
+    stack = np.zeros((n_top + 1, 1 << len(probs)))
+    stack[0, 0] = 1.0
+    views = [stack.reshape(n_top + 1, 1 << leaf, 2, -1) for leaf in range(len(probs))]  # axis 2: leaf's bit
+    for n in range(1, n_top + 1):
+        stack[n] = miss * stack[n - 1]
+        for view, p, eff in zip(views, probs, effs):
+            view[n, :, 1] += p * eff * (view[n - 1, :, 0] + view[n - 1, :, 1])
+    for view in views:
+        view[:, :, 1] += dark * view[:, :, 0]
+        view[:, :, 0] *= 1.0 - dark
+    return stack
 
 
 def click_array(
@@ -140,21 +156,24 @@ def click_array(
     """(trees in mode order, click probabilities) for the state's tree-covered
     modes: one dense array with an axis of 2^L entries per tree, indexed by
     the bitmask of the tree's clicked leaves, the first leaf the highest bit.
-    It holds all 2^D click patterns of the D detectors, hence the limit on D."""
+    It holds all 2^D click patterns of the D detectors, hence the limit on D.
+
+    The photon-count distribution of the covered modes becomes a dense tensor
+    with one axis of n_top + 1 counts per tree, n_top the largest count on its
+    mode.  Each tree's table stack (_tree_stack) is contracted with that
+    tensor's leading axis in mode order; each contraction appends the tree's
+    click axis, so the result ends in tree order."""
     _validate_trees(trees)
     ordered = sorted(trees, key=lambda t: t.mode)
     if sum(len(t.leaves) for t in ordered) > 20:
         raise ValueError("click statistics take at most 20 detectors (2^20 click patterns)")
-    effs = [[detectors.eff(d) for d in t.detector_ids()] for t in ordered]
-    tables: list[dict[int, np.ndarray]] = [{} for _ in ordered]
-    total = np.zeros([1 << len(t.leaves) for t in ordered])
-    for occ, p_occ in marginal_distribution(state, [t.mode for t in ordered]).items():
-        term = np.array(p_occ)
-        for tree, tree_effs, cache, n in zip(ordered, effs, tables, occ):
-            if n not in cache:
-                cache[n] = _tree_table(tree, n, tree_effs, detectors.dark_count_prob)
-            term = np.multiply.outer(term, cache[n])
-        total += term
+    marginal = marginal_distribution(state, [t.mode for t in ordered])
+    tops = [max(counts) for counts in zip(*marginal)] or [0] * len(ordered)
+    total = np.zeros([n + 1 for n in tops])
+    for occ, p_occ in marginal.items():
+        total[occ] = p_occ
+    for tree, n_top in zip(ordered, tops):
+        total = np.tensordot(total, _tree_stack(tree, detectors, n_top), axes=([0], [0]))
     return ordered, total
 
 

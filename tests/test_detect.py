@@ -3,17 +3,19 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noonchip import detect, evolve
 from noonchip.circuit import ChipParams
 from noonchip.detect import (
     DetectorModel,
     SplitterTree,
-    _tree_table,
+    _tree_stack,
     cascade_resolve_probability,
     click_array,
     click_distribution,
@@ -163,21 +165,22 @@ def test_click_distribution_brute_force_two_photons():
 
 
 def _threshold_response(hits, all_ids, model):
-    """Click-pattern distribution given photon counts per detector."""
+    """Click-pattern distribution given photon counts per detector: a detector
+    hit by c photons stays dark with probability (1 - dark)(1 - eff)^c and
+    clicks with dark + (1 - dark) fired, fired = 1 - (1 - eff)^c taken
+    without the cancelling difference from 1."""
     dark = model.dark_count_prob
     patterns = {frozenset(): 1.0}
     for det in all_ids:
-        c = hits.get(det, 0)
-        if c == 0 and dark == 0.0:
-            continue
-        p_click = 1.0 - (1.0 - model.eff(det)) ** c * (1.0 - dark)
+        c, eff = hits.get(det, 0), model.eff(det)
+        fired = 0.0 if c == 0 else 1.0 if eff == 1.0 else -math.expm1(c * math.log1p(-eff))
+        p_click = dark + (1.0 - dark) * fired
+        p_none = (1.0 - dark) * (1.0 - eff) ** c
         updated = {}
         for pattern, weight in patterns.items():
-            if p_click > 0.0:
-                key = pattern | {det}
-                updated[key] = updated.get(key, 0.0) + weight * p_click
-            if p_click < 1.0:
-                updated[pattern] = updated.get(pattern, 0.0) + weight * (1.0 - p_click)
+            key = pattern | {det}
+            updated[key] = updated.get(key, 0.0) + weight * p_click
+            updated[pattern] = updated.get(pattern, 0.0) + weight * p_none
         patterns = updated
     return patterns
 
@@ -203,28 +206,30 @@ def reference_click_distribution(state, trees, detectors):
         for hits, p_route in joint:
             for pattern, p_click in _threshold_response(hits, all_ids, detectors).items():
                 out[pattern] = out.get(pattern, 0.0) + p_occ * p_route * p_click
-    return out
+    return {pattern: p for pattern, p in out.items() if p != 0.0}  # as click_distribution
 
 
-def reference_tree_table(tree, n, effs, dark):
-    """The per-routing row loop that the batched _tree_table replaced: one
-    numpy row per multinomial routing, added to the table in routing order."""
-    clicks = [[1.0 - (1.0 - eff) ** c * (1.0 - dark) for c in range(n + 1)] for eff in effs]
-    table = np.zeros(1 << len(effs))
+def reference_tree_table(tree, n, detectors):
+    """Click table of one tree holding n photons by the per-routing row loop
+    that the photon recursion replaced: one numpy row per multinomial routing,
+    added in routing order, with _threshold_response's factors."""
+    table = np.zeros(1 << len(tree.leaves))
     for counts, p_route in multinomial(n, [p for _, p in tree.leaves] + [tree.loss]).items():
         row = np.array([p_route])
-        for leaf, c in zip(clicks, counts):
-            row = np.multiply.outer(row, (1.0 - leaf[c], leaf[c])).ravel()
+        for det, c in zip(tree.detector_ids(), counts):  # zip drops the trailing loss count
+            response = _threshold_response({det: c}, [det], detectors)
+            row = np.multiply.outer(row, (response[frozenset()], response[frozenset({det})])).ravel()
         table += row
     return table
 
 
-#: a leaf probability or amplitude part is 0 or at least 1e-6; a click or
-#: no-click factor is 0 or at least 1.1e-16 whatever the efficiency, since it
-#: is a difference from 1.  So no product of at most 6 photons over 12
-#: detectors reaches the subnormal range, where a relative error says nothing
+#: a leaf probability or amplitude part is 0 or at least 1e-6; an efficiency
+#: or dark count is 0 or at least 1e-16, and so is a click or no-click factor,
+#: (1 - dark)(1 - eff)^c or dark + (1 - dark) fired, since 1 - eff is too.  So
+#: no product of at most 6 photons over 12 detectors reaches the subnormal
+#: range, where a relative error says nothing
 SIZE = st.just(0.0) | st.floats(1e-6, 1.0)
-PROBABILITY = st.floats(0.0, 1.0)
+PROBABILITY = st.just(0.0) | st.floats(1e-16, 1.0)
 
 
 @st.composite
@@ -241,7 +246,7 @@ def click_cases(draw):
         efficiency = draw(PROBABILITY)
     else:  # per id; an id left out counts as efficiency 1
         efficiency = {d: draw(PROBABILITY) for d in ids if draw(st.booleans())}
-    dark = draw(st.just(0.0) | st.floats(0.0, 0.2, exclude_min=True, exclude_max=True))
+    dark = draw(st.just(0.0) | st.floats(1e-16, 0.2, exclude_max=True))
     photons = 6 if len(trees) == 1 else 4  # the walk's cost grows with trees x photons
     terms = draw(st.lists(
         st.tuples(st.lists(st.integers(0, 3), max_size=photons), SIZE, SIZE), min_size=1, max_size=4))
@@ -263,12 +268,10 @@ def test_click_distribution_matches_per_routing_walk(case):
         assert got[pattern] == pytest.approx(p, rel=1e-12, abs=0.0)
     norm = sum(marginal_distribution(state, [t.mode for t in trees]).values())
     assert sum(got.values()) == pytest.approx(norm, rel=1e-12, abs=1e-300)
-    # the batched tables equal the row loop bit for bit, up to 6 photons per tree
+    # the photon recursion gives the row loop's tables, up to 6 photons per tree
     for tree in trees:
-        effs = [detectors.eff(d) for d in tree.detector_ids()]
-        for n in range(7):
-            want_table = reference_tree_table(tree, n, effs, detectors.dark_count_prob)
-            assert np.array_equal(_tree_table(tree, n, effs, detectors.dark_count_prob), want_table)
+        for n, table in enumerate(_tree_stack(tree, detectors, 6)):
+            assert table == pytest.approx(reference_tree_table(tree, n, detectors), rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -287,6 +290,46 @@ def test_click_array_holds_every_pattern(case):
         if total[index] > 0.0:
             want[frozenset(ids)] = float(total[index])
     assert list(click_distribution(state, trees, detectors).items()) == list(want.items())
+
+
+def test_dark_counts_alone_are_exact_products():
+    # each entry is a product of d and 1 - d; taking d as 1 - (1 - d) loses digits
+    d = 1e-5
+    tree = uniform_tree(0, 4)
+    _, total = click_array(FockState.basis_state((0,)), [tree], DetectorModel(0.7, d))
+    for b, p in enumerate(total):
+        k = b.bit_count()
+        want = float(Fraction(d) ** k * (1 - Fraction(d)) ** (4 - k))
+        assert p == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_ideal_detectors_keep_exact_zeros():
+    # no loss, unit efficiency and no dark counts: n photons click at most n
+    # leaves and, from one photon up, at least one.  These leaf probabilities
+    # add up to 1.0000000000000002 in order, so 1 - sum p_l eff_l would
+    # miss with a negative weight, where loss + sum p_l (1 - eff_l) is 0
+    tree = SplitterTree(0, (("A", 0.05), ("B", 0.55), ("C", 0.3), ("D", 0.1)))
+    assert tree.loss == 0.0
+    stack = _tree_stack(tree, DetectorModel(), 6)
+    for n, table in enumerate(stack):
+        assert all(p == 0.0 for b, p in enumerate(table) if b.bit_count() > n)
+        assert (table[0] == 0.0) == (n >= 1)
+        assert table.sum() == pytest.approx(1.0, rel=1e-15)
+
+
+def test_click_array_builds_one_stack_per_tree(monkeypatch):
+    built = []
+
+    def counting(tree, detectors, n_top):
+        built.append((tree.mode, n_top))
+        return _tree_stack(tree, detectors, n_top)
+
+    monkeypatch.setattr(detect, "_tree_stack", counting)
+    state = evolve.apply(ChipParams().matrix(), FockState.basis_state((0, 2, 2, 0)))
+    trees, _ = paper_6fold_topology()
+    click_array(state, trees, DetectorModel(0.7, 1e-3))
+    counts = marginal_distribution(state, [0, 1, 2, 3])
+    assert built == [(m, max(occ[m] for occ in counts)) for m in range(4)]
 
 
 def test_detector_model_validated_once():
