@@ -10,7 +10,6 @@ from .circuit import ChipParams, chip_circuit, compile_circuit, dc_matrix, with_
 from .evolve import amplitude, apply
 from .fock import (
     FockState,
-    NoonSpec,
     inner_product,
     make_noon,
     marginal_distribution,
@@ -25,7 +24,6 @@ __all__ = [
     "FockState",
     "HeraldPattern",
     "HeraldResult",
-    "NoonSpec",
     "__version__",
     "amplitude",
     "apply",

@@ -238,23 +238,23 @@ def empirical_window_profile(
     config: CoincidenceConfig = CoincidenceConfig(),
     trials: int = 100_000,
     seed: int = 0,
-    channel_pair: tuple[str, str] = ("A", "B"),
 ) -> list[float]:
     """Monte Carlo check of window_profile through the real counting pipeline.
 
-    Pulse pairs are placed at well-separated base times with a uniform offset
-    against the clock, which is equivalent to averaging over the clock phase.
+    Pulse pairs on channels A and B are placed at well-separated base times
+    with a uniform offset against the clock, which is equivalent to averaging
+    over the clock phase.
     """
     rng = evolve.derived_rng(seed)
     spacing = max(10.0 * config.window_ns, 20.0 * config.dead_time_ns, 100.0)
     offsets = rng.uniform(0.0, config.t_clk, size=trials)
     base = np.arange(trials) * spacing + offsets
-    channels = np.repeat(np.array(channel_pair), trials)
+    channels = np.repeat(np.array(["A", "B"]), trials)
     fractions = []
     for delay in delays:
         pulses = Pulses(channels, np.concatenate((base, base + delay)))
         counts = count_coincidences(pulses, config)
-        fractions.append(counts.get(frozenset(channel_pair), 0) / trials)
+        fractions.append(counts.get(frozenset({"A", "B"}), 0) / trials)
     return fractions
 
 

@@ -15,6 +15,7 @@ of 2^L clicked-leaf bitmasks per tree, whose popcounts are the tree's click
 counts; click_distribution keys it by clicked-id frozensets.
 Tree modes and photon counts go through fock.nonnegative_ints, and leaf
 probabilities, efficiencies and dark counts through fock.probability.
+normalize_rates prices cascade resolution through cascade_resolve_probability.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import herald
-from .circuit import ChipParams
 from .fock import (FockState, Occupation, check_keys, is_number, marginal_distribution, nonnegative_ints,
                    probability)
 
@@ -203,7 +202,8 @@ def normalize_rates(
     resolution probability, then renormalizes to a distribution.
 
     Relative efficiencies are inferred from singles counts (epsilon_d =
-    singles_d / max singles).  Detectors outside any tree contribute no
+    singles_d / max singles).  Each tree's clicked detectors divide by their
+    cascade_resolve_probability; detectors outside any tree contribute no
     resolution factor.
     """
     if not raw_counts:
@@ -212,31 +212,25 @@ def normalize_rates(
     if flagged:
         raise ValueError(f"zero singles count for detectors: {', '.join(flagged)}")
     peak = max(singles.values())
-    leaf_prob: dict[str, float] = {}
-    tree_of: dict[str, int] = {}
+    tree_of: dict[str, SplitterTree] = {}
     if trees:
         _validate_trees(trees)
-        for t in trees:
-            for d, p in t.leaves:
-                leaf_prob[d] = p
-                tree_of[d] = t.mode
+        tree_of = {d: t for t in trees for d in t.detector_ids()}
 
     weights: dict[frozenset, float] = {}
     for pattern, count in raw_counts.items():
         if count < 0:
             raise ValueError("negative pattern count")
         weight = float(count)
-        per_tree: dict[int, list[str]] = {}
+        per_tree: dict[SplitterTree, list[str]] = {}
         for det in pattern:
             if det not in singles:
                 raise ValueError(f"detector {det!r} missing from singles counts")
             weight /= singles[det] / peak
             if det in tree_of:
                 per_tree.setdefault(tree_of[det], []).append(det)
-        for dets in per_tree.values():
-            resolution = math.factorial(len(dets))
-            for det in dets:
-                resolution *= leaf_prob[det]
+        for tree, dets in per_tree.items():
+            resolution = cascade_resolve_probability(tree, len(dets), dets)
             if resolution == 0.0:
                 raise ValueError(f"pattern {sorted(pattern)} has zero resolution probability")
             weight /= resolution
@@ -284,27 +278,6 @@ def fidelity(p: Mapping, q: Mapping) -> float:
     if any(v < 0 for v in p.values()) or any(v < 0 for v in q.values()):
         raise ValueError("probabilities must be non-negative")
     return float(sum(math.sqrt(p[k] * q[k]) for k in set(p) & set(q)))
-
-
-def simulated_reference_distribution(
-    eta1: float,
-    eta2: float,
-    input_state: FockState,
-    pattern: herald.HeraldPattern,
-    phi: float,
-    eta34: float = 1.0 / 3.0,
-) -> dict[Occupation, float]:
-    """Heralded photon-count distribution for measured coupler values.
-
-    eta1 and eta2 take their measured values; the herald couplers keep the
-    ideal common value eta34 (the conditional state does not depend on it
-    when both are equal).  Contamination makes the result phi dependent.
-    """
-    chip = ChipParams(eta1=eta1, eta2=eta2, eta3=eta34, eta4=eta34, phi=phi)
-    result = herald.heralded_output(chip, input_state, pattern)
-    if result.is_null:
-        return {}
-    return {occ: abs(a) ** 2 for occ, a in result.conditional_state.amplitudes.items()}
 
 
 # -- topology presets and serialization ---------------------------------------

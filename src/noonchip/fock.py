@@ -5,7 +5,8 @@ below the pruning threshold dropped.  States are immutable; every operation
 returns a new instance.  Iteration order is lexicographic in the occupation
 vector so that serialization and reports are deterministic.  The package's
 value rules live here, one each: nonnegative_ints for photon counts and mode
-indices, probability for a value in [0, 1], is_number for a JSON number.
+indices, probability for a value in [0, 1], is_number for a JSON number, the
+rule FockState.from_json_dict applies to the mode count and occupations.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import itemgetter, sub
 from types import MappingProxyType
@@ -143,14 +143,22 @@ class FockState:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FockState":
+        """Reads the to_json_dict form, one term per occupation."""
         check_keys(data, "state", ("modes", "terms"))
+        if not is_number(data["modes"], int):
+            raise ValueError(f"state modes must be an integer, got {data['modes']!r}")
         amps = {}
         for term in data["terms"]:
             check_keys(term, "state term", ("occ", "re", "im"))
+            occ = tuple(term["occ"])
+            if not all(is_number(n, int) for n in occ):
+                raise ValueError(f"occupation {term['occ']!r} must hold integers")
+            if occ in amps:
+                raise ValueError(f"occupation {term['occ']!r} is given twice")
             amp = complex(term["re"], term["im"])
             if not cmath.isfinite(amp):
                 raise ValueError(f"amplitude {amp} of {term['occ']} is not finite")
-            amps[tuple(term["occ"])] = amp
+            amps[occ] = amp
         return cls(data["modes"], amps)
 
 
@@ -176,46 +184,27 @@ def probability(what: str, value) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class NoonSpec:
-    """Target two-mode state (|n,m> + e^{i alpha} |m,n>) / sqrt(2), n >= m."""
-
-    n: int
-    m: int
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        nonnegative_ints((self.n, self.m))
-        if self.n < self.m:
-            raise ValueError(f"require n >= m >= 0, got n={self.n}, m={self.m}")
-
-
-def make_noon(spec: NoonSpec) -> FockState:
-    """Normalized |n::m> state on two modes.
+def make_noon(n: int, m: int, alpha: float = 0.0) -> FockState:
+    """Normalized |n::m> = (|n,m> + e^{i alpha} |m,n>) / sqrt(2) on two modes,
+    n >= m >= 0 by the count rule.
 
     For n == m the superposition collapses to the single term |n,n>.
     """
-    if spec.n == spec.m:
-        return FockState(2, {(spec.n, spec.n): 1.0})
-    phase = complex(math.cos(spec.alpha), math.sin(spec.alpha))
+    n, m = nonnegative_ints((n, m))
+    if n < m:
+        raise ValueError(f"require n >= m >= 0, got n={n}, m={m}")
+    if n == m:
+        return FockState(2, {(n, n): 1.0})
+    phase = complex(math.cos(alpha), math.sin(alpha))
     root_half = 1.0 / math.sqrt(2.0)
-    return FockState(2, {(spec.n, spec.m): root_half, (spec.m, spec.n): phase * root_half})
+    return FockState(2, {(n, m): root_half, (m, n): phase * root_half})
 
 
 def inner_product(a: FockState, b: FockState) -> complex:
     """<a|b>, antilinear in the first argument."""
     if a.mode_count != b.mode_count:
         raise ValueError("inner product requires equal mode counts")
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    total = 0j
-    for occ, amp in small.amplitudes.items():
-        other = large.amplitudes.get(occ)
-        if other is not None:
-            if small is a:
-                total += amp.conjugate() * other
-            else:
-                total += other.conjugate() * amp
-    return total
+    return sum((amp.conjugate() * b.amplitudes.get(occ, 0j) for occ, amp in a.amplitudes.items()), 0j)
 
 
 def state_fidelity(a: FockState, b: FockState) -> float:

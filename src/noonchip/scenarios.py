@@ -230,9 +230,10 @@ class ScenarioConfig:
             return None
         return _parse("herald pattern", lambda: herald.HeraldPattern(self.herald))
 
-    def detection_topology(self) -> tuple[list[detect.SplitterTree], detect.DetectorModel] | None:
+    def detection_topology(self) -> tuple[list[detect.SplitterTree], detect.DetectorModel]:
+        """The detection block's trees and model; paper-6fold when there is none."""
         if self.detection is None:
-            return None
+            return detect.paper_6fold_topology()
         if "preset" in self.detection:
             name = self.detection["preset"]
             if name not in detect.TOPOLOGY_PRESETS:
@@ -453,7 +454,7 @@ def run_contamination(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutpu
     chip = config.chip_params()
     params = config.spdc_params()
     pattern = config.herald_pattern()
-    trees, model = config.detection_topology() or (None, None)
+    trees, model = config.detection_topology()
     try:
         report = source.contamination_report(
             chip, params, pattern, config.signal_photons, trees, model

@@ -4,9 +4,10 @@ and click-level contamination of heralded events.
 A degenerate pair source pumps both chip inputs b and c symmetrically, so the
 relevant input sectors are |n, n> with amplitude proportional to xi^n.  Higher
 sectors fake lower-order heralds whenever threshold detectors cannot tell one
-photon from two; contamination_report quantifies those channels.  It reads
-each sector's detect.click_array: the click count of a tree is the popcount
-of its axis index, so the event signature is a broadcast mask over the array.
+photon from two; contamination_report quantifies those channels behind the
+splitter trees and detector model it is given.  It reads each sector's
+detect.click_array: the click count of a tree is the popcount of its axis
+index, so the event signature is a broadcast mask over the array.
 
 Partial distinguishability enters hom_dip as a convex mixture: with pairwise
 overlap x the observed statistics are x * quantum + (1 - x) * fully
@@ -190,8 +191,8 @@ def contamination_report(
     params: SpdcParams,
     pattern: herald.HeraldPattern,
     signal_photons: int,
-    trees: Sequence[detect.SplitterTree] | None = None,
-    detectors: detect.DetectorModel | None = None,
+    trees: Sequence[detect.SplitterTree],
+    detectors: detect.DetectorModel,
 ) -> ContaminationReport:
     """Per-sector herald and click-signature analysis for the pair source.
 
@@ -200,10 +201,6 @@ def contamination_report(
     Sectors other than the target that still produce the signature are
     flagged as mislabeled; their click counts alias lower photon numbers.
     """
-    if trees is None or detectors is None:
-        default_trees, default_model = detect.paper_6fold_topology()
-        trees = trees if trees is not None else default_trees
-        detectors = detectors if detectors is not None else default_model
     herald_photons = pattern.photon_count()
     total = herald_photons + signal_photons
     if total % 2:

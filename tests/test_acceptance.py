@@ -23,7 +23,6 @@ from noonchip.analysis import (
 from noonchip.circuit import ChipParams, dc_matrix
 from noonchip.fock import (
     FockState,
-    NoonSpec,
     basis_occupations,
     make_noon,
     state_fidelity,
@@ -89,12 +88,12 @@ def test_c03_heralded_state_family():
         ChipParams(phi=math.pi / 2), FockState.basis_state((0, 3, 3, 0)), PATTERN_IL
     )
     f_quad = state_fidelity(
-        quad.conditional_state, make_noon(NoonSpec(4, 0, alpha=math.pi))
+        quad.conditional_state, make_noon(4, 0, alpha=math.pi)
     )
     zero = heralded_output(
         ChipParams(phi=0.0), FockState.basis_state((0, 3, 3, 0)), PATTERN_IL
     )
-    f_zero = state_fidelity(zero.conditional_state, make_noon(NoonSpec(3, 1)))
+    f_zero = state_fidelity(zero.conditional_state, make_noon(3, 1))
     family_ok = True
     for phi in np.linspace(0.05, 2 * math.pi, 32):
         res = heralded_output(
@@ -224,13 +223,13 @@ def test_c07_fringe_periods():
     p6 = fringe_period(six)
     thetas = np.linspace(0.0, 2 * math.pi, 128, endpoint=False)
     probe1 = fringe_period(
-        probe_fringe_scan(make_noon(NoonSpec(1, 0)), (1, 0), thetas)
+        probe_fringe_scan(make_noon(1, 0), (1, 0), thetas)
     )
     probe2 = fringe_period(
-        probe_fringe_scan(make_noon(NoonSpec(2, 0)), (1, 1), thetas)
+        probe_fringe_scan(make_noon(2, 0), (1, 1), thetas)
     )
     probe4 = fringe_period(
-        probe_fringe_scan(make_noon(NoonSpec(4, 0, alpha=math.pi)), (2, 2), thetas)
+        probe_fringe_scan(make_noon(4, 0, alpha=math.pi), (2, 2), thetas)
     )
     ok = (
         abs(p1 - 2 * math.pi) < 0.02 * 2 * math.pi
@@ -313,7 +312,7 @@ def test_c10_engine_equivalence():
 
 
 def test_c11_backward_readout():
-    pure = reverse_pass(make_noon(NoonSpec(2, 0)))
+    pure = reverse_pass(make_noon(2, 0))
     dephased = reverse_pass(
         [
             (0.5, FockState.basis_state((2, 0))),
@@ -360,21 +359,17 @@ def test_c12_seeded_sampling():
     )
 
 
+def heralded_counts(chip, occupation):
+    """Photon-count distribution of the state heralded by PATTERN_IL."""
+    result = heralded_output(chip, FockState.basis_state(occupation), PATTERN_IL)
+    return {occ: abs(a) ** 2 for occ, a in result.conditional_state.amplitudes.items()}
+
+
 def test_c13_perturbed_couplers():
-    four_ideal = detect.simulated_reference_distribution(
-        0.5, 0.5, FockState.basis_state((0, 2, 2, 0)), PATTERN_IL, math.pi / 2
-    )
-    four_meas = detect.simulated_reference_distribution(
-        0.542, 0.530, FockState.basis_state((0, 2, 2, 0)), PATTERN_IL, math.pi / 2
-    )
-    f4 = detect.fidelity(four_meas, four_ideal)
-    six_ideal = detect.simulated_reference_distribution(
-        0.5, 0.5, FockState.basis_state((0, 3, 3, 0)), PATTERN_IL, math.pi / 2
-    )
-    six_meas = detect.simulated_reference_distribution(
-        0.542, 0.530, FockState.basis_state((0, 3, 3, 0)), PATTERN_IL, math.pi / 2
-    )
-    f6 = detect.fidelity(six_meas, six_ideal)
+    ideal = ChipParams(eta1=0.5, eta2=0.5, phi=math.pi / 2)
+    measured = ChipParams(eta1=0.542, eta2=0.530, phi=math.pi / 2)
+    f4 = detect.fidelity(heralded_counts(measured, (0, 2, 2, 0)), heralded_counts(ideal, (0, 2, 2, 0)))
+    f6 = detect.fidelity(heralded_counts(measured, (0, 3, 3, 0)), heralded_counts(ideal, (0, 3, 3, 0)))
     ok = f4 > 0.9 and f6 > 0.9
     report(
         "C13",

@@ -16,7 +16,7 @@ from noonchip.analysis import (
     sagnac_scenario,
 )
 from noonchip.circuit import ChipParams
-from noonchip.fock import FockState, make_noon, NoonSpec
+from noonchip.fock import FockState, make_noon
 from noonchip.herald import HeraldPattern
 
 
@@ -72,7 +72,7 @@ def test_six_photon_fringe_is_twice_as_fast():
 
 
 def test_probe_two_photon_state():
-    state = make_noon(NoonSpec(n=2, m=0))
+    state = make_noon(n=2, m=0)
     thetas = grid(64, 2 * math.pi)
     samples = probe_fringe_scan(state, (1, 1), thetas)
     for s, theta in zip(samples, thetas):
@@ -82,7 +82,7 @@ def test_probe_two_photon_state():
 
 def test_probe_four_photon_quadrature_state():
     # twice-super-resolved: a four-photon phase picks up 4 theta
-    state = make_noon(NoonSpec(n=4, m=0, alpha=math.pi))
+    state = make_noon(n=4, m=0, alpha=math.pi)
     thetas = grid(64, 2 * math.pi)
     samples = probe_fringe_scan(state, (2, 2), thetas)
     for s, theta in zip(samples, thetas):
@@ -92,7 +92,7 @@ def test_probe_four_photon_quadrature_state():
 
 
 def test_probe_unbalanced_four_photon_state():
-    state = make_noon(NoonSpec(n=3, m=1))
+    state = make_noon(n=3, m=1)
     thetas = grid(64, 2 * math.pi)
     samples = probe_fringe_scan(state, (4, 0), thetas)
     for s, theta in zip(samples, thetas):
@@ -101,7 +101,7 @@ def test_probe_unbalanced_four_photon_state():
 
 
 def test_probe_single_photon_baseline():
-    state = make_noon(NoonSpec(n=1, m=0))
+    state = make_noon(n=1, m=0)
     thetas = grid(64, 2 * math.pi)
     samples = probe_fringe_scan(state, (1, 0), thetas)
     assert fringe_period(samples) == pytest.approx(2 * math.pi, rel=1e-9)
@@ -157,7 +157,7 @@ def test_precision_bounds():
 
 
 def test_reverse_pure_state_interferes():
-    state = make_noon(NoonSpec(n=2, m=0))
+    state = make_noon(n=2, m=0)
     res = reverse_pass(state)
     assert res.conditional_distribution[(1, 1)] == pytest.approx(1.0, abs=1e-10)
     assert res.conditional_distribution.get((2, 0), 0.0) == pytest.approx(0.0, abs=1e-10)
@@ -177,7 +177,7 @@ def test_reverse_dephased_mixture_does_not():
 
 
 def test_reverse_without_interference_coupler():
-    state = make_noon(NoonSpec(n=2, m=0))
+    state = make_noon(n=2, m=0)
     res = reverse_pass(state, eta2=0.0)
     assert res.conditional_distribution.get((1, 1), 0.0) == pytest.approx(0.0, abs=1e-12)
 

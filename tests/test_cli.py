@@ -126,12 +126,20 @@ def test_wrong_config_types_exit_2(tmp_path, capsys):
 
 
 def test_malformed_input_state_exits_2(tmp_path, capsys):
-    # a KeyError or TypeError traceback (exit 1) before; a NaN amplitude was dropped
+    # a KeyError or TypeError traceback (exit 1) before; a NaN amplitude was dropped;
+    # float modes ended in a TypeError traceback, bool and float occupations ran as
+    # integers, and a repeated occupation silently replaced the earlier term
     nan_term = {"occ": [0, 2, 2, 0], "re": math.nan, "im": 0.0}
+    terms = [[{"occ": occ, "re": 1.0, "im": 0.0}]
+             for occ in ([0, 2, 2, 0], [0, True, True, 0], [0, 2.0, 2, 0])]
     assert_damaged_presets_exit_2(tmp_path, capsys, [
         ("simulate", "fig2a", ("input",), {"state": {"modes": 4}}),
         ("simulate", "fig2a", ("input",), {"state": [1, 2]}),
         ("simulate", "fig2a", ("input",), {"state": {"modes": 4, "terms": [nan_term]}}),
+        ("simulate", "fig2a", ("input",), {"state": {"modes": 4.0, "terms": terms[0]}}),
+        ("simulate", "fig2a", ("input",), {"state": {"modes": 4, "terms": terms[1]}}),
+        ("simulate", "fig2a", ("input",), {"state": {"modes": 4, "terms": terms[2]}}),
+        ("simulate", "fig2a", ("input",), {"state": {"modes": 4, "terms": terms[0] * 2}}),
     ])
 
 
@@ -329,6 +337,18 @@ def test_contamination_preset(tmp_path):
     body = json.loads((out / "contamination.json").read_text())
     assert body["target_sector"] == 3
     assert body["false_to_true_ratio"] == pytest.approx(0.0673727069, rel=1e-6)
+
+
+def test_contamination_without_detection_runs_paper_6fold(tmp_path, capsys):
+    data = preset("fig4-contamination").to_json_dict()
+    assert data.pop("detection") == {"preset": "paper-6fold"}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    out, runs = tmp_path / "run", []  # one output directory: stdout names it
+    for source in (["--config", str(path)], ["--preset", "fig4-contamination"]):
+        assert run_cli(["contamination", *source, "--out", str(out)]) == 0
+        runs.append((read_dir(out), capsys.readouterr().out))
+    assert runs[0] == runs[1]
 
 
 def test_outputs_are_deterministic(tmp_path):

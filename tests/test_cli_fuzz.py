@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noonchip import cli
+from noonchip.fock import FockState
 from noonchip.scenarios import preset
 
 
@@ -25,6 +26,9 @@ def _base(name):
 
 BASES = {name: _base(name) for name in
          ("fig2a", "fig2b-sagnac", "fig3b-4point", "fig4", "fig4-contamination")}
+#: fig2a with its input as input.state, so random JSON reaches FockState.from_json_dict
+BASES["fig2a-state"] = {**BASES["fig2a"], "input": {
+    "state": FockState.basis_state(BASES["fig2a"]["input"]["occupation"]).to_json_dict()}}
 
 #: names the config readers look for, so random objects reach past the key checks
 NAMES = ("chip", "file", "inline", "preset", "paper-6fold", "occupation", "state", "spdc",

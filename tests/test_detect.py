@@ -23,7 +23,6 @@ from noonchip.detect import (
     normalize_rates,
     occupancy_rates,
     paper_6fold_topology,
-    simulated_reference_distribution,
     topology_from_json_dict,
     topology_to_json_dict,
 )
@@ -447,30 +446,23 @@ def test_fidelity_validation():
         fidelity({"a": 1.5, "b": -0.5}, {"a": 1.0})
 
 
+def heralded_counts(chip):
+    """Photon-count distribution of |0,2,2,0> heralded by one photon on modes 0 and 3."""
+    result = heralded_output(chip, FockState.basis_state((0, 2, 2, 0)), HeraldPattern({0: 1, 3: 1}))
+    return {occ: abs(a) ** 2 for occ, a in result.conditional_state.amplitudes.items()}
+
+
 def test_reference_distribution_perturbed_couplers():
-    ideal = simulated_reference_distribution(
-        0.5, 0.5, FockState.basis_state((0, 2, 2, 0)), HeraldPattern({0: 1, 3: 1}), math.pi / 2
-    )
-    measured = simulated_reference_distribution(
-        0.542, 0.530, FockState.basis_state((0, 2, 2, 0)), HeraldPattern({0: 1, 3: 1}), math.pi / 2
-    )
+    ideal = heralded_counts(ChipParams(eta1=0.5, eta2=0.5, phi=math.pi / 2))
+    measured = heralded_counts(ChipParams(eta1=0.542, eta2=0.530, phi=math.pi / 2))
     f = fidelity(measured, ideal)
     assert f > 0.99
     assert f == pytest.approx(0.998310, abs=1e-5)
 
 
 def test_reference_distribution_common_herald_coupler_drops_out():
-    a = simulated_reference_distribution(
-        0.5, 0.5, FockState.basis_state((0, 2, 2, 0)), HeraldPattern({0: 1, 3: 1}), 0.4
-    )
-    b = simulated_reference_distribution(
-        0.5,
-        0.5,
-        FockState.basis_state((0, 2, 2, 0)),
-        HeraldPattern({0: 1, 3: 1}),
-        0.4,
-        eta34=0.4,
-    )
+    a = heralded_counts(ChipParams(eta1=0.5, eta2=0.5, phi=0.4))
+    b = heralded_counts(ChipParams(eta1=0.5, eta2=0.5, eta3=0.4, eta4=0.4, phi=0.4))
     assert set(a) == set(b)
     for occ in a:
         assert a[occ] == pytest.approx(b[occ], abs=1e-12)

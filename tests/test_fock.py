@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from noonchip.fock import (
     FockState,
-    NoonSpec,
     basis_occupations,
     inner_product,
     make_noon,
@@ -122,8 +121,7 @@ def test_immutable_amplitudes_view():
 
 
 def test_make_noon_four_photon_pi():
-    spec = NoonSpec(n=4, m=0, alpha=math.pi)
-    s = make_noon(spec)
+    s = make_noon(n=4, m=0, alpha=math.pi)
     r = 1.0 / math.sqrt(2.0)
     assert abs(s.amplitude((4, 0)) - r) < 1e-15
     assert abs(s.amplitude((0, 4)) + r) < 1e-15
@@ -131,7 +129,7 @@ def test_make_noon_four_photon_pi():
 
 
 def test_make_noon_unbalanced_pair():
-    s = make_noon(NoonSpec(n=3, m=1))
+    s = make_noon(n=3, m=1)
     r = 1.0 / math.sqrt(2.0)
     assert abs(s.amplitude((3, 1)) - r) < 1e-15
     assert abs(s.amplitude((1, 3)) - r) < 1e-15
@@ -139,20 +137,20 @@ def test_make_noon_unbalanced_pair():
 
 def test_make_noon_equal_indices_single_term():
     # n == m collapses to one basis vector; no double counting
-    s = make_noon(NoonSpec(n=2, m=2))
+    s = make_noon(n=2, m=2)
     assert s.items() == [((2, 2), 1.0 + 0j)]
 
 
 def test_noon_spec_validation():
     with pytest.raises(ValueError):
-        NoonSpec(n=1, m=2)
+        make_noon(n=1, m=2)
     with pytest.raises(ValueError):
-        NoonSpec(n=-1, m=0)
+        make_noon(n=-1, m=0)
     # the count rule: 1.5 photons were accepted, and strings raised TypeError
     with pytest.raises(ValueError, match="non-negative integers"):
-        NoonSpec(1.5, 0.5)
+        make_noon(1.5, 0.5)
     with pytest.raises(ValueError, match="non-negative integers"):
-        NoonSpec("3", "1")
+        make_noon("3", "1")
 
 
 def test_inner_product_antilinear_first_argument():

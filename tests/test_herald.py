@@ -8,7 +8,7 @@ import pytest
 
 from noonchip.circuit import ChipParams
 from noonchip.evolve import apply
-from noonchip.fock import FockState, make_noon, NoonSpec, split, state_fidelity
+from noonchip.fock import FockState, make_noon, split, state_fidelity
 from noonchip.herald import HeraldPattern, heralded_output, project
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -70,7 +70,7 @@ def test_two_pair_conditional_state():
     cond = res.conditional_state
     assert cond.mode_count == 2
     assert res.kept_modes == (1, 2)
-    target = make_noon(NoonSpec(n=2, m=0))
+    target = make_noon(n=2, m=0)
     assert state_fidelity(cond, target) == pytest.approx(1.0, abs=1e-10)
     # equal weights on the two extremal terms
     assert abs(cond.amplitude((2, 0))) == pytest.approx(ROOT_HALF, abs=1e-12)
@@ -82,7 +82,7 @@ def test_three_pair_conditional_state_quadrature():
     res = heralded_output(
         chip, FockState.basis_state((0, 3, 3, 0)), HeraldPattern({0: 1, 3: 1})
     )
-    target = make_noon(NoonSpec(n=4, m=0, alpha=math.pi))
+    target = make_noon(n=4, m=0, alpha=math.pi)
     assert state_fidelity(res.conditional_state, target) == pytest.approx(
         1.0, abs=1e-10
     )
@@ -132,7 +132,7 @@ def test_phi_zero_gives_unbalanced_flavor():
         FockState.basis_state((0, 3, 3, 0)),
         HeraldPattern({0: 1, 3: 1}),
     )
-    target = make_noon(NoonSpec(n=3, m=1, alpha=0.0))
+    target = make_noon(n=3, m=1, alpha=0.0)
     assert state_fidelity(res.conditional_state, target) == pytest.approx(
         1.0, abs=1e-10
     )

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noonchip.circuit import ChipParams, dc_matrix
-from noonchip.detect import DetectorModel, SplitterTree, click_distribution
+from noonchip.detect import DetectorModel, SplitterTree, click_distribution, paper_6fold_topology
 from noonchip.evolve import apply
 from noonchip.fock import FockState, basis_occupations
 from noonchip.herald import HeraldPattern
@@ -112,7 +112,8 @@ def fig4_report():
         ChipParams(phi=math.pi / 2),
         SpdcParams(xi=0.085, n_max=4),
         PATTERN,
-        signal_photons=4,
+        4,
+        *paper_6fold_topology(),
     )
 
 
@@ -173,7 +174,8 @@ def test_contamination_zero_squeezing():
         ChipParams(phi=math.pi / 2),
         SpdcParams(xi=0.0, n_max=4),
         PATTERN,
-        signal_photons=4,
+        4,
+        *paper_6fold_topology(),
     )
     assert rep.true_event_probability == 0.0
     assert rep.false_event_probability == 0.0
@@ -184,12 +186,12 @@ def test_contamination_validation():
     with pytest.raises(ValueError):
         # herald 2 + signal 3 is odd; pairs always give even totals
         contamination_report(
-            ChipParams(), SpdcParams(xi=0.1, n_max=4), PATTERN, signal_photons=3
+            ChipParams(), SpdcParams(xi=0.1, n_max=4), PATTERN, 3, *paper_6fold_topology()
         )
     with pytest.raises(ValueError):
         # target sector 3 exceeds the n_max=2 truncation
         contamination_report(
-            ChipParams(), SpdcParams(xi=0.1, n_max=2), PATTERN, signal_photons=4
+            ChipParams(), SpdcParams(xi=0.1, n_max=2), PATTERN, 4, *paper_6fold_topology()
         )
 
 
@@ -223,7 +225,7 @@ def reference_branches(state, modes, total_photons):
 @pytest.mark.parametrize("phi", [0.0, 0.4, math.pi / 2])
 def test_herald_branches_match_the_per_composition_loop(phi):
     chip = ChipParams(phi=phi)
-    rep = contamination_report(chip, SpdcParams(xi=0.085, n_max=4), PATTERN, signal_photons=4)
+    rep = contamination_report(chip, SpdcParams(xi=0.085, n_max=4), PATTERN, 4, *paper_6fold_topology())
     for sector in rep.sectors[1:]:
         n = sector.n_pairs
         evolved = apply(chip.matrix(), sector_chip_input(n))
