@@ -6,7 +6,7 @@ statistics, pair-source contamination, clocked coincidence counting, and
 super-resolved phase fringes.
 """
 
-from .circuit import ChipParams, chip_circuit, compile_circuit, dc_matrix, with_loss
+from .circuit import ChipParams, compile_circuit, dc_matrix, with_loss
 from .evolve import amplitude, apply
 from .fock import (
     FockState,
@@ -27,7 +27,6 @@ __all__ = [
     "__version__",
     "amplitude",
     "apply",
-    "chip_circuit",
     "compile_circuit",
     "dc_matrix",
     "heralded_output",

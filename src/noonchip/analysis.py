@@ -20,15 +20,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import evolve, herald
-from .circuit import (
-    ChipParams,
-    DirectionalCoupler,
-    Interferometer,
-    PhaseShifter,
-    compile_circuit,
-    with_loss,
-)
-from .fock import FockState, Occupation, marginal_distribution, nonnegative_ints
+from .circuit import (ChipParams, DirectionalCoupler, Interferometer, LossTap, PhaseShifter,
+                      compile_circuit)
+from .fock import FockState, Occupation, marginal_distribution, nonnegative_ints, probability
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,7 @@ def fringe_scan(scenario: FringeScenario, phi_grid: Iterable[float]) -> list[Fri
     wanted = tuple(scenario.pattern.requirements[m] for m in modes)
     samples = []
     for phi in phi_grid:
-        chip = scenario.chip.with_phi(float(phi))
+        chip = replace(scenario.chip, phi=float(phi))
         state = evolve.apply(chip.matrix(), scenario.input_state)
         prob = marginal_distribution(state, modes).get(wanted, 0.0)
         samples.append(FringeSample(float(phi), prob))
@@ -69,25 +63,20 @@ def fringe_scan(scenario: FringeScenario, phi_grid: Iterable[float]) -> list[Fri
 
 
 def probe_fringe_scan(
-    state: FockState,
-    pattern: Occupation,
-    theta_grid: Iterable[float],
-    coupler_eta: float = 0.5,
+    state: FockState, pattern: Occupation, theta_grid: Iterable[float]
 ) -> list[FringeSample]:
     """Interrogates a two-mode state with a phase and a probe coupler.
 
-    Applies phase theta on the first mode followed by a coupler of the given
-    transmissivity, then records the probability of the exact two-mode
-    pattern.  An |N::0> component produces cos(N theta) fringes.
+    Applies phase theta on the first mode followed by a 50:50 coupler, then
+    records the probability of the exact two-mode pattern.  An |N::0>
+    component produces cos(N theta) fringes.
     """
     if state.mode_count != 2:
         raise ValueError("probe scan expects a two-mode state")
     samples = []
     wanted = nonnegative_ints(pattern)
     for theta in theta_grid:
-        probe = Interferometer(
-            2, (PhaseShifter(float(theta), 0), DirectionalCoupler(coupler_eta, (0, 1)))
-        )
+        probe = Interferometer(2, (PhaseShifter(float(theta), 0), DirectionalCoupler(0.5, (0, 1))))
         evolved = evolve.apply(compile_circuit(probe), state)
         prob = abs(evolved.amplitude(wanted)) ** 2
         samples.append(FringeSample(float(theta), prob))
@@ -201,34 +190,29 @@ def _reverse_distribution(
     """Joint extraction-port distribution for one pure two-mode state."""
     if state.mode_count != 2:
         raise ValueError("reverse pass expects a two-mode state")
-    swapped = FockState(
-        2, {(occ[1], occ[0]): amp for occ, amp in state.amplitudes.items()}
-    )
-    reverse = Interferometer(2, (DirectionalCoupler(eta2, (0, 1)),))
-    # extraction: the outer couplers tap each arm with amplitude sqrt(1 - eta)
-    reverse = with_loss(reverse, 0, 1.0 - eta3)
-    reverse = with_loss(reverse, 1, 1.0 - eta4)
-    embedded = FockState(
-        4, {occ + (0, 0): amp for occ, amp in swapped.amplitudes.items()}
-    )
+    # extraction: the outer couplers tap each arm into modes 2, 3 with amplitude sqrt(1 - eta)
+    taps = (LossTap(1.0 - eta3, 0, 2), LossTap(1.0 - eta4, 1, 3))
+    reverse = Interferometer(4, (DirectionalCoupler(eta2, (0, 1)),) + taps)
+    # the state enters the reverse pass with its modes swapped, taps empty
+    embedded = FockState(4, {(n1, n0, 0, 0): amp for (n0, n1), amp in state.amplitudes.items()})
     out = evolve.apply(compile_circuit(reverse), embedded)
     return marginal_distribution(out, (0, 1))
 
 
 def reverse_pass(
     state_or_ensemble: FockState | Ensemble,
-    eta2: float = 0.5,
-    eta3: float = 1.0 / 3.0,
-    eta4: float = 1.0 / 3.0,
+    eta2: float = ChipParams.eta2,
+    eta3: float = ChipParams.eta3,
+    eta4: float = ChipParams.eta4,
 ) -> ReverseResult:
     """Sends a two-mode state backward through the central coupler and taps
     the outer couplers; mixtures are handled as weighted ensembles."""
     if isinstance(state_or_ensemble, FockState):
         ensemble: Ensemble = ((1.0, state_or_ensemble),)
     else:
-        ensemble = tuple(state_or_ensemble)
+        ensemble = tuple((probability("ensemble weight", w), s) for w, s in state_or_ensemble)
         weight_sum = sum(w for w, _ in ensemble)
-        if abs(weight_sum - 1.0) > 1e-9:
+        if not abs(weight_sum - 1.0) <= 1e-9:
             raise ValueError(f"ensemble weights sum to {weight_sum:.10g}, expected 1")
 
     totals: dict[Occupation, float] = {}

@@ -8,20 +8,22 @@ A directional coupler with transmissivity eta acts on its mode pair as
 and creation operators transform as a_k^dag -> sum_j U[j, k] a_j^dag, i.e.
 columns index input modes and rows index output modes.  Loss is modeled as a
 coupler into a fresh environment mode, which keeps the compiled matrix
-unitary on the enlarged space.
+unitary on the enlarged space.  Each element knows its modes, and
+compile_circuit applies it to those rows of the running matrix only.
 
 The four-mode reconfigurable circuit reproduced here (modes 0..3, inputs
 labeled a, b, c, d and outputs i, j, k, l) is
 
     DC2(1,2) . [DC3(0,1) (+) DC4(2,3)] . Phase(phi, 2) . DC1(1,2)
 
-with device values eta1 = eta2 = 1/2 and eta3 = eta4 = 1/3.
+with device values eta1 = eta2 = 1/2 and eta3 = eta4 = 1/3, the defaults of
+ChipParams, which builds it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -49,6 +51,10 @@ class PhaseShifter:
         if not is_number(self.phi):
             raise ValueError(f"phase shifter phi must be a finite number, got {self.phi!r}")
 
+    @property
+    def modes(self) -> tuple[int]:
+        return (self.mode,)
+
 
 @dataclass(frozen=True)
 class LossTap:
@@ -63,6 +69,10 @@ class LossTap:
         if self.mode == self.env_mode:
             raise ValueError("loss tap needs a distinct environment mode")
 
+    @property
+    def modes(self) -> tuple[int, int]:
+        return (self.mode, self.env_mode)
+
 
 Element = Union[DirectionalCoupler, PhaseShifter, LossTap]
 
@@ -76,21 +86,13 @@ class Interferometer:
 
     def __post_init__(self):
         for elem in self.elements:
-            if max(nonnegative_ints(_element_modes(elem))) >= self.mode_count:
+            if max(nonnegative_ints(elem.modes)) >= self.mode_count:
                 raise ValueError(f"element {elem} references a mode outside 0..{self.mode_count - 1}")
 
     @property
     def signal_mode_count(self) -> int:
         """Mode count excluding loss-tap environment modes."""
         return self.mode_count - sum(isinstance(e, LossTap) for e in self.elements)
-
-
-def _element_modes(elem: Element) -> tuple[int, ...]:
-    if isinstance(elem, DirectionalCoupler):
-        return elem.modes
-    if isinstance(elem, PhaseShifter):
-        return (elem.mode,)
-    return (elem.mode, elem.env_mode)
 
 
 def dc_matrix(eta: float) -> np.ndarray:
@@ -101,40 +103,23 @@ def dc_matrix(eta: float) -> np.ndarray:
     return np.array([[t, r], [r, t]], dtype=np.complex128)
 
 
-def element_matrix(elem: Element, mode_count: int) -> np.ndarray:
-    """Element embedded into the identity on mode_count modes."""
-    u = np.eye(mode_count, dtype=np.complex128)
-    if isinstance(elem, DirectionalCoupler):
-        block = dc_matrix(elem.eta)
-        idx = list(elem.modes)
-        u[np.ix_(idx, idx)] = block
-    elif isinstance(elem, PhaseShifter):
-        u[elem.mode, elem.mode] = complex(math.cos(elem.phi), math.sin(elem.phi))
-    else:
-        block = dc_matrix(elem.transmission)
-        idx = [elem.mode, elem.env_mode]
-        u[np.ix_(idx, idx)] = block
-    return u
-
-
 def compile_circuit(circ: Interferometer) -> np.ndarray:
-    """Total mode transformation: later elements multiply from the left."""
+    """Total mode transformation: each element replaces its own rows of the
+    matrix so far by its 2x2 block times them, later elements on the left.
+    The block goes through BLAS, which rounds as a full matrix product does
+    (a scalar multiply differs in the last bit): a phase is e^{i phi} times
+    the identity on its row taken twice, and a coupler's symmetric block takes
+    its rows ascending, the order a full product sums in."""
     u = np.eye(circ.mode_count, dtype=np.complex128)
     for elem in circ.elements:
-        u = element_matrix(elem, circ.mode_count) @ u
+        if isinstance(elem, PhaseShifter):
+            block = complex(math.cos(elem.phi), math.sin(elem.phi)) * np.eye(2)
+            u[elem.mode] = (block @ u[[elem.mode] * 2])[0]
+        else:
+            rows = sorted(elem.modes)
+            eta = elem.eta if isinstance(elem, DirectionalCoupler) else elem.transmission
+            u[rows] = dc_matrix(eta) @ u[rows]
     return u
-
-
-def chip_circuit(eta1: float, eta2: float, eta3: float, eta4: float, phi: float) -> Interferometer:
-    """The four-mode heralding circuit; see the module docstring for layout."""
-    elements = (
-        DirectionalCoupler(eta1, (1, 2)),
-        PhaseShifter(phi, 2),
-        DirectionalCoupler(eta3, (0, 1)),
-        DirectionalCoupler(eta4, (2, 3)),
-        DirectionalCoupler(eta2, (1, 2)),
-    )
-    return Interferometer(4, elements)
 
 
 @dataclass(frozen=True)
@@ -148,19 +133,21 @@ class ChipParams:
     phi: float = 0.0
 
     def circuit(self) -> Interferometer:
-        return chip_circuit(self.eta1, self.eta2, self.eta3, self.eta4, self.phi)
+        """The four-mode heralding circuit; see the module docstring for layout."""
+        return Interferometer(4, (
+            DirectionalCoupler(self.eta1, (1, 2)),
+            PhaseShifter(self.phi, 2),
+            DirectionalCoupler(self.eta3, (0, 1)),
+            DirectionalCoupler(self.eta4, (2, 3)),
+            DirectionalCoupler(self.eta2, (1, 2)),
+        ))
 
     def matrix(self) -> np.ndarray:
         return compile_circuit(self.circuit())
 
-    def with_phi(self, phi: float) -> "ChipParams":
-        return replace(self, phi=phi)
-
 
 def with_loss(circ: Interferometer, mode: int, transmission: float) -> Interferometer:
     """Appends a loss tap on the given mode, enlarging the circuit by one mode."""
-    if not 0 <= mode < circ.mode_count:
-        raise ValueError(f"mode {mode} out of range")
     tap = LossTap(transmission, mode, circ.mode_count)
     return Interferometer(circ.mode_count + 1, circ.elements + (tap,))
 

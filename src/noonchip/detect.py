@@ -275,8 +275,8 @@ def fidelity(p: Mapping, q: Mapping) -> float:
         raise ValueError(
             f"distributions must each sum to 1 (got {total_p:.10g} and {total_q:.10g})"
         )
-    if any(v < 0 for v in p.values()) or any(v < 0 for v in q.values()):
-        raise ValueError("probabilities must be non-negative")
+    for v in (*p.values(), *q.values()):
+        probability("probabilities", v)
     return float(sum(math.sqrt(p[k] * q[k]) for k in set(p) & set(q)))
 
 
@@ -355,10 +355,16 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buffer.getvalue()
 
 
+def outcome_map(dist: Mapping) -> dict:
+    """{format_outcome(k): v}: the JSON form of a distribution or of any map
+    keyed by outcomes."""
+    return {format_outcome(k): v for k, v in dist.items()}
+
+
 def distribution_csv_text(dist: Mapping) -> str:
     """Columns outcome,probability, one row per outcome in text order."""
-    rows = sorted((format_outcome(k), float(v)) for k, v in dist.items())
-    return csv_text(("outcome", "probability"), [(k, repr(v)) for k, v in rows])
+    rows = sorted(outcome_map(dist).items())
+    return csv_text(("outcome", "probability"), [(k, repr(float(v))) for k, v in rows])
 
 
 def read_distribution_csv(path) -> dict[str, float]:

@@ -66,12 +66,13 @@ class FockState:
         for occ, amp in amplitudes.items():
             key = nonnegative_ints(occ, mode_count)
             value = complex(amp)
-            if abs(value) > PRUNE_EPS:
+            if not abs(value) <= PRUNE_EPS:  # a NaN is kept, and fails the bound below
                 amps[key] = amps.get(key, 0j) + value
         self._modes = mode_count
         self._amps = amps
-        if self.norm_squared() > 1.0 + NORM_TOL:
-            raise ValueError(f"state norm^2 = {self.norm_squared():.6g} exceeds 1")
+        norm2 = self.norm_squared()
+        if not norm2 <= 1.0 + NORM_TOL:
+            raise ValueError(f"state norm^2 = {norm2:.6g} is not a number <= 1")
 
     # -- constructors -----------------------------------------------------
 

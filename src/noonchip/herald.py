@@ -7,6 +7,7 @@ and returns the renormalized conditional state on the remaining modes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -81,8 +82,11 @@ def condition(part: Mapping[Occupation, complex], mode_count: int) -> tuple[floa
     mode_count modes not heralded; an empty part, a null herald, gives 0.0."""
     if mode_count == 0:
         raise ValueError("herald pattern covers every mode; nothing to condition on")
-    raw = FockState(mode_count, part)
-    return (raw.norm_squared(), raw.normalized()) if part else (0.0, raw)
+    if not part:
+        return 0.0, FockState(mode_count, {})
+    norm2 = sum(abs(a) ** 2 for a in part.values())  # split's terms: each above PRUNE_EPS, norm2 <= 1
+    norm = math.sqrt(norm2)
+    return norm2, FockState(mode_count, {occ: a / norm for occ, a in part.items()})
 
 
 def heralded_output(chip: ChipParams, input_state: FockState, pattern: HeraldPattern) -> HeraldResult:

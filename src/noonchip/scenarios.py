@@ -253,7 +253,7 @@ class ScenarioConfig:
 
 
 def _chip_block(phi: float) -> dict:
-    return {"chip": {"eta1": 0.5, "eta2": 0.5, "eta3": 1.0 / 3.0, "eta4": 1.0 / 3.0, "phi": phi}}
+    return {"chip": asdict(ChipParams(phi=phi))}
 
 
 _DENSE_GRID = [4.0 * math.pi * i / 256 for i in range(256)]
@@ -340,8 +340,7 @@ def _distribution_files(
     """Writes distribution.{csv,json} and, unless told not to, one summary
     line per outcome."""
     if fmt == "json":
-        body = {detect.format_outcome(k): float(v) for k, v in dist.items()}
-        output.files["distribution.json"] = _dump_json(body)
+        output.files["distribution.json"] = _dump_json(detect.outcome_map(dist))
     else:
         output.files["distribution.csv"] = detect.distribution_csv_text(dist)
     if list_outcomes:
@@ -358,11 +357,8 @@ def run_simulate(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
     # user inputs address signal modes; loss-tap environment modes start empty
     state = config.input_state(circ.signal_mode_count)
     if state.mode_count != circ.mode_count:
-        pad = circ.mode_count - state.mode_count
-        state = FockState(
-            circ.mode_count,
-            {occ + (0,) * pad: a for occ, a in state.amplitudes.items()},
-        )
+        pad = (0,) * (circ.mode_count - state.mode_count)
+        state = FockState(circ.mode_count, {occ + pad: a for occ, a in state.amplitudes.items()})
     evolved = evolve.apply(compile_circuit(circ), state)
     pattern = config.herald_pattern()
     output = ScenarioOutput(summary=[])
@@ -394,14 +390,8 @@ def run_sagnac(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
     body = {
         "herald_probability": result.herald_probability,
         "full_extraction_probability": result.full_extraction_probability,
-        "detection_distribution": {
-            detect.format_outcome(k): v
-            for k, v in sorted(result.detection_distribution.items())
-        },
-        "conditional_distribution": {
-            detect.format_outcome(k): v
-            for k, v in sorted(result.conditional_distribution.items())
-        },
+        "detection_distribution": detect.outcome_map(result.detection_distribution),
+        "conditional_distribution": detect.outcome_map(result.conditional_distribution),
     }
     output.files["sagnac.json"] = _dump_json(body)
     output.summary.append(f"herald probability: {result.herald_probability!r}")

@@ -97,17 +97,17 @@ def distinguishable_output_distribution(
     return dist
 
 
-def hom_dip(params: SpdcParams, eta: float = 0.5, pairs: int = 2) -> float:
-    """Visibility of the |pairs, pairs> coincidence dip at a single coupler.
+def hom_dip(params: SpdcParams) -> float:
+    """Visibility of the |2,2> coincidence dip at a 50:50 coupler.
 
     V = (P_distinguishable - P_observed) / P_distinguishable at the balanced
-    output, with P_observed the overlap-weighted mixture.  For two pairs on
-    an eta = 1/2 coupler the ideal visibility is 1/3.
+    output, with P_observed the overlap-weighted mixture.  The ideal
+    visibility is 1/3.
     """
-    u = dc_matrix(eta)
-    occ = (pairs, pairs)
+    u = dc_matrix(0.5)
+    occ = (2, 2)
     p_quantum = abs(evolve.amplitude(u, occ, occ)) ** 2
-    p_classical = distinguishable_output_distribution(u, occ)[occ]  # > 0 for whole pairs
+    p_classical = distinguishable_output_distribution(u, occ)[occ]
     p_mixed = params.overlap * p_quantum + (1.0 - params.overlap) * p_classical
     return float((p_classical - p_mixed) / p_classical)
 
@@ -133,19 +133,14 @@ class SectorReport:
             "n_pairs": self.n_pairs,
             "weight": self.weight,
             "herald_probability": self.herald_probability,
-            "conditional_distribution": {
-                detect.format_outcome(k): v
-                for k, v in sorted(self.conditional_distribution.items())
-            },
+            "conditional_distribution": detect.outcome_map(self.conditional_distribution),
             "signature_probability": self.signature_probability,
-            "interpreted_rates": {
-                detect.format_outcome(k): v for k, v in sorted(self.interpreted_rates.items())
-            },
+            "interpreted_rates": detect.outcome_map(self.interpreted_rates),
             "mislabeled": self.mislabeled,
-            "herald_branches": {
-                detect.format_outcome(k): {"probability": p, "state": state.to_json_dict()}
-                for k, (p, state) in sorted(self.herald_branches.items())
-            },
+            "herald_branches": detect.outcome_map({
+                k: {"probability": p, "state": state.to_json_dict()}
+                for k, (p, state) in self.herald_branches.items()
+            }),
         }
 
 

@@ -187,6 +187,15 @@ def test_reverse_ensemble_weights_validated():
         reverse_pass([(0.7, FockState.basis_state((2, 0)))])
 
 
+def test_reverse_ensemble_weights_are_probabilities():
+    # weights summing to 1 were taken as they were: 1.5 and -0.5 gave a
+    # conditional distribution, NaN an empty one, neither raised
+    two_zero, zero_two = FockState.basis_state((2, 0)), FockState.basis_state((0, 2))
+    for weights in ((1.5, -0.5), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="ensemble weight"):
+            reverse_pass(list(zip(weights, (two_zero, zero_two))))
+
+
 def test_sagnac_round_trip():
     res = sagnac_scenario(
         ChipParams(0.5, 0.5, 1 / 3, 1 / 3, 0.0),

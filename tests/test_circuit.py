@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,10 @@ from noonchip.circuit import (
     Interferometer,
     LossTap,
     PhaseShifter,
-    chip_circuit,
     circuit_from_json_dict,
     circuit_to_json_dict,
     compile_circuit,
     dc_matrix,
-    element_matrix,
     with_loss,
 )
 from noonchip.evolve import apply, is_unitary
@@ -49,12 +48,12 @@ def test_dc_matrix_eta_bounds():
 
 
 def test_element_matrix_embedding():
-    u = element_matrix(DirectionalCoupler(0.5, (1, 2)), 4)
+    u = compile_circuit(Interferometer(4, (DirectionalCoupler(0.5, (1, 2)),)))
     core = dc_matrix(0.5)
     assert u[0, 0] == 1.0 and u[3, 3] == 1.0
     assert np.allclose(u[1:3, 1:3], core)
     assert u[0, 1] == 0.0 and u[3, 2] == 0.0
-    p = element_matrix(PhaseShifter(0.7, 2), 3)
+    p = compile_circuit(Interferometer(3, (PhaseShifter(0.7, 2),)))
     assert p[2, 2] == pytest.approx(np.exp(0.7j))
     assert p[0, 0] == 1.0
 
@@ -93,8 +92,57 @@ def test_random_circuits_compile_to_unitaries():
         assert np.max(np.abs(u.conj().T @ u - np.eye(m))) < 1e-12
 
 
+def embedded_product(circ):
+    """Test oracle: each element embedded into the identity on all modes, the
+    products taken over the full matrices, later elements on the left."""
+    u = np.eye(circ.mode_count, dtype=np.complex128)
+    for elem in circ.elements:
+        e = np.eye(circ.mode_count, dtype=np.complex128)
+        if isinstance(elem, PhaseShifter):
+            e[elem.mode, elem.mode] = complex(math.cos(elem.phi), math.sin(elem.phi))
+        else:
+            eta = elem.eta if isinstance(elem, DirectionalCoupler) else elem.transmission
+            idx = list(elem.modes)
+            e[np.ix_(idx, idx)] = dc_matrix(eta)
+        u = e @ u
+    return u
+
+
+def random_circuit(rng):
+    """Couplers on any two distinct modes in either order, phases, and loss
+    taps into fresh environment modes that later elements may touch too.  Two
+    signal modes at least: on one mode the oracle's 1x1 products go through
+    another numpy path than the 2x2 blocks and round differently."""
+    m = int(rng.integers(2, 9))
+    elems = []
+    for _ in range(int(rng.integers(1, 14))):
+        kind = rng.random()
+        if kind < 0.45:
+            a, b = (int(x) for x in rng.choice(m, size=2, replace=False))
+            elems.append(DirectionalCoupler(float(rng.random()), (a, b)))
+        elif kind < 0.85:
+            elems.append(PhaseShifter(float(rng.uniform(-10, 10)), int(rng.integers(0, m))))
+        else:
+            elems.append(LossTap(float(rng.random()), int(rng.integers(0, m)), m))
+            m += 1
+    return Interferometer(m, tuple(elems))
+
+
+def test_row_update_matches_embedded_product_bit_for_bit():
+    rng = np.random.default_rng(18)
+    taps = 0
+    for _ in range(1500):
+        circ = random_circuit(rng)
+        taps += circ.mode_count - circ.signal_mode_count
+        assert np.array_equal(compile_circuit(circ), embedded_product(circ))
+    assert taps > 100
+    for phi in np.linspace(0.0, 4.0 * math.pi, 257):
+        circ = ChipParams(phi=float(phi)).circuit()
+        assert np.array_equal(compile_circuit(circ), embedded_product(circ))
+
+
 def test_chip_circuit_layout():
-    circ = chip_circuit(0.5, 0.5, 1 / 3, 1 / 3, 0.2)
+    circ = ChipParams(0.5, 0.5, 1 / 3, 1 / 3, 0.2).circuit()
     assert circ.mode_count == 4
     kinds = [type(e).__name__ for e in circ.elements]
     assert kinds == [
@@ -110,7 +158,7 @@ def test_chip_params_matrix_unitary_and_periodic():
     p = ChipParams(phi=0.37)
     u = p.matrix()
     assert is_unitary(u, tol=1e-12)
-    u2 = p.with_phi(0.37 + 2 * math.pi).matrix()
+    u2 = replace(p, phi=0.37 + 2 * math.pi).matrix()
     assert np.max(np.abs(u - u2)) < 1e-12
 
 
@@ -171,13 +219,13 @@ def test_element_mode_range_validation():
 
 
 def test_json_round_trip_preserves_matrix():
-    circ = chip_circuit(0.42, 0.5, 0.3, 0.35, 1.1)
+    circ = ChipParams(0.42, 0.5, 0.3, 0.35, 1.1).circuit()
     back = circuit_from_json_dict(json.loads(json.dumps(circuit_to_json_dict(circ))))
     assert np.max(np.abs(compile_circuit(back) - compile_circuit(circ))) < 1e-15
 
 
 def test_json_round_trip_with_loss():
-    circ = with_loss(with_loss(chip_circuit(0.5, 0.5, 1 / 3, 1 / 3, 0.0), 0, 2 / 3), 3, 2 / 3)
+    circ = with_loss(with_loss(ChipParams(0.5, 0.5, 1 / 3, 1 / 3, 0.0).circuit(), 0, 2 / 3), 3, 2 / 3)
     back = circuit_from_json_dict(json.loads(json.dumps(circuit_to_json_dict(circ))))
     assert back.mode_count == circ.mode_count
     assert back.signal_mode_count == 4

@@ -446,6 +446,13 @@ def test_fidelity_validation():
         fidelity({"a": 1.5, "b": -0.5}, {"a": 1.0})
 
 
+def test_fidelity_rejects_nan():
+    # a NaN passed both the sum and the sign check and came back as the fidelity
+    for p, q in (({"x": math.nan}, {"x": 1.0}), ({"x": 1.0}, {"x": math.nan})):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got nan"):
+            fidelity(p, q)
+
+
 def heralded_counts(chip):
     """Photon-count distribution of |0,2,2,0> heralded by one photon on modes 0 and 3."""
     result = heralded_output(chip, FockState.basis_state((0, 2, 2, 0)), HeraldPattern({0: 1, 3: 1}))

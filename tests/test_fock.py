@@ -95,6 +95,19 @@ def test_pruning_below_epsilon():
     assert len(s.items()) == 1
 
 
+def test_nan_amplitude_is_rejected_not_pruned():
+    # abs(nan) > PRUNE_EPS is False, so a NaN term was dropped as if tiny
+    nan = math.nan
+    for build in (
+        lambda: FockState(2, {(1, 0): nan, (0, 1): 0.5}),
+        lambda: FockState(2, {(1, 0): complex(nan, 1.0)}),
+        lambda: make_noon(2, 0, alpha=nan),
+        lambda: make_noon(2, 0).scaled(nan),
+    ):
+        with pytest.raises(ValueError, match="is not a number <= 1"):
+            build()
+
+
 def test_items_sorted_lexicographically():
     s = FockState(2, {(2, 0): 0.5, (0, 2): 0.5, (1, 1): 0.5})
     occs = [occ for occ, _ in s.items()]

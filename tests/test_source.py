@@ -90,9 +90,6 @@ def test_hom_dip_ideal_visibility():
     v = hom_dip(SpdcParams(xi=0.085, n_max=4, overlap=1.0))
     assert v == pytest.approx(1 / 3, abs=1e-10)
     assert 0.30 <= v <= 0.38  # measured band
-    # 1.5 pairs failed as a vanishing distinguishable coincidence probability
-    with pytest.raises(ValueError, match="non-negative integers, got 1.5"):
-        hom_dip(SpdcParams(), 0.5, 1.5)
 
 
 def test_hom_dip_linear_in_overlap():
