@@ -85,6 +85,8 @@ class Interferometer:
     elements: tuple[Element, ...] = ()
 
     def __post_init__(self):
+        (mode_count,) = nonnegative_ints((self.mode_count,))
+        object.__setattr__(self, "mode_count", mode_count)
         for elem in self.elements:
             if max(nonnegative_ints(elem.modes)) >= self.mode_count:
                 raise ValueError(f"element {elem} references a mode outside 0..{self.mode_count - 1}")
@@ -162,7 +164,7 @@ def with_loss(circ: Interferometer, mode: int, transmission: float) -> Interfero
 # "modes" counts signal modes only; environment modes for loss taps are
 # assigned in element order after the signal modes on load.  A key outside
 # this form is rejected, and so is a setting that is not a finite number or a
-# mode that is not an integer (fock.is_number: a bool or a string is neither).
+# mode or mode count that fails fock.nonnegative_ints (a bool, 2.0, a string).
 
 #: the keys each element type takes
 ELEMENT_KEYS = {"dc": ("type", "eta", "modes"), "phase": ("type", "phi", "mode"),
@@ -185,22 +187,17 @@ def circuit_from_json_dict(data: dict) -> Interferometer:
     check_keys(data, "circuit", ("modes", "elements"))
     elements: list[Element] = []
     next_env = data["modes"]
-    if not is_number(next_env, int):
-        raise ValueError(f"circuit modes must be an integer, got {next_env!r}")
     for entry in data.get("elements", []):
         kind = entry["type"]
         if kind not in ELEMENT_KEYS:
             raise ValueError(f"unknown element type {kind!r}")
         check_keys(entry, f"{kind} element", ELEMENT_KEYS[kind])
-        modes = entry["modes"] if kind == "dc" else [entry["mode"]]
-        if not all(is_number(m, int) for m in modes):
-            raise ValueError(f"{kind} element modes must be integers, got {modes!r}")
         if kind == "dc":
-            a, b = modes
+            a, b = entry["modes"]
             elements.append(DirectionalCoupler(entry["eta"], (a, b)))
         elif kind == "phase":
-            elements.append(PhaseShifter(entry["phi"], modes[0]))
+            elements.append(PhaseShifter(entry["phi"], entry["mode"]))
         else:
-            elements.append(LossTap(entry["t"], modes[0], next_env))
+            elements.append(LossTap(entry["t"], entry["mode"], next_env))
             next_env += 1
     return Interferometer(next_env, tuple(elements))

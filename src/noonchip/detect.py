@@ -29,8 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fock import (FockState, Occupation, check_keys, is_number, marginal_distribution, nonnegative_ints,
-                   probability)
+from .fock import FockState, Occupation, check_keys, marginal_distribution, nonnegative_ints, probability
 
 PROB_SUM_TOL = 1e-9
 
@@ -44,9 +43,11 @@ class SplitterTree:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", nonnegative_ints((self.mode,))[0])
-        leaves = tuple((str(d), probability(f"leaf probability for {d}", p)) for d, p in self.leaves)
+        leaves = tuple((d, probability(f"leaf probability for {d}", p)) for d, p in self.leaves)
         object.__setattr__(self, "leaves", leaves)
         ids = [d for d, _ in self.leaves]
+        if not all(isinstance(d, str) for d in ids):
+            raise ValueError(f"detector ids must be strings, got {ids!r}")
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate detector ids in tree on mode {self.mode}")
         if sum(p for _, p in self.leaves) > 1.0 + PROB_SUM_TOL:
@@ -299,8 +300,6 @@ def paper_6fold_topology() -> tuple[list[SplitterTree], DetectorModel]:
     return trees, DetectorModel()
 
 
-TOPOLOGY_PRESETS = {"paper-6fold": paper_6fold_topology}
-
 
 def topology_to_json_dict(
     trees: Sequence[SplitterTree], detectors: DetectorModel
@@ -325,8 +324,6 @@ def topology_from_json_dict(data: dict) -> tuple[list[SplitterTree], DetectorMod
         for leaf in entry["leaves"]:
             check_keys(leaf, "leaf", ("det", "p"))
             leaves.append((leaf["det"], leaf["p"]))
-        if not is_number(entry["mode"], int):
-            raise ValueError(f"tree mode must be an integer, got {entry['mode']!r}")
         trees.append(SplitterTree(entry["mode"], tuple(leaves)))
     _validate_trees(trees)
     efficiency = data.get("efficiency", {})

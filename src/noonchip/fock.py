@@ -4,9 +4,10 @@ A state on M modes is stored as {(n_0, ..., n_{M-1}): amplitude} with terms
 below the pruning threshold dropped.  States are immutable; every operation
 returns a new instance.  Iteration order is lexicographic in the occupation
 vector so that serialization and reports are deterministic.  The package's
-value rules live here, one each: nonnegative_ints for photon counts and mode
-indices, probability for a value in [0, 1], is_number for a JSON number, the
-rule FockState.from_json_dict applies to the mode count and occupations.
+value rules live here, one each, for library calls and JSON input alike:
+nonnegative_ints for photon counts, mode indices and mode counts (the rule
+FockState applies to its mode count and every occupation), probability for a
+value in [0, 1], and is_number for any other JSON number.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import cmath
 import math
 import sys
 from itertools import combinations_with_replacement
-from operator import itemgetter, sub
+from operator import index, itemgetter, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -27,17 +28,21 @@ PRUNE_EPS = 1e-14
 #: tolerance on the physicality bound  norm^2 <= 1
 NORM_TOL = 1e-12
 
+#: the largest count: the largest integer in a float's range, as is_number
+MAX_COUNT = int(sys.float_info.max)
+
 
 def nonnegative_ints(values: Iterable, length: int | None = None) -> Occupation:
-    """The one count rule, for occupations, counts and modes: Python ints equal to
-    the values and >= 0 (1.5, -1, "2", inf, NaN, None fail), length of them if given."""
+    """The one count rule, for occupations, counts, modes and mode counts: Python
+    ints of values of an int type (a numpy int too, not a bool) in [0, MAX_COUNT],
+    so 2.0, True, 1.5, -1, "2", inf and None fail; length of them if given."""
     out = []
     for n in values:
         try:
-            as_int = int(n)
-        except (TypeError, ValueError, OverflowError):
+            as_int = -1 if type(n) is bool else index(n)
+        except TypeError:
             as_int = -1
-        if as_int != n or as_int < 0:
+        if not 0 <= as_int <= MAX_COUNT:
             raise ValueError(f"expected non-negative integers, got {n!r}")
         out.append(as_int)
     key = tuple(out)
@@ -60,6 +65,7 @@ class FockState:
         mode_count: int,
         amplitudes: Mapping[Iterable[int], complex],
     ):
+        (mode_count,) = nonnegative_ints((mode_count,))
         if mode_count < 1:
             raise ValueError("mode_count must be >= 1")
         amps: dict[Occupation, complex] = {}
@@ -146,14 +152,10 @@ class FockState:
     def from_json_dict(cls, data: dict) -> "FockState":
         """Reads the to_json_dict form, one term per occupation."""
         check_keys(data, "state", ("modes", "terms"))
-        if not is_number(data["modes"], int):
-            raise ValueError(f"state modes must be an integer, got {data['modes']!r}")
         amps = {}
         for term in data["terms"]:
             check_keys(term, "state term", ("occ", "re", "im"))
             occ = tuple(term["occ"])
-            if not all(is_number(n, int) for n in occ):
-                raise ValueError(f"occupation {term['occ']!r} must hold integers")
             if occ in amps:
                 raise ValueError(f"occupation {term['occ']!r} is given twice")
             amp = complex(term["re"], term["im"])

@@ -24,6 +24,8 @@ class HeraldPattern:
     requirements: Mapping[int, int]
 
     def __post_init__(self):
+        if not isinstance(self.requirements, Mapping):
+            raise ValueError(f"a count pattern maps modes to counts, got {self.requirements!r}")
         given = dict(self.requirements)  # a JSON object's string keys are parsed as ints
         modes = nonnegative_ints(int(m) if isinstance(m, str) else m for m in given)
         reqs = dict(zip(modes, nonnegative_ints(given.values())))

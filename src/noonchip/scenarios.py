@@ -4,9 +4,10 @@ A ScenarioConfig captures one reproducible computation: circuit settings, an
 input state, optional herald pattern, detection topology, and sweep settings.
 Each kind reads a fixed set of the optional fields (OPTIONAL_FIELDS) and
 cannot run without some of them (REQUIRED_FIELDS); a config that sets any
-other field is rejected.  Configs serialize to JSON and round-trip
-identically, and every preset below reproduces one of the chip's benchmark
-curves:
+other field is rejected.  A ScenarioConfig checks only this structure; each
+value is checked where it is read, by what it builds or by the runner.  Configs
+serialize to JSON and round-trip identically, and every preset below
+reproduces one of the chip's benchmark curves:
 
 * fig2a          heralded two-photon path entanglement at phi = 0
 * fig2b-sagnac   readout of the heralded state through the reverse pass
@@ -90,18 +91,6 @@ REQUIRED_FIELDS = {
     "contamination": ("herald", "signal_photons"),
 }
 
-SWEEP_KEYS = ("parameter", "grid", "pattern")
-
-
-def _numbers(value, kind: type | tuple[type, ...] = (int, float)) -> bool:
-    """A JSON list of numbers of the given kind (fock.is_number)."""
-    return isinstance(value, (list, tuple)) and all(is_number(x, kind) for x in value)
-
-
-def _counts(value) -> bool:
-    """A JSON object mapping modes to integer photon counts."""
-    return isinstance(value, dict) and _numbers(list(value.values()), int)
-
 
 @dataclass
 class ScenarioConfig:
@@ -131,31 +120,10 @@ class ScenarioConfig:
         if missing:
             raise ConfigError(f"{self.kind} scenarios need: {', '.join(missing)}")
         if self.detection is not None:
-            _one_of(self.detection, "detection", ("preset", "file", "inline"))
-        if self.sweep is not None and not (
-            isinstance(self.sweep, dict) and {"grid", "pattern"} <= set(self.sweep) <= set(SWEEP_KEYS)
-        ):
-            raise ConfigError("sweep takes a grid, a pattern and optionally the parameter")
-        sweep = self.sweep or {}
-        chip = self.circuit.get("chip", {})
-        if not (isinstance(chip, dict) and _numbers(list(chip.values()))):
-            raise ConfigError("circuit.chip must map coupler names to finite numbers")
-        if "occupation" in self.input and not _numbers(self.input["occupation"], int):
-            raise ConfigError("input.occupation must be a list of integer photon counts")
-        if self.herald is not None and not _counts(self.herald):
-            raise ConfigError("herald must map modes to integer photon counts")
-        if "pattern" in sweep and not _counts(sweep["pattern"]):
-            raise ConfigError("sweep.pattern must map modes to integer photon counts")
-        if "grid" in sweep and not _numbers(sweep["grid"]):
-            raise ConfigError("sweep.grid must be a list of finite numbers")
-        if sweep.get("parameter", "phi") != "phi":
-            raise ConfigError("only phi sweeps are supported")
-        if self.detection is not None and not isinstance(self.detection.get("preset", ""), str):
-            raise ConfigError("detection.preset must be a name")
-        if self.signal_photons is not None and not (
-            _numbers([self.signal_photons], int) and self.signal_photons >= 0
-        ):
-            raise ConfigError("signal_photons must be a non-negative integer")
+            _one_of(self.detection, "detection", ("file", "inline"))
+        sweep = self.sweep
+        if sweep is not None and not (isinstance(sweep, dict) and set(sweep) == {"grid", "pattern"}):
+            raise ConfigError("sweep takes exactly a grid and a pattern")
 
     # -- serialization ----------------------------------------------------
 
@@ -207,7 +175,7 @@ class ScenarioConfig:
                 raise ConfigError("the pair-source input is defined on the four-mode chip")
             return source.spdc_chip_input(params)
         if "occupation" in self.input:
-            state = FockState.basis_state(self.input["occupation"])
+            state = _parse("input.occupation", lambda: FockState.basis_state(self.input["occupation"]))
         else:
             state = _parse("input.state", lambda: FockState.from_json_dict(self.input["state"]))
             if abs(state.norm_squared() - 1.0) > NORM_TOL:
@@ -219,11 +187,7 @@ class ScenarioConfig:
     def spdc_params(self) -> source.SpdcParams:
         if "spdc" not in self.input:
             raise ConfigError("this scenario needs a pair-source input block")
-        params = _parse("pair-source settings", lambda: source.SpdcParams(**self.input["spdc"]))
-        # the scenarios evolve one pure pair state; nothing reads the overlap
-        if params.overlap != 1.0:
-            raise ConfigError("input.spdc.overlap must be 1.0: scenarios model indistinguishable pairs")
-        return params
+        return _parse("pair-source settings", lambda: source.SpdcParams(**self.input["spdc"]))
 
     def herald_pattern(self) -> herald.HeraldPattern | None:
         if self.herald is None:
@@ -231,19 +195,17 @@ class ScenarioConfig:
         return _parse("herald pattern", lambda: herald.HeraldPattern(self.herald))
 
     def detection_topology(self) -> tuple[list[detect.SplitterTree], detect.DetectorModel]:
-        """The detection block's trees and model; paper-6fold when there is none."""
+        """The detection block's trees and model; detect.paper_6fold_topology() without one."""
         if self.detection is None:
             return detect.paper_6fold_topology()
-        if "preset" in self.detection:
-            name = self.detection["preset"]
-            if name not in detect.TOPOLOGY_PRESETS:
-                raise ConfigError(f"unknown detection preset {name!r}")
-            return detect.TOPOLOGY_PRESETS[name]()
         data = _block(self.detection, "detection topology")
         return _parse("detection topology", lambda: detect.topology_from_json_dict(data))
 
     def sweep_grid(self) -> np.ndarray:
-        return np.asarray([float(x) for x in self.sweep["grid"]])
+        grid = self.sweep["grid"]
+        if not (isinstance(grid, (list, tuple)) and all(is_number(x) for x in grid)):
+            raise ConfigError("sweep.grid must be a list of finite numbers")
+        return np.asarray([float(x) for x in grid])
 
     def sweep_pattern(self) -> herald.HeraldPattern:
         return _parse("sweep pattern", lambda: herald.HeraldPattern(self.sweep["pattern"]))
@@ -285,26 +247,25 @@ PRESETS: dict[str, dict] = {
         kind="fringe",
         circuit=_chip_block(0.0),
         input={"occupation": [0, 1, 0, 0]},
-        sweep={"parameter": "phi", "grid": _DENSE_GRID, "pattern": {"1": 1}},
+        sweep={"grid": _DENSE_GRID, "pattern": {"1": 1}},
     ),
     "fig3b": dict(
         kind="fringe",
         circuit=_chip_block(0.0),
         input={"occupation": [0, 3, 3, 0]},
-        sweep={"parameter": "phi", "grid": _DENSE_GRID, "pattern": _SIX_FOLD},
+        sweep={"grid": _DENSE_GRID, "pattern": _SIX_FOLD},
     ),
     "fig3b-4point": dict(
         kind="fringe",
         circuit=_chip_block(0.0),
         input={"occupation": [0, 3, 3, 0]},
-        sweep={"parameter": "phi", "grid": _FOUR_POINTS, "pattern": _SIX_FOLD},
+        sweep={"grid": _FOUR_POINTS, "pattern": _SIX_FOLD},
     ),
     "fig4-contamination": dict(
         kind="contamination",
         circuit=_chip_block(math.pi / 2.0),
-        input={"spdc": {"xi": 0.085, "n_max": 4, "overlap": 1.0}},
+        input={"spdc": {"xi": 0.085, "n_max": 4}},
         herald=_HERALD_IL,
-        detection={"preset": "paper-6fold"},
         signal_photons=4,
     ),
 }

@@ -9,10 +9,10 @@ splitter trees and detector model it is given.  It reads each sector's
 detect.click_array: the click count of a tree is the popcount of its axis
 index, so the event signature is a broadcast mask over the array.
 
-Partial distinguishability enters hom_dip as a convex mixture: with pairwise
-overlap x the observed statistics are x * quantum + (1 - x) * fully
-distinguishable, where the distinguishable arm routes each photon
-independently through |U[j, m]|^2.
+Pairs are indistinguishable everywhere but in hom_dip, where partial
+distinguishability enters as a convex mixture: with pairwise overlap x the
+observed statistics are x * quantum + (1 - x) * fully distinguishable, where
+the distinguishable arm routes each photon independently through |U[j, m]|^2.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ from .fock import FockState, Occupation, is_number, multinomial, nonnegative_int
 
 @dataclass(frozen=True)
 class SpdcParams:
-    """Pair-source settings: amplitude ratio xi, sector cutoff, photon overlap."""
+    """Pair-source settings: amplitude ratio xi and sector cutoff."""
 
     xi: float = 0.085
     n_max: int = 4
-    overlap: float = 1.0
 
     def __post_init__(self):
         # a sector of more than evolve.MAX_PHOTONS photons cannot be evolved
@@ -43,7 +42,6 @@ class SpdcParams:
         n = self.n_max
         if not (is_number(n, Integral) and 0 <= n <= top):
             raise ValueError(f"n_max must be an integer in [0, {top}], got {n!r}")
-        probability("overlap", self.overlap)
         if not (is_number(self.xi) and 0.0 <= self.xi < 1.0):
             raise ValueError(f"xi must lie in [0, 1), got {self.xi!r}")
 
@@ -97,18 +95,19 @@ def distinguishable_output_distribution(
     return dist
 
 
-def hom_dip(params: SpdcParams) -> float:
-    """Visibility of the |2,2> coincidence dip at a 50:50 coupler.
+def hom_dip(overlap: float) -> float:
+    """Visibility of the |2,2> coincidence dip at a 50:50 coupler, overlap in [0, 1].
 
     V = (P_distinguishable - P_observed) / P_distinguishable at the balanced
     output, with P_observed the overlap-weighted mixture.  The ideal
-    visibility is 1/3.
+    visibility, at overlap 1, is 1/3.
     """
+    overlap = probability("overlap", overlap)
     u = dc_matrix(0.5)
     occ = (2, 2)
     p_quantum = abs(evolve.amplitude(u, occ, occ)) ** 2
     p_classical = distinguishable_output_distribution(u, occ)[occ]
-    p_mixed = params.overlap * p_quantum + (1.0 - params.overlap) * p_classical
+    p_mixed = overlap * p_quantum + (1.0 - overlap) * p_classical
     return float((p_classical - p_mixed) / p_classical)
 
 
@@ -196,6 +195,7 @@ def contamination_report(
     Sectors other than the target that still produce the signature are
     flagged as mislabeled; their click counts alias lower photon numbers.
     """
+    (signal_photons,) = nonnegative_ints((signal_photons,))
     herald_photons = pattern.photon_count()
     total = herald_photons + signal_photons
     if total % 2:

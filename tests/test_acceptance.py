@@ -269,9 +269,9 @@ def test_c08_window_profile():
 
 def test_c09_two_photon_interference():
     amp = evolve.amplitude(dc_matrix(0.5), (1, 1), (1, 1))
-    from noonchip.source import SpdcParams, hom_dip
+    from noonchip.source import hom_dip
 
-    v = hom_dip(SpdcParams(xi=0.085, n_max=4, overlap=1.0))
+    v = hom_dip(1.0)
     ok = abs(amp) < 1e-12 and abs(v - 1 / 3) < 1e-10
     report(
         "C9",

@@ -216,6 +216,17 @@ def test_element_mode_range_validation():
     for elem in (DirectionalCoupler(0.5, (0.5, 1)), PhaseShifter(0.1, -1), LossTap(0.5, 0, 1.5)):
         with pytest.raises(ValueError, match="non-negative integers"):
             Interferometer(2, (elem,))
+    # a bool mode passed the count rule and numpy read it as a mask: on two
+    # modes compile_circuit gave a wrong matrix, on three an IndexError; a
+    # mode count of 2.0 was kept as a float
+    with pytest.raises(ValueError, match="got True"):
+        compile_circuit(Interferometer(2, (PhaseShifter(0.3, True),)))
+    with pytest.raises(ValueError, match="got True"):
+        Interferometer(3, (PhaseShifter(0.3, True),))
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Interferometer(bad, ())
+    assert type(Interferometer(np.int64(2), ()).mode_count) is int
 
 
 def test_json_round_trip_preserves_matrix():

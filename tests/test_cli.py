@@ -67,31 +67,24 @@ def test_config_validation_errors():
         ScenarioConfig(**{**base, "kind": "sagnac"})  # needs a herald
     with pytest.raises(ConfigError):
         ScenarioConfig.from_json_dict({**base, "surprise": 1})
-    sweep = {"parameter": "phi", "grid": [0.0, 1.0], "pattern": {"1": 1}}
+    sweep = {"grid": [0.0, 1.0], "pattern": {"1": 1}}
+    contamination = {"kind": "contamination", "signal_photons": 4, "herald": {"0": 1, "3": 1}}
     unread = [
         {"seed": 1},  # no scenario draws random numbers
-        {"detection": {"preset": "paper-6fold"}},
-        {"detection": {"preset": "bogus"}},
+        {"detection": {"file": "topology.json"}},
         {"sweep": sweep},
         {"signal_photons": 2},
         {"kind": "fringe", "sweep": sweep, "herald": {"0": 1}},
-        {"kind": "sagnac", "detection": {"preset": "paper-6fold"}},
+        {"kind": "sagnac", "detection": {"file": "topology.json"}},
         {"kind": "fringe", "sweep": {**sweep, "steps": 4}},
-        {"kind": "contamination", "signal_photons": 4,
-         "detection": {"preset": "paper-6fold", "file": "topology.json"}},
+        {"kind": "fringe", "sweep": {**sweep, "parameter": "phi"}},
+        {"kind": "fringe", "sweep": {"grid": [0.0]}},
+        {**contamination, "detection": {"inline": {}, "file": "topology.json"}},
+        {**contamination, "detection": {"preset": "paper-6fold"}},
     ]
-    contamination = {"kind": "contamination", "signal_photons": 4, "herald": {"0": 1, "3": 1}}
-    wrong_types = [
-        {"herald": [1]},
-        {"kind": "fringe", "sweep": {**sweep, "pattern": [1]}},
-        {"kind": "fringe", "sweep": {**sweep, "grid": 5}},
-        {"input": {"occupation": 5}},
-        {"input": {"occupation": [0, 2, 2, True]}},
-        {"circuit": {"chip": {"eta1": "a"}}},
-        {**contamination, "signal_photons": [1]},
-        {**contamination, "detection": {"preset": [1]}},
-    ]
-    for extra in unread + wrong_types:
+    # the values inside these blocks are checked where they are read: see the
+    # exit-2 tables below
+    for extra in unread:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_json_dict({**base, **extra})
 
@@ -118,11 +111,49 @@ def test_wrong_config_types_exit_2(tmp_path, capsys):
     no_labels = {**circuit_to_json_dict(ChipParams().circuit()), "labels": None}
     assert_damaged_presets_exit_2(tmp_path, capsys, [
         ("simulate", "fig2a", ("herald",), [1]),
+        ("simulate", "fig2a", ("herald",), [["0", 1], ["3", 1]]),
         ("simulate", "fig2a", ("input", "occupation"), 5),
+        ("simulate", "fig2a", ("input", "occupation"), [0, 2, 2, True]),
+        ("simulate", "fig2a", ("circuit", "chip", "eta1"), "a"),
         ("fringe", "fig3b-4point", ("sweep", "pattern"), [1]),
         ("fringe", "fig3b-4point", ("sweep", "grid"), 5),
         ("simulate", "fig2a", ("circuit",), {"inline": no_labels}),
+        ("contamination", "fig4-contamination", ("signal_photons",), [1]),
     ])
+    # the library count rule took 2.0 as 2; a count is a JSON integer
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("simulate", "fig2a", ("herald", "0"), 1.0),
+        ("simulate", "fig2a", ("input", "occupation"), [0, 2.0, 2, 0]),
+        ("fringe", "fig3b-4point", ("sweep", "pattern", "1"), 4.0),
+        ("contamination", "fig4-contamination", ("signal_photons",), 4.0),
+    ])
+    assert all("non-negative integers" in err for err in errors)
+
+
+def test_fields_that_change_no_result_exit_2(tmp_path, capsys):
+    # each had one legal or effective value: a sweep parameter of "phi", an
+    # overlap of 1.0 and the paper-6fold detection preset, which is also what a
+    # config without a detection block runs
+    assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("fringe", "fig3b-4point", ("sweep", "parameter"), "phi"),
+        ("contamination", "fig4-contamination", ("input", "spdc", "overlap"), 1.0),
+        ("contamination", "fig4-contamination", ("detection",), {"preset": "paper-6fold"}),
+    ])
+
+
+def test_detector_id_that_is_no_string_exits_2(tmp_path, capsys):
+    # each ran with exit 0 under the id "None", "5" or "True"
+    trees, model = detect.paper_6fold_topology()
+    topologies = []
+    for det in (None, 5, True):
+        topologies.append(detect.topology_to_json_dict(trees, model))
+        topologies[-1]["trees"][1]["leaves"][0]["det"] = det
+        del topologies[-1]["efficiency"]["J1"]
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("contamination", "fig4-contamination", ("detection",), {"inline": topology})
+        for topology in topologies
+    ])
+    assert all("detector ids must be strings" in err for err in errors)
 
 
 def test_malformed_input_state_exits_2(tmp_path, capsys):
@@ -245,6 +276,7 @@ def test_numbers_too_large_for_a_float_exit_2(tmp_path, capsys):
         ("simulate", "fig2a", ("circuit", "chip", "phi"), huge),
         ("fringe", "fig3b-4point", ("sweep", "grid", 0), huge),
         ("simulate", "fig2a", ("input",), {"state": state}),
+        ("simulate", "fig2a", ("herald", "0"), huge),  # a count follows is_number's range
     ])
 
 
@@ -341,7 +373,8 @@ def test_contamination_preset(tmp_path):
 
 def test_contamination_without_detection_runs_paper_6fold(tmp_path, capsys):
     data = preset("fig4-contamination").to_json_dict()
-    assert data.pop("detection") == {"preset": "paper-6fold"}
+    assert data["detection"] is None
+    data["detection"] = {"inline": detect.topology_to_json_dict(*detect.paper_6fold_topology())}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
     out, runs = tmp_path / "run", []  # one output directory: stdout names it

@@ -12,7 +12,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noonchip import cli
+from noonchip import cli, detect
 from noonchip.fock import FockState
 from noonchip.scenarios import preset
 
@@ -29,12 +29,15 @@ BASES = {name: _base(name) for name in
 #: fig2a with its input as input.state, so random JSON reaches FockState.from_json_dict
 BASES["fig2a-state"] = {**BASES["fig2a"], "input": {
     "state": FockState.basis_state(BASES["fig2a"]["input"]["occupation"]).to_json_dict()}}
+#: fig4-contamination with its detectors inline, so random JSON reaches detect.topology_from_json_dict
+BASES["fig4-contamination-inline"] = {**BASES["fig4-contamination"], "detection": {
+    "inline": detect.topology_to_json_dict(*detect.paper_6fold_topology())}}
 
 #: names the config readers look for, so random objects reach past the key checks
-NAMES = ("chip", "file", "inline", "preset", "paper-6fold", "occupation", "state", "spdc",
+NAMES = ("chip", "file", "inline", "occupation", "state", "spdc",
          "modes", "terms", "occ", "re", "im", "trees", "leaves", "mode", "det", "p",
          "efficiency", "elements", "labels", "type", "dc", "phase", "loss", "eta", "phi",
-         "t", "grid", "pattern", "parameter", "xi", "n_max", "overlap", "0", "1", "3")
+         "t", "grid", "pattern", "xi", "n_max", "0", "1", "3")
 
 TEXT = st.sampled_from(NAMES) | st.text(max_size=6)
 

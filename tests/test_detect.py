@@ -42,10 +42,14 @@ def test_tree_validation():
     for bad in (-0.1, 1.5, math.nan, True, "0.5"):
         with pytest.raises(ValueError, match="leaf probability for A must lie in"):
             SplitterTree(0, (("A", bad),))
-    # a fractional mode was accepted
-    for bad in (1.5, -1, None):
+    # a fractional mode was accepted, and so were a bool or whole-float mode
+    # and an id that is no string, which became the string of its value
+    for bad in (1.5, -1, None, True, 2.0):
         with pytest.raises(ValueError, match="non-negative integers"):
             SplitterTree(bad, (("A", 0.5),))
+    for bad in (None, 5, True):
+        with pytest.raises(ValueError, match="detector ids must be strings"):
+            SplitterTree(0, ((bad, 0.5),))
     assert SplitterTree(np.int64(2), (("A", 0.5),)).mode == 2
     tree = SplitterTree(0, (("A", 0.5), ("B", 0.25)))
     assert tree.loss == pytest.approx(0.25)
@@ -100,10 +104,11 @@ def test_cascade_resolution_validation():
         cascade_resolve_probability(tree, 3, ("D0", "D1"))
     with pytest.raises(ValueError):
         cascade_resolve_probability(tree, 1, ("nope",))
-    # 2.0 photons raised a TypeError in math.factorial; 1.5 is no count
-    assert cascade_resolve_probability(tree, 2.0, ("D0", "D1")) == 1 / 8
-    with pytest.raises(ValueError, match="non-negative integers, got 1.5"):
-        cascade_resolve_probability(tree, 1.5, ("D0", "D1"))
+    # 2.0 photons raised a TypeError in math.factorial; neither 2.0 nor 1.5 is a count
+    assert cascade_resolve_probability(tree, np.int64(2), ("D0", "D1")) == 1 / 8
+    for bad in (2.0, 1.5):
+        with pytest.raises(ValueError, match=f"non-negative integers, got {bad}"):
+            cascade_resolve_probability(tree, bad, ("D0", "D1"))
 
 
 def test_click_distribution_two_photons_two_leaves():

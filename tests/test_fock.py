@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from noonchip.fock import (
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.one_of(
-    st.integers(0, 2**70), st.integers(0, 2**62).map(np.int64), st.integers(0, 2**53).map(float),
+    st.integers(0, 2**70), st.integers(0, 2**62).map(np.int64), st.integers(0, 2**31 - 1).map(np.int32),
 ), max_size=6))
 def test_count_rule_accepts_non_negative_whole_numbers(values):
     got = nonnegative_ints(values, len(values))
@@ -35,23 +36,29 @@ def test_count_rule_accepts_non_negative_whole_numbers(values):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.one_of(
     st.integers(max_value=-1),
-    st.floats().filter(lambda x: not (x >= 0 and x == int(x)) if math.isfinite(x) else True),
-    st.text(), st.none(),
+    st.floats(), st.integers(0, 2**53).map(float), st.booleans(), st.text(), st.none(),
 ))
 @example(math.inf)
 @example(-math.inf)
 @example(math.nan)
 @example("2")
 @example(1.5)
+@example(2.0)
+@example(True)
+@example(np.True_)
+@example(np.float64(2.0))
+@example(int(sys.float_info.max) + 1)  # past a float's range, as is_number
 def test_count_rule_rejects_everything_else(bad):
     with pytest.raises(ValueError):
         nonnegative_ints([1, bad])
 
 
 def test_count_rule_checks_the_length():
-    assert nonnegative_ints(iter([2.0, np.int32(1)]), 2) == (2, 1)
+    assert nonnegative_ints(iter([2, np.int32(1)]), 2) == (2, 1)
     with pytest.raises(ValueError, match="has 1 modes, expected 2"):
         nonnegative_ints([1], 2)
+    with pytest.raises(ValueError, match="got 2.0"):  # 2.0 counted as 2
+        nonnegative_ints(iter([2.0, np.int32(1)]), 2)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -87,6 +94,11 @@ def test_constructor_validation():
     for bad in (math.inf, math.nan, None, 0.5):
         with pytest.raises(ValueError, match="non-negative integers"):
             FockState.basis_state((bad,))
+    # FockState(2.0, ...) was accepted with the float mode count 2.0
+    for bad in (2.0, True, np.float64(2.0), -1):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            FockState(bad, {(1, 0): 1.0})
+    assert type(FockState(np.int64(2), {(1, 0): 1.0}).mode_count) is int
 
 
 def test_pruning_below_epsilon():

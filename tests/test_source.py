@@ -37,10 +37,10 @@ def test_spdc_params_validation():
         with pytest.raises(ValueError):
             SpdcParams(xi=0.1, n_max=n_max)
     assert SpdcParams(xi=0.1, n_max=np.int64(5)).n_max == 5
-    # overlap True was taken as 1; xi "0.1" failed with a TypeError
-    for bad in (1.5, True, "0.5", math.nan):
-        with pytest.raises(ValueError, match="overlap must lie in"):
-            SpdcParams(xi=0.1, overlap=bad)
+    # xi "0.1" failed with a TypeError; the overlap, which no source state
+    # reads, is hom_dip's argument
+    with pytest.raises(TypeError):
+        SpdcParams(xi=0.1, overlap=1.0)
     for bad in ("0.1", True, math.nan):
         with pytest.raises(ValueError, match="xi must lie in"):
             SpdcParams(xi=bad)
@@ -87,21 +87,19 @@ def test_distinguishable_routing_twin_pairs():
 
 
 def test_hom_dip_ideal_visibility():
-    v = hom_dip(SpdcParams(xi=0.085, n_max=4, overlap=1.0))
+    v = hom_dip(1.0)
     assert v == pytest.approx(1 / 3, abs=1e-10)
     assert 0.30 <= v <= 0.38  # measured band
 
 
 def test_hom_dip_linear_in_overlap():
-    assert hom_dip(SpdcParams(xi=0.085, n_max=4, overlap=0.0)) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    assert hom_dip(SpdcParams(xi=0.085, n_max=4, overlap=0.5)) == pytest.approx(
-        1 / 6, abs=1e-10
-    )
-    assert hom_dip(SpdcParams(xi=0.085, n_max=4, overlap=0.25)) == pytest.approx(
-        1 / 12, abs=1e-10
-    )
+    assert hom_dip(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert hom_dip(0.5) == pytest.approx(1 / 6, abs=1e-10)
+    assert hom_dip(0.25) == pytest.approx(1 / 12, abs=1e-10)
+    # an overlap of True was taken as 1
+    for bad in (1.5, True, "0.5", math.nan):
+        with pytest.raises(ValueError, match="overlap must lie in"):
+            hom_dip(bad)
 
 
 def fig4_report():
@@ -190,6 +188,13 @@ def test_contamination_validation():
         contamination_report(
             ChipParams(), SpdcParams(xi=0.1, n_max=2), PATTERN, 4, *paper_6fold_topology()
         )
+    # -2 gave target sector 0 and zero event probabilities; 2.0 gave the
+    # float target sector 2.0, written to JSON as 2.0
+    for bad in (-2, 2.0, True):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            contamination_report(
+                ChipParams(), SpdcParams(xi=0.1, n_max=4), PATTERN, bad, *paper_6fold_topology()
+            )
 
 
 def test_contamination_report_json():
