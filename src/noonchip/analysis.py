@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .circuit import (ChipParams, DirectionalCoupler, Interferometer, LossTap, P
 from .fock import FockState, Occupation, marginal_distribution, nonnegative_ints, probability
 
 
-@dataclass(frozen=True)
-class FringeSample:
+class FringeSample(NamedTuple):
     phi: float
     probability: float
 
@@ -105,18 +104,16 @@ def _sinusoid_residual(phis: np.ndarray, values: np.ndarray, freq: float) -> flo
     return float(misfit @ misfit)
 
 
-def fringe_period(samples: Sequence[FringeSample] | Sequence[tuple[float, float]]) -> float | None:
+def fringe_period(samples: Sequence[tuple[float, float]]) -> float | None:
     """Dominant oscillation period of a uniformly spaced fringe scan.
 
     Locates the spectral peak, then refines the frequency by fitting a
     constant plus one sinusoid (golden-section search within one bin of the
     peak).  Returns None when the samples carry no oscillation; raises on
-    fewer than MIN_FRINGE_SAMPLES points or a non-uniform grid.
+    fewer than MIN_FRINGE_SAMPLES points or a non-uniform grid.  Samples are
+    (phi, probability) pairs, FringeSample among them.
     """
-    pairs = [
-        (s.phi, s.probability) if isinstance(s, FringeSample) else (float(s[0]), float(s[1]))
-        for s in samples
-    ]
+    pairs = [(float(phi), float(p)) for phi, p in samples]
     if len(pairs) < MIN_FRINGE_SAMPLES:
         raise ValueError(
             f"need at least {MIN_FRINGE_SAMPLES} samples to estimate a period, got {len(pairs)}"
@@ -184,42 +181,33 @@ class ReverseResult:
 Ensemble = Sequence[tuple[float, FockState]]
 
 
-def _reverse_distribution(
-    state: FockState, eta2: float, eta3: float, eta4: float
-) -> dict[Occupation, float]:
+def _reverse_distribution(state: FockState, chip: ChipParams) -> dict[Occupation, float]:
     """Joint extraction-port distribution for one pure two-mode state."""
     if state.mode_count != 2:
         raise ValueError("reverse pass expects a two-mode state")
     # extraction: the outer couplers tap each arm into modes 2, 3 with amplitude sqrt(1 - eta)
-    taps = (LossTap(1.0 - eta3, 0, 2), LossTap(1.0 - eta4, 1, 3))
-    reverse = Interferometer(4, (DirectionalCoupler(eta2, (0, 1)),) + taps)
+    taps = (LossTap(1.0 - chip.eta3, 0, 2), LossTap(1.0 - chip.eta4, 1, 3))
+    reverse = Interferometer(4, (DirectionalCoupler(chip.eta2, (0, 1)),) + taps)
     # the state enters the reverse pass with its modes swapped, taps empty
     embedded = FockState(4, {(n1, n0, 0, 0): amp for (n0, n1), amp in state.amplitudes.items()})
     out = evolve.apply(compile_circuit(reverse), embedded)
     return marginal_distribution(out, (0, 1))
 
 
-def reverse_pass(
-    state_or_ensemble: FockState | Ensemble,
-    eta2: float = ChipParams.eta2,
-    eta3: float = ChipParams.eta3,
-    eta4: float = ChipParams.eta4,
-) -> ReverseResult:
-    """Sends a two-mode state backward through the central coupler and taps
-    the outer couplers; mixtures are handled as weighted ensembles."""
-    if isinstance(state_or_ensemble, FockState):
-        ensemble: Ensemble = ((1.0, state_or_ensemble),)
-    else:
-        ensemble = tuple((probability("ensemble weight", w), s) for w, s in state_or_ensemble)
-        weight_sum = sum(w for w, _ in ensemble)
-        if not abs(weight_sum - 1.0) <= 1e-9:
-            raise ValueError(f"ensemble weights sum to {weight_sum:.10g}, expected 1")
+def reverse_pass(ensemble: Ensemble, chip: ChipParams = ChipParams()) -> ReverseResult:
+    """Sends a weighted ensemble of two-mode states, [(1.0, state)] for a pure
+    state, backward through the chip's central coupler (eta2) and taps its
+    outer couplers (eta3, eta4)."""
+    ensemble = tuple((probability("ensemble weight", w), s) for w, s in ensemble)
+    weight_sum = sum(w for w, _ in ensemble)
+    if not abs(weight_sum - 1.0) <= 1e-9:
+        raise ValueError(f"ensemble weights sum to {weight_sum:.10g}, expected 1")
 
     totals: dict[Occupation, float] = {}
     photon_totals = set()
     for weight, state in ensemble:
         photon_totals.update(state.photon_sectors())
-        for occ, p in _reverse_distribution(state, eta2, eta3, eta4).items():
+        for occ, p in _reverse_distribution(state, chip).items():
             totals[occ] = totals.get(occ, 0.0) + weight * p
 
     n_total = max(photon_totals, default=0)
@@ -242,5 +230,5 @@ def sagnac_scenario(
     forward = herald.heralded_output(chip, input_state, pattern)
     if forward.is_null:
         return ReverseResult({}, 0.0, {}, herald_probability=0.0)
-    result = reverse_pass(forward.conditional_state, chip.eta2, chip.eta3, chip.eta4)
+    result = reverse_pass([(1.0, forward.conditional_state)], chip)
     return replace(result, herald_probability=forward.probability)

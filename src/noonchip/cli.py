@@ -121,11 +121,7 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
             raise ConfigError(f"distribution file not found: {path}")
     p = detect.read_distribution_csv(args.dist_a)
     q = detect.read_distribution_csv(args.dist_b)
-    try:
-        value = detect.fidelity(p, q)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    print(repr(value))
+    print(repr(detect.fidelity(p, q)))
     return EXIT_OK
 
 

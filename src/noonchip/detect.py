@@ -13,9 +13,11 @@ photon-count distribution of the covered modes, as a dense tensor, is
 contracted with each tree's stack in mode order into one array with an axis
 of 2^L clicked-leaf bitmasks per tree, whose popcounts are the tree's click
 counts; click_distribution keys it by clicked-id frozensets.
-Tree modes and photon counts go through fock.nonnegative_ints, and leaf
-probabilities, efficiencies and dark counts through fock.probability.
-normalize_rates prices cascade resolution through cascade_resolve_probability.
+Tree modes go through fock.nonnegative_ints, and leaf probabilities,
+efficiencies and dark counts through fock.probability.
+normalize_rates takes the trees, [] when no detector sits on a tree, and
+prices cascade resolution through cascade_resolve_probability, whose photon
+count is the number of target leaves.
 """
 
 from __future__ import annotations
@@ -104,22 +106,13 @@ def _validate_trees(trees: Sequence[SplitterTree]) -> None:
         raise ValueError("detector ids must be unique across trees")
 
 
-def cascade_resolve_probability(
-    tree: SplitterTree, n_photons: int, target_detectors: Iterable[str]
-) -> float:
-    """Probability that n photons land one each on the given distinct leaves."""
-    (n_photons,) = nonnegative_ints((n_photons,))
-    targets = list(target_detectors)
+def cascade_resolve_probability(tree: SplitterTree, targets: Sequence[str]) -> float:
+    """Probability that len(targets) photons land one each on the given
+    distinct leaves: len(targets)! times the product of their probabilities."""
     if len(set(targets)) != len(targets):
         raise ValueError("target detectors must be distinct")
-    if len(targets) != n_photons:
-        raise ValueError(
-            f"{n_photons} photons cannot resolve onto {len(targets)} target detectors"
-        )
-    product = 1.0
-    for det in targets:
-        product *= tree.leaf_probability(det)
-    return math.factorial(n_photons) * product
+    probs = (tree.leaf_probability(det) for det in targets)
+    return math.factorial(len(targets)) * math.prod(probs, start=1.0)
 
 
 def _tree_stack(tree: SplitterTree, detectors: DetectorModel, n_top: int) -> np.ndarray:
@@ -197,7 +190,7 @@ def click_distribution(
 def normalize_rates(
     raw_counts: Mapping[frozenset, float],
     singles: Mapping[str, float],
-    trees: Sequence[SplitterTree] | None = None,
+    trees: Sequence[SplitterTree],
 ) -> dict[frozenset, float]:
     """Corrects pattern counts for relative detector efficiency and cascade
     resolution probability, then renormalizes to a distribution.
@@ -213,10 +206,8 @@ def normalize_rates(
     if flagged:
         raise ValueError(f"zero singles count for detectors: {', '.join(flagged)}")
     peak = max(singles.values())
-    tree_of: dict[str, SplitterTree] = {}
-    if trees:
-        _validate_trees(trees)
-        tree_of = {d: t for t in trees for d in t.detector_ids()}
+    _validate_trees(trees)
+    tree_of = {d: t for t in trees for d in t.detector_ids()}
 
     weights: dict[frozenset, float] = {}
     for pattern, count in raw_counts.items():
@@ -231,7 +222,7 @@ def normalize_rates(
             if det in tree_of:
                 per_tree.setdefault(tree_of[det], []).append(det)
         for tree, dets in per_tree.items():
-            resolution = cascade_resolve_probability(tree, len(dets), dets)
+            resolution = cascade_resolve_probability(tree, dets)
             if resolution == 0.0:
                 raise ValueError(f"pattern {sorted(pattern)} has zero resolution probability")
             weight /= resolution

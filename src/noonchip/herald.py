@@ -3,6 +3,8 @@
 A herald pattern demands exact counts on a subset of modes; projecting keeps
 the matching component, records its squared norm as the herald probability,
 and returns the renormalized conditional state on the remaining modes.
+Patterns take int modes and counts only; the scenario config reader turns a
+JSON pattern's string keys into modes.
 """
 
 from __future__ import annotations
@@ -19,18 +21,16 @@ from .fock import FockState, Occupation, nonnegative_ints, split
 @dataclass(frozen=True)
 class HeraldPattern:
     """Exact counts required on some modes, e.g. {0: 1, 3: 1}: a herald, or
-    the counted pattern of a fringe scan."""
+    the counted pattern of a fringe scan.  Modes and counts both follow the
+    count rule (fock.nonnegative_ints), so a string mode such as "3" fails."""
 
     requirements: Mapping[int, int]
 
     def __post_init__(self):
         if not isinstance(self.requirements, Mapping):
             raise ValueError(f"a count pattern maps modes to counts, got {self.requirements!r}")
-        given = dict(self.requirements)  # a JSON object's string keys are parsed as ints
-        modes = nonnegative_ints(int(m) if isinstance(m, str) else m for m in given)
-        reqs = dict(zip(modes, nonnegative_ints(given.values())))
-        if len(reqs) != len(given):  # e.g. "3" and "03"
-            raise ValueError(f"two keys of {given!r} name the same mode")
+        reqs = dict(zip(nonnegative_ints(self.requirements),
+                        nonnegative_ints(self.requirements.values())))
         if not reqs:
             raise ValueError("a count pattern needs at least one mode")
         object.__setattr__(self, "requirements", reqs)

@@ -74,6 +74,20 @@ def _block(block: dict, what: str):
 def _one_of(block, name: str, keys: tuple[str, ...]) -> None:
     if not isinstance(block, dict) or len(block) != 1 or next(iter(block)) not in keys:
         raise ConfigError(f"{name} must give exactly one of: {', '.join(keys)}")
+    if not isinstance(block.get("file", ""), str):
+        raise ConfigError(f"{name}.file must be a path string")
+
+
+def _count_pattern(data) -> herald.HeraldPattern:
+    """A JSON object of counts as a HeraldPattern.  A key names mode m only
+    when it is str(m), the form HeraldResult.to_json_dict writes, so "03",
+    "+3", " 3", "1_0" and "٣" name no mode."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a count pattern maps modes to counts, got {data!r}")
+    for key in data:
+        if str(int(key)) != key:  # int("x") raises on its own
+            raise ValueError(f"a pattern key is a mode written as str(mode), got {key!r}")
+    return herald.HeraldPattern({int(key): n for key, n in data.items()})
 
 
 #: the optional fields each scenario kind reads; setting any other is an error
@@ -150,8 +164,6 @@ class ScenarioConfig:
         base_dir = Path(path).resolve().parent
         for block in (config.circuit, config.detection):
             if block is not None and "file" in block:
-                if not isinstance(block["file"], str):
-                    raise ConfigError("a file entry must be a path string")
                 block["file"] = str(base_dir / block["file"])
         return config
 
@@ -192,7 +204,7 @@ class ScenarioConfig:
     def herald_pattern(self) -> herald.HeraldPattern | None:
         if self.herald is None:
             return None
-        return _parse("herald pattern", lambda: herald.HeraldPattern(self.herald))
+        return _parse("herald pattern", lambda: _count_pattern(self.herald))
 
     def detection_topology(self) -> tuple[list[detect.SplitterTree], detect.DetectorModel]:
         """The detection block's trees and model; detect.paper_6fold_topology() without one."""
@@ -208,7 +220,7 @@ class ScenarioConfig:
         return np.asarray([float(x) for x in grid])
 
     def sweep_pattern(self) -> herald.HeraldPattern:
-        return _parse("sweep pattern", lambda: herald.HeraldPattern(self.sweep["pattern"]))
+        return _parse("sweep pattern", lambda: _count_pattern(self.sweep["pattern"]))
 
 
 # -- presets -----------------------------------------------------------------
@@ -406,12 +418,7 @@ def run_contamination(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutpu
     params = config.spdc_params()
     pattern = config.herald_pattern()
     trees, model = config.detection_topology()
-    try:
-        report = source.contamination_report(
-            chip, params, pattern, config.signal_photons, trees, model
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = source.contamination_report(chip, params, pattern, config.signal_photons, trees, model)
     output = ScenarioOutput(summary=[])
     output.files["contamination.json"] = _dump_json(report.to_json_dict())
     output.summary.append(

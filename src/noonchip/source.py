@@ -160,14 +160,6 @@ class ContaminationReport:
             return self.false_event_probability / self.true_event_probability
         return math.inf if self.false_event_probability > 0.0 else 0.0
 
-    def interpreted_by_sector(self, occupancy: Occupation) -> dict[int, float]:
-        """Joint event rate of one interpreted occupancy, split by sector."""
-        return {
-            s.n_pairs: s.weight * s.interpreted_rates[occupancy]
-            for s in self.sectors
-            if occupancy in s.interpreted_rates
-        }
-
     def to_json_dict(self) -> dict:
         return {
             "target_sector": self.target_sector,

@@ -195,10 +195,10 @@ def test_c05_eight_photon_amplitudes():
 def test_c06_cascade_resolution():
     tree4 = detect.SplitterTree(1, tuple((f"J{i}", 0.25) for i in range(4)))
     treek = detect.SplitterTree(2, tuple((f"K{i}", 0.25) for i in range(4)))
-    four = detect.cascade_resolve_probability(tree4, 4, ("J0", "J1", "J2", "J3"))
+    four = detect.cascade_resolve_probability(tree4, ("J0", "J1", "J2", "J3"))
     split = detect.cascade_resolve_probability(
-        tree4, 3, ("J0", "J1", "J2")
-    ) * detect.cascade_resolve_probability(treek, 1, ("K0",))
+        tree4, ("J0", "J1", "J2")
+    ) * detect.cascade_resolve_probability(treek, ("K0",))
     ok = abs(four - 3 / 32) < 1e-12 and abs(split - 3 / 128) < 1e-12
     report(
         "C6",
@@ -312,7 +312,7 @@ def test_c10_engine_equivalence():
 
 
 def test_c11_backward_readout():
-    pure = reverse_pass(make_noon(2, 0))
+    pure = reverse_pass([(1.0, make_noon(2, 0))])
     dephased = reverse_pass(
         [
             (0.5, FockState.basis_state((2, 0))),

@@ -125,7 +125,7 @@ def test_fringe_period_needs_uniform_grid():
 
 def test_fringe_pattern_is_a_count_pattern():
     single = FockState.basis_state((0, 1, 0, 0))
-    assert FringeScenario(ChipParams(), single, {"1": 1}).pattern == HeraldPattern({1: 1})
+    assert FringeScenario(ChipParams(), single, {1: 1}).pattern == HeraldPattern({1: 1})
     for pattern in ({1: -1}, {}):
         with pytest.raises(ValueError):
             FringeScenario(ChipParams(), single, pattern)
@@ -158,7 +158,7 @@ def test_precision_bounds():
 
 def test_reverse_pure_state_interferes():
     state = make_noon(n=2, m=0)
-    res = reverse_pass(state)
+    res = reverse_pass([(1.0, state)])
     assert res.conditional_distribution[(1, 1)] == pytest.approx(1.0, abs=1e-10)
     assert res.conditional_distribution.get((2, 0), 0.0) == pytest.approx(0.0, abs=1e-10)
     assert res.full_extraction_probability == pytest.approx(4 / 9, abs=1e-12)
@@ -178,7 +178,7 @@ def test_reverse_dephased_mixture_does_not():
 
 def test_reverse_without_interference_coupler():
     state = make_noon(n=2, m=0)
-    res = reverse_pass(state, eta2=0.0)
+    res = reverse_pass([(1.0, state)], ChipParams(eta2=0.0))
     assert res.conditional_distribution.get((1, 1), 0.0) == pytest.approx(0.0, abs=1e-12)
 
 

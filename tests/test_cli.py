@@ -5,6 +5,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noonchip import cli, coinc, detect
 from noonchip.circuit import ChipParams, circuit_to_json_dict, with_loss
@@ -251,7 +253,59 @@ def test_herald_keys_naming_one_mode_exit_2(tmp_path, capsys):
     errors = assert_damaged_presets_exit_2(tmp_path, capsys, [
         ("simulate", "fig2a", ("herald",), {"0": 1, "3": 1, "03": 0}),
     ])
-    assert "same mode" in errors[0]
+    assert "written as str(mode)" in errors[0]
+
+
+#: keys int() reads as a mode that are not str(mode) of it
+NOT_MODE_KEYS = ("٣", "３", "+3", " 3", "03", "1_0", "-0")
+
+
+def test_pattern_keys_other_than_str_mode_exit_2(tmp_path, capsys):
+    # in place of "3", the first five ran as mode 3 with exit 0; "1_0" and "-0"
+    # exited 2 only as mode 10 out of range and as a second mode 0
+    cases = []
+    for key in NOT_MODE_KEYS:
+        cases.append(("simulate", "fig2a", ("herald",), {"0": 1, key: 1}))
+        cases.append(("fringe", "fig3b-4point", ("sweep", "pattern"),
+                      {"0": 1, "1": 4, "2": 0, key: 1}))
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, cases)
+    assert all("written as str(mode)" in err for err in errors)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text() | st.sampled_from(NOT_MODE_KEYS) | st.integers(-3, 12).map(str))
+def test_pattern_key_is_read_exactly_when_it_is_str_of_a_mode(key):
+    config = ScenarioConfig(**{**preset("fig2a").to_json_dict(), "herald": {key: 1}})
+    try:
+        mode = int(key)
+    except ValueError:
+        mode = -1
+    try:
+        config.herald_pattern()
+    except ConfigError:
+        assert not (mode >= 0 and key == str(mode)), key
+    else:
+        assert mode >= 0 and key == str(mode), key
+
+
+def test_file_entry_that_is_no_path_string_is_a_config_error():
+    # only from_file checked the entry: {"file": 5} failed in load_json with a
+    # TypeError, and {"file": None} was accepted at construction
+    base = preset("fig4-contamination").to_json_dict()
+    for block, entry in (("detection", {"file": 5}), ("circuit", {"file": None})):
+        with pytest.raises(ConfigError, match=f"{block}.file must be a path string"):
+            ScenarioConfig.from_json_dict({**base, block: entry})
+
+
+def test_odd_photon_contamination_prints_one_config_error_line(tmp_path, capsys):
+    # the library's ValueError reaches cli.main, which prints the line the
+    # runner's own ConfigError re-raise printed
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("contamination", "fig4-contamination", ("signal_photons",), 3),
+    ])
+    assert errors == [
+        "config error: herald plus signal photons is odd (5); pair sectors cannot produce it\n"
+    ]
 
 
 def test_out_of_range_fields_exit_2(tmp_path, capsys):
@@ -504,11 +558,12 @@ def test_fidelity_missing_file_exits_2(tmp_path):
     assert run_cli(["fidelity", str(a), str(tmp_path / "nope.csv")]) == 2
 
 
-def test_fidelity_unnormalized_exits_2(tmp_path):
+def test_fidelity_unnormalized_exits_2(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     a.write_text(detect.distribution_csv_text({"x": 1.0}))
     b.write_text(detect.distribution_csv_text({"x": 0.25}))
     assert run_cli(["fidelity", str(a), str(b)]) == 2
+    assert capsys.readouterr().err == "config error: distributions must each sum to 1 (got 1 and 0.25)\n"
 
 
 def test_fidelity_non_finite_probability_exits_2(tmp_path, capsys):

@@ -19,19 +19,15 @@ def test_pattern_validation():
     assert p.modes() == (0, 3)
     assert p.photon_count() == 2
     # a fractional count or mode was truncated: {0: 1.5} heralded {0: 1}; a
-    # whole float or a bool counted as its integer
+    # whole float or a bool counted as its integer; a string mode such as "3"
+    # is JSON, which only the scenario config reader parses
     for bad in ({0: -1}, {-1: 1}, {0: 1.5}, {1.7: 1}, {0: math.inf}, {None: 1}, {"x": 1},
-                {0: 2.0}, {0: True}, {True: 1}, [(0, 1)]):
+                {0: 2.0}, {0: True}, {True: 1}, [(0, 1)], {"3": 1}):
         with pytest.raises(ValueError):
             HeraldPattern(bad)
-    assert HeraldPattern({"03": 1, np.int64(1): np.int32(2)}).requirements == {3: 1, 1: 2}
+    assert HeraldPattern({3: 1, np.int64(1): np.int32(2)}).requirements == {3: 1, 1: 2}
     with pytest.raises(ValueError):
         HeraldPattern({})
-    # "3" and "03" are both mode 3: the later count silently replaced the earlier
-    with pytest.raises(ValueError, match="name the same mode"):
-        HeraldPattern({"0": 1, "3": 1, "03": 0})
-    with pytest.raises(ValueError, match="name the same mode"):
-        HeraldPattern({"3": 1, "03": 0})
 
 
 def test_two_pair_herald_rate_device_couplers():
