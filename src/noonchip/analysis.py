@@ -22,7 +22,8 @@ import numpy as np
 from . import evolve, herald
 from .circuit import (ChipParams, DirectionalCoupler, Interferometer, LossTap, PhaseShifter,
                       compile_circuit)
-from .fock import FockState, Occupation, marginal_distribution, nonnegative_ints, probability
+from .fock import (FockState, Occupation, is_number, marginal_distribution, nonnegative_ints,
+                   probability)
 
 
 class FringeSample(NamedTuple):
@@ -111,9 +112,14 @@ def fringe_period(samples: Sequence[tuple[float, float]]) -> float | None:
     constant plus one sinusoid (golden-section search within one bin of the
     peak).  Returns None when the samples carry no oscillation; raises on
     fewer than MIN_FRINGE_SAMPLES points or a non-uniform grid.  Samples are
-    (phi, probability) pairs, FringeSample among them.
+    (phi, probability) pairs, FringeSample among them, of numbers that pass
+    fock.is_number; the first that does not raises ValueError.
     """
-    pairs = [(float(phi), float(p)) for phi, p in samples]
+    pairs = []
+    for phi, p in samples:
+        if not (is_number(phi) and is_number(p)):
+            raise ValueError(f"fringe sample ({phi!r}, {p!r}) is not a pair of finite numbers")
+        pairs.append((float(phi), float(p)))
     if len(pairs) < MIN_FRINGE_SAMPLES:
         raise ValueError(
             f"need at least {MIN_FRINGE_SAMPLES} samples to estimate a period, got {len(pairs)}"
@@ -155,9 +161,10 @@ def fringe_period(samples: Sequence[tuple[float, float]]) -> float | None:
 
 def precision_bounds(n_photons: int) -> tuple[float, float]:
     """(shot-noise limit, Heisenberg limit) phase uncertainties for n photons."""
-    if n_photons < 1:
+    (n,) = nonnegative_ints((n_photons,))
+    if n < 1:
         raise ValueError("need at least one photon")
-    return 1.0 / math.sqrt(n_photons), 1.0 / n_photons
+    return 1.0 / math.sqrt(n), 1.0 / n
 
 
 # -- reverse pass ----------------------------------------------------------------

@@ -24,6 +24,7 @@ from .scenarios import (
     NumericError,
     ScenarioConfig,
     ScenarioOutput,
+    _parse,
     load_json,
     preset,
     run_contamination,
@@ -67,10 +68,7 @@ def _coincidence_config(args: argparse.Namespace) -> coinc.CoincidenceConfig:
     settings = {}
     if args.config is not None:
         settings = load_json(args.config, "config")
-    try:
-        return coinc.CoincidenceConfig(**settings)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad coincidence settings: {exc}") from exc
+    return _parse("coincidence settings", lambda: coinc.CoincidenceConfig(**settings))
 
 
 def _cmd_coincidence(args: argparse.Namespace) -> int:

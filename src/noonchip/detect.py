@@ -15,9 +15,6 @@ of 2^L clicked-leaf bitmasks per tree, whose popcounts are the tree's click
 counts; click_distribution keys it by clicked-id frozensets.
 Tree modes go through fock.nonnegative_ints, and leaf probabilities,
 efficiencies and dark counts through fock.probability.
-normalize_rates takes the trees, [] when no detector sits on a tree, and
-prices cascade resolution through cascade_resolve_probability, whose photon
-count is the number of target leaves.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fock import FockState, Occupation, check_keys, marginal_distribution, nonnegative_ints, probability
+from .fock import FockState, check_keys, marginal_distribution, nonnegative_ints, probability
 
 PROB_SUM_TOL = 1e-9
 
@@ -182,81 +179,6 @@ def click_distribution(
                   for bits in itertools.product((0, 1), repeat=len(t.leaves))] for t in ordered]
     return {frozenset().union(*parts): p
             for parts, p in zip(itertools.product(*leaf_keys), total.ravel().tolist()) if p > 0.0}
-
-
-# -- rate normalization ------------------------------------------------------
-
-
-def normalize_rates(
-    raw_counts: Mapping[frozenset, float],
-    singles: Mapping[str, float],
-    trees: Sequence[SplitterTree],
-) -> dict[frozenset, float]:
-    """Corrects pattern counts for relative detector efficiency and cascade
-    resolution probability, then renormalizes to a distribution.
-
-    Relative efficiencies are inferred from singles counts (epsilon_d =
-    singles_d / max singles).  Each tree's clicked detectors divide by their
-    cascade_resolve_probability; detectors outside any tree contribute no
-    resolution factor.
-    """
-    if not raw_counts:
-        return {}
-    flagged = sorted(d for d, c in singles.items() if c <= 0)
-    if flagged:
-        raise ValueError(f"zero singles count for detectors: {', '.join(flagged)}")
-    peak = max(singles.values())
-    _validate_trees(trees)
-    tree_of = {d: t for t in trees for d in t.detector_ids()}
-
-    weights: dict[frozenset, float] = {}
-    for pattern, count in raw_counts.items():
-        if count < 0:
-            raise ValueError("negative pattern count")
-        weight = float(count)
-        per_tree: dict[SplitterTree, list[str]] = {}
-        for det in pattern:
-            if det not in singles:
-                raise ValueError(f"detector {det!r} missing from singles counts")
-            weight /= singles[det] / peak
-            if det in tree_of:
-                per_tree.setdefault(tree_of[det], []).append(det)
-        for tree, dets in per_tree.items():
-            resolution = cascade_resolve_probability(tree, dets)
-            if resolution == 0.0:
-                raise ValueError(f"pattern {sorted(pattern)} has zero resolution probability")
-            weight /= resolution
-        weights[pattern] = weight
-    total = sum(weights.values())
-    if total == 0.0:
-        raise ValueError("all pattern counts are zero")
-    return {pattern: w / total for pattern, w in weights.items()}
-
-
-def occupancy_rates(
-    rates: Mapping[frozenset, float], trees: Sequence[SplitterTree]
-) -> dict[Occupation, float]:
-    """Aggregates click-pattern rates into photon counts per tree mode.
-
-    Pattern weights for the same occupancy are averaged over the number of
-    detector combinations that could have produced it, then renormalized.
-    """
-    _validate_trees(trees)
-    ordered = sorted(trees, key=lambda t: t.mode)
-    tree_of = {d: idx for idx, t in enumerate(ordered) for d in t.detector_ids()}
-    totals: dict[Occupation, float] = {}
-    for pattern, rate in rates.items():
-        counts = [0] * len(ordered)
-        for det in pattern:
-            if det in tree_of:
-                counts[tree_of[det]] += 1
-        key = tuple(counts)
-        multiplicity = math.prod(
-            math.comb(len(ordered[i].leaves), c) for i, c in enumerate(counts)
-        )
-        totals[key] = totals.get(key, 0.0) + rate / multiplicity
-    norm = sum(totals.values())
-    return {occ: v / norm for occ, v in totals.items()}
 
 
 def fidelity(p: Mapping, q: Mapping) -> float:

@@ -6,7 +6,8 @@ Two independent routes are provided on purpose:
   substituting a_k^dag -> sum_j U[j, k] a_j^dag and collecting monomials.
 * `amplitude` and `output_distribution` evaluate matrix elements
   <t|U|s> = Per(U[t, s]) / sqrt(prod s_i! prod t_j!), with U[t, s] the
-  row/column repeated matrix, through the repeated-row Ryser kernel.
+  row/column repeated matrix, through kernels.repeated_permanents, a sum
+  over column multiplicities in Glynn's signed form.
 
 They share no code beyond the matrix itself, so they cross-check each other.
 Occupations given to amplitude, output_distribution and sample_output_counts

@@ -131,6 +131,19 @@ def test_fringe_pattern_is_a_count_pattern():
             FringeScenario(ChipParams(), single, pattern)
 
 
+def test_fringe_period_rejects_samples_that_are_not_finite_numbers():
+    xs = [0.1 * i for i in range(10)]
+    cases = [
+        [(x, math.nan) for x in xs],
+        [(x, math.inf if i == 3 else math.cos(3 * x)) for i, x in enumerate(xs)],
+        [(str(x), str(math.cos(3 * x))) for x in xs],
+        [(x, True if i == 5 else math.cos(3 * x)) for i, x in enumerate(xs)],
+    ]
+    for samples in cases:
+        with pytest.raises(ValueError, match="not a pair of finite numbers"):
+            fringe_period(samples)
+
+
 def test_fringe_period_accepts_tuples_and_samples():
     xs = grid(64, 4 * math.pi)
     tuples = [(float(x), 0.5 + 0.4 * math.cos(3 * x)) for x in xs]
@@ -152,8 +165,9 @@ def test_precision_bounds():
     shot, heisenberg = precision_bounds(4)
     assert shot == pytest.approx(0.5)
     assert heisenberg == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        precision_bounds(0)
+    for bad in (0, 1.5, True, "2"):
+        with pytest.raises(ValueError):
+            precision_bounds(bad)
 
 
 def test_reverse_pure_state_interferes():

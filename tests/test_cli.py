@@ -720,12 +720,21 @@ def test_coincidence_channel_names_round_trip(tmp_path):
     assert rows == [{"channels": "a,b;c", "count": "1"}]
 
 
-def test_coincidence_bad_settings_exits_2(tmp_path):
+def test_coincidence_bad_settings_exits_2(tmp_path, capsys):
     cfg = tmp_path / "coinc.json"
     cfg.write_text(json.dumps({"t_clk": -1.0}))
     pulses = tmp_path / "pulses.csv"
     coinc.write_pulse_csv(pulses, [PulseEvent("A", 0.0)])
     assert run_cli(["coincidence", str(pulses), "--config", str(cfg)]) == 2
+    assert_one_config_error(capsys)
+    for settings, message in (
+        ({"window_cycles": 0}, "window_cycles must be an integer in [1, 2**53], got 0"),
+        ({"bogus": 1}, "CoincidenceConfig.__init__() got an unexpected keyword argument 'bogus'"),
+        ([1], "noonchip.coinc.CoincidenceConfig() argument after ** must be a mapping, not list"),
+    ):
+        cfg.write_text(json.dumps(settings))
+        assert run_cli(["coincidence", str(pulses), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: bad coincidence settings: {message}\n"
 
 
 def test_invalid_choice_exits_2():

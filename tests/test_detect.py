@@ -1,4 +1,4 @@
-"""Splitter cascades, click statistics, rate correction, fidelity."""
+"""Splitter cascades, click statistics, fidelity."""
 
 import itertools
 import json
@@ -20,8 +20,6 @@ from noonchip.detect import (
     click_array,
     click_distribution,
     fidelity,
-    normalize_rates,
-    occupancy_rates,
     paper_6fold_topology,
     topology_from_json_dict,
     topology_to_json_dict,
@@ -357,75 +355,6 @@ def test_paper_topology_shape():
     for t in trees[1:3]:
         assert all(p == 0.25 for _, p in t.leaves)
     assert model == DetectorModel()
-
-
-def test_normalize_rates_efficiency_correction():
-    # detector A saw half the singles of B, so A patterns weigh double
-    counts = {frozenset({"A", "X"}): 100.0, frozenset({"B", "X"}): 100.0}
-    singles = {"A": 500.0, "B": 1000.0, "X": 1000.0}
-    rates = normalize_rates(counts, singles, [])
-    ratio = rates[frozenset({"A", "X"})] / rates[frozenset({"B", "X"})]
-    assert ratio == pytest.approx(2.0, abs=1e-12)
-    assert sum(rates.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_normalize_rates_resolution_correction():
-    trees = [uniform_tree(0, 4, "J")]
-    counts = {frozenset({"J0", "J1"}): 10.0, frozenset({"J0",}): 10.0}
-    singles = {f"J{i}": 100.0 for i in range(4)}
-    rates = normalize_rates(counts, singles, trees=trees)
-    # two-detector pattern is divided by 2! (1/4)^2 = 1/8, single by 1/4
-    ratio = rates[frozenset({"J0", "J1"})] / rates[frozenset({"J0"})]
-    assert ratio == pytest.approx((1 / 4) / (1 / 8), abs=1e-12)
-
-
-def test_normalize_rates_flags_zero_singles():
-    with pytest.raises(ValueError):
-        normalize_rates({frozenset({"A"}): 1.0}, {"A": 0.0}, [])
-    with pytest.raises(ValueError):
-        normalize_rates({frozenset({"A"}): 1.0}, {"B": 5.0}, [])
-
-
-def test_occupancy_rates_multiplicity():
-    trees = [uniform_tree(0, 4, "J"), uniform_tree(1, 4, "K")]
-    # six equal-rate pair patterns on J collapse onto occupancy (2, 0)
-    rates = {frozenset(pair): 1.0 for pair in itertools.combinations([f"J{i}" for i in range(4)], 2)}
-    rates[frozenset({"K0", "K1"})] = 1.0
-    occ = occupancy_rates(rates, trees)
-    # (2,0): 6 patterns / C(4,2) = 1 unit; (0,2): 1 pattern / 6
-    assert occ[(2, 0)] / occ[(0, 2)] == pytest.approx(6.0, abs=1e-12)
-    assert sum(occ.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_rate_workflow_round_trip():
-    # click, correct, aggregate, post-select on the known photon number;
-    # unit efficiency recovers the exact marginal
-    res = heralded_output(
-        ChipParams(), FockState.basis_state((0, 2, 2, 0)), HeraldPattern({0: 1, 3: 1})
-    )
-    state = res.conditional_state
-    trees = [uniform_tree(0, 4, "J"), uniform_tree(1, 4, "K")]
-    ideal = marginal_distribution(state, (0, 1))
-
-    def round_trip(model):
-        dist = click_distribution(state, trees, model)
-        counts = {pat: p * 1e7 for pat, p in dist.items() if pat}
-        singles: dict[str, float] = {}
-        for pat, c in counts.items():
-            for d in pat:
-                singles[d] = singles.get(d, 0.0) + c
-        occ = occupancy_rates(normalize_rates(counts, singles, trees=trees), trees)
-        kept = {o: r for o, r in occ.items() if sum(o) == 2}
-        total = sum(kept.values())
-        return {o: r / total for o, r in kept.items()}
-
-    exact = round_trip(DetectorModel())
-    assert fidelity(exact, ideal) == pytest.approx(1.0, abs=1e-12)
-
-    eff = {f"J{i}": 0.9 if i == 0 else 1.0 for i in range(4)}
-    eff.update({f"K{i}": 0.95 for i in range(4)})
-    skew = round_trip(DetectorModel(efficiency=eff))
-    assert fidelity(skew, ideal) > 0.9999
 
 
 def test_fidelity_values():

@@ -1,8 +1,13 @@
-"""The README's examples run as written, and the package's exports resolve."""
+"""The README's examples run as written, and the package's exports and the
+README's call names resolve."""
 
+import builtins
 import contextlib
+import importlib
 import io
 import json
+import math
+import pkgutil
 import re
 from pathlib import Path
 
@@ -48,3 +53,28 @@ def test_readme_library_example_runs():
 def test_package_exports_resolve():
     for name in noonchip.__all__:
         assert hasattr(noonchip, name), name
+
+
+def test_readme_call_names_resolve():
+    # a backticked call form, `name(` or `module.name(`, names an attribute of a
+    # noonchip module or of a class defined in one, or a builtin or math function
+    modules = [noonchip] + [importlib.import_module(f"noonchip.{info.name}")
+                            for info in pkgutil.iter_modules(noonchip.__path__)
+                            if not info.name.startswith("_")]
+    classes = [obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and obj.__module__ == module.__name__]
+
+    def resolves(dotted):
+        for scope in (*modules, *classes, builtins, math):
+            obj = scope
+            try:
+                for part in dotted.split("."):
+                    obj = getattr(obj, part)
+            except AttributeError:
+                continue
+            return True
+        return False
+
+    names = set(re.findall(r"`([A-Za-z_][\w.]*)\(", README.read_text()))
+    assert {"len", "sin", "detect.paper_6fold_topology"} <= names
+    assert sorted(name for name in names if not resolves(name)) == []
