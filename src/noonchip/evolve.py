@@ -3,20 +3,26 @@
 Two independent routes are provided on purpose:
 
 * `apply` expands the input's creation-operator polynomial term by term,
-  substituting a_k^dag -> sum_j U[j, k] a_j^dag and collecting monomials.
+  substituting a_k^dag -> sum_j U[j, k] a_j^dag.  The monomials of n photons
+  are one dense vector over fock.basis_occupations' n-photon sector, and one
+  raise is a gather through a ladder table (the index of t - e_j in the
+  sector below, built once per photon number and mode count) times U[:, k].
 * `amplitude` and `output_distribution` evaluate matrix elements
   <t|U|s> = Per(U[t, s]) / sqrt(prod s_i! prod t_j!), with U[t, s] the
   row/column repeated matrix, through kernels.repeated_permanents, a sum
   over column multiplicities in Glynn's signed form.
 
-They share no code beyond the matrix itself, so they cross-check each other.
-Occupations given to amplitude, output_distribution and sample_output_counts
-go through fock.nonnegative_ints, so 1.5 photons fail rather than count as 1.
+They share no code beyond the matrix and fock's sector enumeration, and no
+arithmetic, so they cross-check each other.
+Occupations given to amplitude, output_distribution and sample_output_counts,
+and its seed and shot count, go through fock.nonnegative_ints, so 1.5 photons
+fail rather than count as 1.
 Exact amplitude arithmetic throughout; global phase is never normalized away.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable
 
@@ -66,33 +72,66 @@ def apply(matrix: np.ndarray, state: FockState) -> FockState:
     u = _check_matrix(matrix, state.mode_count)
     if not is_unitary(u):
         raise NonUnitaryError("matrix is not unitary; expand loss taps into environment modes first")
+    for occ in state.amplitudes:
+        _check_photon_cap(sum(occ))
 
     modes = state.mode_count
-    out: dict[Occupation, complex] = {}
+    sectors: dict[int, np.ndarray] = {}
     for occ, amp in state.amplitudes.items():
-        _check_photon_cap(sum(occ))
-        # |occ> = prod_k (a_k^dag)^{s_k} / sqrt(s_k!) |vac>
-        start = amp / math.sqrt(math.prod(math.factorial(s) for s in occ))
-        poly: dict[Occupation, complex] = {(0,) * modes: start}
+        n = sum(occ)
+        lower, norms = _ladder(n, modes)
+        # |occ> = prod_k (a_k^dag)^{s_k} / sqrt(s_k!) |vac>, one raise per photon:
+        # the coefficient of t after raising by sum_j U[j, k] a_j^dag sums
+        # U[j, k] times the coefficient of t - e_j, or 0 where t_j = 0
+        poly = np.array([amp / math.sqrt(math.prod(math.factorial(s) for s in occ))])
+        level = 0
         for k, s_k in enumerate(occ):
-            column = u[:, k]
             for _ in range(s_k):
-                poly = _raise_mode(poly, column)
-        for target, coeff in poly.items():
-            value = coeff * math.sqrt(math.prod(math.factorial(t) for t in target))
-            out[target] = out.get(target, 0j) + value
+                level += 1
+                poly = np.append(poly, 0)[lower[level]] @ u[:, k]
+        sectors[n] = sectors.get(n, 0) + poly * norms
+    out: dict[Occupation, complex] = {}
+    for n, coeffs in sectors.items():
+        basis = _sector(n, modes)[0]
+        kept = np.flatnonzero(coeffs)
+        out.update(zip(map(basis.__getitem__, kept.tolist()), coeffs[kept].tolist()))
     return FockState(modes, out)
 
 
-def _raise_mode(poly: dict[Occupation, complex], column: np.ndarray) -> dict[Occupation, complex]:
-    """Multiplies the monomial sum by sum_j column[j] a_j^dag."""
-    result: dict[Occupation, complex] = {}
-    nonzero = [(j, column[j]) for j in range(len(column)) if column[j] != 0]
-    for occ, coeff in poly.items():
-        for j, weight in nonzero:
-            bumped = occ[:j] + (occ[j] + 1,) + occ[j + 1 :]
-            result[bumped] = result.get(bumped, 0j) + coeff * weight
-    return result
+@functools.cache
+def _ladder(n_photons: int, modes: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """apply's raise tables for n_photons on modes, built on first use.
+
+    Over the sectors of _sector: for each level n in 0..n_photons, the
+    (D_n x modes) index of t - e_j in level n - 1, or D_{n-1} (a pad entry
+    appended to the level's coefficients) where t_j = 0; and sqrt(prod t_j!)
+    for each t of the top level.
+    """
+    basis = _sector(n_photons, modes)[0]
+    if n_photons == 0:
+        lower = ()
+        table = np.zeros((1, modes), dtype=np.intp)
+    else:
+        lower = _ladder(n_photons - 1, modes)[0]
+        below = {occ: i for i, occ in enumerate(_sector(n_photons - 1, modes)[0])}
+        table = np.full((len(basis), modes), len(below), dtype=np.intp)
+        for i, t in enumerate(basis):
+            for j in range(modes):
+                if t[j]:
+                    table[i, j] = below[t[:j] + (t[j] - 1,) + t[j + 1 :]]
+    norms = np.array([math.sqrt(math.prod(math.factorial(x) for x in t)) for t in basis])
+    table.flags.writeable = norms.flags.writeable = False  # shared by every call
+    return lower + (table,), norms
+
+
+@functools.cache
+def _sector(n_photons: int, modes: int) -> tuple[tuple[Occupation, ...], np.ndarray]:
+    """The n-photon outputs on modes, as fock.basis_occupations orders them,
+    and the same as a read-only int array."""
+    outputs = tuple(basis_occupations(n_photons, modes))
+    rows = np.array(outputs, dtype=np.int64)
+    rows.flags.writeable = False
+    return outputs, rows
 
 
 #: n! as floats for n <= MAX_PHOTONS; every product of them that a norm takes
@@ -105,9 +144,8 @@ def _norms(s: Occupation, t: np.ndarray) -> np.ndarray:
     return np.sqrt(_FACTORIALS[t].prod(axis=1) * _FACTORIALS[list(s)].prod())
 
 
-def _amplitudes(u: np.ndarray, s: Occupation, outputs: list[Occupation]) -> np.ndarray:
-    """<t|U|s> for every output t holding as many photons as s."""
-    t = np.array(outputs)
+def _amplitudes(u: np.ndarray, s: Occupation, t: np.ndarray) -> np.ndarray:
+    """<t|U|s> for every output row t holding as many photons as s."""
     return kernels.repeated_permanents(u, s, t) / _norms(s, t)
 
 
@@ -122,7 +160,7 @@ def amplitude(matrix: np.ndarray, input_occ: Iterable[int], output_occ: Iterable
     _check_photon_cap(max(sum(s), sum(t)))
     if sum(s) != sum(t):
         return 0j
-    return complex(_amplitudes(u, s, [t])[0])
+    return complex(_amplitudes(u, s, np.array([t]))[0])
 
 
 def output_distribution(matrix: np.ndarray, input_occ: Iterable[int]) -> dict[Occupation, float]:
@@ -130,9 +168,9 @@ def output_distribution(matrix: np.ndarray, input_occ: Iterable[int]) -> dict[Oc
     u = _check_matrix(matrix)
     s = nonnegative_ints(input_occ, u.shape[1])
     _check_photon_cap(sum(s))
-    outputs = list(basis_occupations(sum(s), u.shape[0]))
-    probs = np.abs(_amplitudes(u, s, outputs)) ** 2
-    return {t: float(p) for t, p in zip(outputs, probs) if p > 0.0}
+    outputs, t = _sector(sum(s), u.shape[0])
+    probs = np.abs(_amplitudes(u, s, t)) ** 2
+    return {occ: p for occ, p in zip(outputs, probs.tolist()) if p > 0.0}
 
 
 # -- sampling ----------------------------------------------------------------
@@ -142,8 +180,10 @@ def derived_rng(seed: int) -> np.random.Generator:
     """Deterministic stream for a root seed.
 
     Built as SeedSequence(seed, spawn_key=(0,)); a fixed seed gives the same
-    draws in every run.
+    draws in every run.  The seed is a count, so None, True, 1.0 and -1 fail
+    rather than draw from OS entropy or stand for another seed.
     """
+    (seed,) = nonnegative_ints((seed,))
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
 
 
@@ -151,13 +191,14 @@ def sample_output_counts(
     matrix: np.ndarray, input_occ: Iterable[int], rng_seed: int, shots: int
 ) -> tuple[list[Occupation], np.ndarray]:
     """Histogram of output occupations over the given number of draws."""
+    (shots,) = nonnegative_ints((shots,))
+    rng = derived_rng(rng_seed)
     dist = output_distribution(matrix, input_occ)
     occs = sorted(dist)
     probs = np.array([dist[o] for o in occs])
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"output probabilities sum to {total:.12g}, expected 1")
-    rng = derived_rng(rng_seed)
     draws = rng.choice(len(occs), size=shots, p=probs / total)
     counts = np.bincount(draws, minlength=len(occs))
     return occs, counts

@@ -665,6 +665,17 @@ def test_coincidence_nan_clock_exits_2(tmp_path):
     assert run_cli(["coincidence", "--profile", "--config", str(cfg)]) == 2
 
 
+def test_coincidence_seed_must_be_a_count(tmp_path, capsys):
+    cfg = tmp_path / "coinc.json"
+    cfg.write_text(json.dumps({"jitter_sigma_ns": 0.3}))
+    pulses = tmp_path / "pulses.csv"
+    coinc.write_pulse_csv(pulses, [PulseEvent("A", 0.0), PulseEvent("B", 1.0)])
+    assert run_cli(["coincidence", str(pulses), "--config", str(cfg), "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert run_cli(["coincidence", str(pulses), "--config", str(cfg), "--seed", "-1"]) == 2
+    assert "non-negative integers, got -1" in assert_one_config_error(capsys)
+
+
 def test_coincidence_extreme_clock_exits_2(tmp_path, capsys):
     # (1e300 - 0) / 1e-300 overflows: no clock tick index can represent it
     cfg = tmp_path / "coinc.json"

@@ -175,6 +175,17 @@ def test_jitter_reproducible():
     assert 0 < total < 40
 
 
+def test_jitter_seed_is_a_count():
+    cfg = CoincidenceConfig(jitter_sigma_ns=0.8)
+    events = [PulseEvent("A", 100.0 * i) for i in range(40)]
+    events += [PulseEvent("B", 100.0 * i + 7.0) for i in range(40)]
+    # no seed is seed 0, not OS entropy
+    assert count_coincidences(events, cfg) == count_coincidences(events, cfg, rng_seed=0)
+    for bad in (True, 1.0, -1, "5"):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            count_coincidences(events, cfg, rng_seed=bad)
+
+
 def test_pulse_csv_round_trip(tmp_path):
     path = tmp_path / "pulses.csv"
     events = [PulseEvent("A", 0.0), PulseEvent("B", 4.25)]

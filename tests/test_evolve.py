@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from noonchip.circuit import ChipParams, dc_matrix
+from noonchip.circuit import ChipParams, compile_circuit, dc_matrix, with_loss
 from noonchip.evolve import (
     MAX_PHOTONS,
     NonUnitaryError,
@@ -25,6 +25,71 @@ def random_state(rng, n_photons, n_modes):
     amps = rng.normal(size=len(occs)) + 1j * rng.normal(size=len(occs))
     amps /= np.linalg.norm(amps)
     return FockState(n_modes, dict(zip(occs, amps)))
+
+
+def haar(rng, m):
+    if m == 1:
+        return np.array([[np.exp(1j * rng.uniform(0, 2 * np.pi))]])
+    return unitary_group.rvs(m, random_state=rng)
+
+
+def random_occupation(rng, n_photons, n_modes):
+    occ = [0] * n_modes
+    for _ in range(n_photons):
+        occ[int(rng.integers(0, n_modes))] += 1
+    return tuple(occ)
+
+
+def dict_expansion(u, state):
+    """Test-only oracle: apply as a dict of monomials, one photon at a time.
+
+    Each a_k^dag is replaced by sum_j U[j, k] a_j^dag and the monomials are
+    collected in a dict keyed by occupation, with no tables and no vectors.
+    """
+    out = {}
+    for occ, amp in state.amplitudes.items():
+        poly = {(0,) * state.mode_count: amp / math.sqrt(math.prod(map(math.factorial, occ)))}
+        for k, s_k in enumerate(occ):
+            for _ in range(s_k):
+                raised = {}
+                for mono, coeff in poly.items():
+                    for j in range(len(occ)):
+                        bumped = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+                        raised[bumped] = raised.get(bumped, 0j) + coeff * u[j, k]
+                poly = raised
+        for target, coeff in poly.items():
+            value = coeff * math.sqrt(math.prod(map(math.factorial, target)))
+            out[target] = out.get(target, 0j) + value
+    return FockState(state.mode_count, out)
+
+
+def test_apply_matches_dict_expansion():
+    rng = np.random.default_rng(61)
+    cases = []
+    for m in range(1, 7):
+        u = haar(rng, m)
+        for n in (0, 1, 3, MAX_PHOTONS):
+            cases.append((u, FockState.basis_state(random_occupation(rng, n, m))))
+        # one superposition over the 0- to 3-photon sectors, vacuum included
+        terms = {}
+        for n in range(4):
+            for occ in rng.permutation(list(basis_occupations(n, m)))[:3]:
+                terms[tuple(int(x) for x in occ)] = complex(rng.normal(), rng.normal())
+        norm = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
+        cases.append((u, FockState(m, {occ: a / norm for occ, a in terms.items()})))
+        cases.append((u, FockState(m, {})))
+    # a loss tap on every chip mode: four environment modes that start empty
+    circ = ChipParams(eta1=0.4, eta3=0.3, phi=1.1).circuit()
+    for mode in range(4):
+        circ = with_loss(circ, mode, 0.6 + 0.1 * mode)
+    lossy = compile_circuit(circ)
+    for occ in ((0, 2, 2, 0), (1, 1, 1, 1), (0, 3, 3, 0)):
+        cases.append((lossy, FockState.basis_state(occ + (0,) * 4)))
+    for u, state in cases:
+        got, want = apply(u, state), dict_expansion(u, state)
+        assert set(got.amplitudes) == set(want.amplitudes), state
+        for occ, a in want.amplitudes.items():
+            assert abs(got.amplitudes[occ] - a) <= 1e-13, (state, occ)
 
 
 def test_two_photon_interference_cancels_coincidence():
@@ -106,11 +171,8 @@ def test_engines_agree_on_random_unitaries():
     for _ in range(40):
         m = int(rng.integers(1, 5))
         n = int(rng.integers(0, 5))
-        u = unitary_group.rvs(m, random_state=rng) if m > 1 else np.array([[np.exp(1j * rng.uniform(0, 2 * np.pi))]])
-        occ = [0] * m
-        for _ in range(n):
-            occ[int(rng.integers(0, m))] += 1
-        occ = tuple(occ)
+        u = haar(rng, m)
+        occ = random_occupation(rng, n, m)
         expanded = apply(u, FockState.basis_state(occ))
         for target in basis_occupations(n, m):
             d = abs(expanded.amplitude(target) - amplitude(u, occ, target))
@@ -176,6 +238,9 @@ def test_photon_cap():
     over = (MAX_PHOTONS + 1, 0)
     with pytest.raises(ValueError):
         apply(u, FockState.basis_state(over))
+    # an over-cap term raises beside a valid one
+    with pytest.raises(ValueError, match=f"{MAX_PHOTONS + 1} photons exceeds"):
+        apply(u, FockState(2, {(1, 0): 0.6, (0, MAX_PHOTONS + 1): 0.8}))
     with pytest.raises(ValueError):
         amplitude(u, over, over)
 
@@ -239,6 +304,18 @@ def test_sampling_is_deterministic_per_seed():
     assert np.array_equal(a[1], b[1])
     c = sample_output_counts(u, (0, 2, 2, 0), rng_seed=10, shots=500)
     assert not np.array_equal(a[1], c[1])
+
+
+def test_sampling_seed_and_shots_are_counts():
+    u = ChipParams().matrix()
+    occ = (0, 2, 2, 0)
+    # None drew from OS entropy, True was seed 1, 2.0 and True shots raised
+    # numpy's TypeError and -1 shots "negative dimensions"
+    for seed, shots in ((None, 50), (True, 50), (1.0, 50), (-1, 50), (1, 2.0), (1, True), (1, -1)):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            sample_output_counts(u, occ, rng_seed=seed, shots=shots)
+    occs, counts = sample_output_counts(u, occ, rng_seed=np.int64(4), shots=np.int32(0))
+    assert counts.sum() == 0 and len(occs) == len(counts)
 
 
 def test_sampling_matches_distribution():
