@@ -33,7 +33,7 @@ import numpy as np
 
 from . import evolve
 from .detect import csv_text
-from .fock import is_number
+from .fock import is_number, nonnegative_ints
 
 #: |tick| must stay below this: float64 holds every integer up to 2**53
 MAX_TICK = 2**53
@@ -102,8 +102,6 @@ class CoincidenceConfig:
 
 def _ticks(t: np.ndarray, config: CoincidenceConfig, clock_phase: float) -> np.ndarray:
     """Index of the first clock tick at or after each time (int64)."""
-    if not math.isfinite(clock_phase):
-        raise ValueError(f"clock phase must be finite, got {clock_phase!r}")
     with np.errstate(over="ignore"):  # an overflow fails the range check below
         ticks = np.ceil((t - clock_phase) / config.t_clk)
     bad = np.flatnonzero(~(np.abs(ticks) < MAX_TICK))
@@ -197,8 +195,11 @@ def count_coincidences(
     the earliest unconsumed pulse and absorbs every pulse within
     window_cycles - 1 ticks of it.  Only records with at least two distinct
     channels count as coincidences.  Ties in time are taken in channel-name
-    order.
+    order.  No seed is seed 0.
     """
+    (rng_seed,) = nonnegative_ints((0 if rng_seed is None else rng_seed,))
+    if not math.isfinite(clock_phase):
+        raise ValueError(f"clock phase must be finite, got {clock_phase!r}")
     if not isinstance(pulses, Pulses):
         pulses = Pulses.from_events(pulses)
     names, code = np.unique(pulses.channels, return_inverse=True)
@@ -210,7 +211,7 @@ def count_coincidences(
     order = np.lexsort((code, pulses.t))
     t, code = pulses.t[order], code[order]
     if config.jitter_sigma_ns > 0.0:
-        rng = evolve.derived_rng(0 if rng_seed is None else rng_seed)
+        rng = evolve.derived_rng(rng_seed)
         t = t + config.jitter_sigma_ns * rng.standard_normal(len(t))
         order = np.lexsort((code, t))
         t, code = t[order], code[order]

@@ -4,14 +4,14 @@ Photon-count measurement is emulated by fanning each measured mode out over
 a tree of splitters onto single-photon (threshold) detectors.  Each photon
 lands on leaf d independently with probability p_d (the deficit from 1 is
 loss), so at fixed photon counts per mode the trees route and click
-independently.  click_array therefore builds, per tree, one stack of click
-tables for 0..n_top photons by a per-photon recursion: a photon is detected
-on leaf l with probability p_l eff_l, switching that leaf's bit on, or missed
-with probability loss + sum p_l (1 - eff_l); dark counts then switch each
-leaf on independently.  Every term is non-negative, so nothing cancels.  The
-photon-count distribution of the covered modes, as a dense tensor, is
-contracted with each tree's stack in mode order into one array with an axis
-of 2^L clicked-leaf bitmasks per tree, whose popcounts are the tree's click
+independently.  click_array therefore builds, per tree and call, one stack of
+click tables for 0..n_top photons by a per-photon recursion: a photon is
+detected on leaf l with probability p_l eff_l, switching that leaf's bit on,
+or missed with probability loss + sum p_l (1 - eff_l); dark counts then switch
+each leaf on independently.  Every term is non-negative, so nothing cancels.
+Each state's photon counts on the covered modes, as a dense tensor, are
+contracted with each tree's stack in mode order into one array with an axis of
+2^L clicked-leaf bitmasks per tree, whose popcounts are the tree's click
 counts; click_distribution keys it by clicked-id frozensets.
 Tree modes go through fock.nonnegative_ints, and leaf probabilities,
 efficiencies and dark counts through fock.probability.
@@ -139,32 +139,36 @@ def _tree_stack(tree: SplitterTree, detectors: DetectorModel, n_top: int) -> np.
 
 
 def click_array(
-    state: FockState,
+    states: Sequence[FockState],
     trees: Sequence[SplitterTree],
     detectors: DetectorModel = DetectorModel(),
 ) -> tuple[list[SplitterTree], np.ndarray]:
-    """(trees in mode order, click probabilities) for the state's tree-covered
-    modes: one dense array with an axis of 2^L entries per tree, indexed by
-    the bitmask of the tree's clicked leaves, the first leaf the highest bit.
-    It holds all 2^D click patterns of the D detectors, hence the limit on D.
+    """(trees in mode order, click probabilities) of the states' tree-covered
+    modes: per state, on a leading axis, one dense array with an axis of 2^L
+    entries per tree, indexed by the bitmask of the tree's clicked leaves, the
+    first leaf the highest bit: all 2^D patterns of the D detectors.
 
-    The photon-count distribution of the covered modes becomes a dense tensor
-    with one axis of n_top + 1 counts per tree, n_top the largest count on its
-    mode.  Each tree's table stack (_tree_stack) is contracted with that
-    tensor's leading axis in mode order; each contraction appends the tree's
-    click axis, so the result ends in tree order."""
+    Each tree's table stack (_tree_stack) is built once, up to the largest
+    count any state puts on its mode; its rows do not depend on its height.
+    A state's photon counts, a dense tensor with n_top + 1 entries on a
+    tree's axis (n_top the state's largest count there), contract with the
+    stacks' first n_top + 1 rows in mode order; each appends a click axis."""
     _validate_trees(trees)
     ordered = sorted(trees, key=lambda t: t.mode)
     if sum(len(t.leaves) for t in ordered) > 20:
         raise ValueError("click statistics take at most 20 detectors (2^20 click patterns)")
-    marginal = marginal_distribution(state, [t.mode for t in ordered])
-    tops = [max(counts) for counts in zip(*marginal)] or [0] * len(ordered)
-    total = np.zeros([n + 1 for n in tops])
-    for occ, p_occ in marginal.items():
-        total[occ] = p_occ
-    for tree, n_top in zip(ordered, tops):
-        total = np.tensordot(total, _tree_stack(tree, detectors, n_top), axes=([0], [0]))
-    return ordered, total
+    marginals = [marginal_distribution(state, [t.mode for t in ordered]) for state in states]
+    tops = [[max(counts) for counts in zip(*m)] or [0] * len(ordered) for m in marginals]
+    stacks = [_tree_stack(tree, detectors, max(ns, default=0)) for tree, *ns in zip(ordered, *tops)]
+    out = np.empty((len(marginals), *(1 << len(t.leaves) for t in ordered)))
+    for i, (marginal, state_tops) in enumerate(zip(marginals, tops)):
+        total = np.zeros([n + 1 for n in state_tops])
+        for occ, p_occ in marginal.items():
+            total[occ] = p_occ
+        for stack, n_top in zip(stacks, state_tops):
+            total = np.tensordot(total, stack[: n_top + 1], axes=([0], [0]))
+        out[i] = total
+    return ordered, out
 
 
 def click_distribution(
@@ -174,7 +178,7 @@ def click_distribution(
 ) -> dict[frozenset, float]:
     """click_array keyed by the frozenset of clicked detector ids, in the
     array's C order; patterns of probability zero are left out."""
-    ordered, total = click_array(state, trees, detectors)
+    ordered, (total,) = click_array([state], trees, detectors)
     leaf_keys = [[frozenset(itertools.compress(t.detector_ids(), bits))
                   for bits in itertools.product((0, 1), repeat=len(t.leaves))] for t in ordered]
     return {frozenset().union(*parts): p
@@ -217,6 +221,9 @@ def paper_6fold_topology() -> tuple[list[SplitterTree], DetectorModel]:
 def topology_to_json_dict(
     trees: Sequence[SplitterTree], detectors: DetectorModel
 ) -> dict:
+    """The detection block's JSON form, which has no key for dark counts."""
+    if detectors.dark_count_prob != 0.0:
+        raise ValueError(f"topology JSON holds no dark counts, got {detectors.dark_count_prob!r}")
     ordered = sorted(trees, key=lambda t: t.mode)
     return {
         "trees": [

@@ -5,9 +5,11 @@ A degenerate pair source pumps both chip inputs b and c symmetrically, so the
 relevant input sectors are |n, n> with amplitude proportional to xi^n.  Higher
 sectors fake lower-order heralds whenever threshold detectors cannot tell one
 photon from two; contamination_report quantifies those channels behind the
-splitter trees and detector model it is given.  It reads each sector's
-detect.click_array: the click count of a tree is the popcount of its axis
-index, so the event signature is a broadcast mask over the array.
+splitter trees and detector model it is given.  It takes every sector's
+click array from one detect.click_array call and sums it by popcount: the
+click count of a tree is the popcount of its axis index, so one C-order sum
+gives each sector's probability of every tuple of per-tree click counts, and
+the event signature is read at the herald counts.
 
 Pairs are indistinguishable everywhere but in hom_dip, where partial
 distinguishability enters as a convex mixture: with pairwise overlap x the
@@ -210,35 +212,24 @@ def contamination_report(
     u = chip.matrix()
     kept = u.shape[0] - len(wanted)
     weights = sector_weights(params)
+    evolved = [evolve.apply(u, sector_chip_input(n)) for n in weights]
+    ordered, clicks = detect.click_array(evolved, trees, detectors)
+    # rates[s, c_0, ...]: probability that each tree t shows c_t clicks in sector s
+    demanded = [pattern.requirements.get(t.mode) for t in ordered]  # None on signal trees
+    sizes = [max(len(t.leaves), c or 0) + 1 for t, c in zip(ordered, demanded)]
+    rates = np.zeros((len(evolved), *sizes))
+    pops = [[b.bit_count() for b in range(1 << len(t.leaves))] for t in ordered]
+    np.add.at(rates, np.ix_(range(len(evolved)), *pops), clicks)  # in C order
+    at_herald = tuple(slice(None) if c is None else c for c in demanded)
     sectors: list[SectorReport] = []
-    true_prob = 0.0
-    false_prob = 0.0
-    for n, weight in weights.items():
-        evolved = evolve.apply(u, sector_chip_input(n))
-        parts = split(evolved, pattern.modes())
+    for (n, weight), state, sector_rates in zip(weights.items(), evolved, rates):
+        parts = split(state, pattern.modes())
         branches = {counts: herald.condition(part, kept) for counts, part in parts.items()}
         herald_probability, conditional = branches.get(wanted) or herald.condition({}, kept)
-        ordered, clicks = detect.click_array(evolved, list(trees), detectors)
-        pops = [[b.bit_count() for b in range(size)] for size in clicks.shape]
-        keep, signal, signal_axes = clicks > 0.0, 0, []
-        for axis, tree in enumerate(ordered):  # broadcast each tree's click counts
-            pop = np.array(pops[axis]).reshape([-1 if a == axis else 1 for a in range(clicks.ndim)])
-            if tree.mode in pattern.requirements:
-                keep &= pop == pattern.requirements[tree.mode]
-            else:
-                signal = signal + pop
-                signal_axes.append(axis)
-        hits = np.nonzero(keep & (signal == signal_photons))  # in C order
-        interpreted: dict[Occupation, float] = {}
-        for index, p in zip(zip(*(h.tolist() for h in hits)), clicks[hits].tolist()):
-            counts = tuple(pops[a][index[a]] for a in signal_axes)
-            interpreted[counts] = interpreted.get(counts, 0.0) + p
+        signal = sector_rates[at_herald]
+        interpreted = {c: float(signal[c]) for c in np.ndindex(signal.shape)
+                       if sum(c) == signal_photons and signal[c] > 0.0}
         signature = sum(interpreted.values())
-        mislabeled = n != target and signature > 0.0
-        if n == target:
-            true_prob = weight * signature
-        else:
-            false_prob += weight * signature
         sectors.append(
             SectorReport(
                 n_pairs=n,
@@ -247,7 +238,7 @@ def contamination_report(
                 conditional_distribution={occ: abs(a) ** 2 for occ, a in conditional.items()},
                 signature_probability=signature,
                 interpreted_rates=interpreted,
-                mislabeled=mislabeled,
+                mislabeled=n != target and signature > 0.0,
                 herald_branches=branches,
             )
         )
@@ -256,6 +247,8 @@ def contamination_report(
         herald_photons=herald_photons,
         signal_photons=signal_photons,
         sectors=tuple(sectors),
-        true_event_probability=true_prob,
-        false_event_probability=false_prob,
+        true_event_probability=sum((r.weight * r.signature_probability
+                                    for r in sectors if r.n_pairs == target), 0.0),
+        false_event_probability=sum((r.weight * r.signature_probability
+                                     for r in sectors if r.n_pairs != target), 0.0),
     )

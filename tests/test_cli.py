@@ -674,6 +674,9 @@ def test_coincidence_seed_must_be_a_count(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["coincidence", str(pulses), "--config", str(cfg), "--seed", "-1"]) == 2
     assert "non-negative integers, got -1" in assert_one_config_error(capsys)
+    # without jitter no draw uses the seed, which is checked all the same
+    assert run_cli(["coincidence", str(pulses), "--seed", "-1"]) == 2
+    assert "non-negative integers, got -1" in assert_one_config_error(capsys)
 
 
 def test_coincidence_extreme_clock_exits_2(tmp_path, capsys):
@@ -719,6 +722,15 @@ def test_coincidence_infinite_clock_phase_exits_2(tmp_path):
     pulses = tmp_path / "pulses.csv"
     coinc.write_pulse_csv(pulses, [PulseEvent("A", 0.0), PulseEvent("B", 1.0)])
     assert run_cli(["coincidence", str(pulses), "--clock-phase", "inf"]) == 2
+
+
+def test_coincidence_nan_clock_phase_on_empty_stream_exits_2(tmp_path, capsys):
+    pulses = tmp_path / "pulses.csv"
+    pulses.write_text("channel,t_ns\n")
+    assert run_cli(["coincidence", str(pulses)]) == 0
+    capsys.readouterr()
+    assert run_cli(["coincidence", str(pulses), "--clock-phase", "nan"]) == 2
+    assert "clock phase must be finite, got nan" in assert_one_config_error(capsys)
 
 
 def test_coincidence_channel_names_round_trip(tmp_path):

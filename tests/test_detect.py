@@ -273,7 +273,7 @@ def test_click_distribution_matches_per_routing_walk(case):
 @given(click_cases())
 def test_click_array_holds_every_pattern(case):
     state, trees, detectors = case
-    ordered, total = click_array(state, trees, detectors)
+    ordered, (total,) = click_array([state], trees, detectors)
     assert [t.mode for t in ordered] == sorted(t.mode for t in trees)
     assert total.shape == tuple(1 << len(t.leaves) for t in ordered)
     # every tree table sums to 1, photons routed to loss included
@@ -291,7 +291,7 @@ def test_dark_counts_alone_are_exact_products():
     # each entry is a product of d and 1 - d; taking d as 1 - (1 - d) loses digits
     d = 1e-5
     tree = uniform_tree(0, 4)
-    _, total = click_array(FockState.basis_state((0,)), [tree], DetectorModel(0.7, d))
+    _, (total,) = click_array([FockState.basis_state((0,))], [tree], DetectorModel(0.7, d))
     for b, p in enumerate(total):
         k = b.bit_count()
         want = float(Fraction(d) ** k * (1 - Fraction(d)) ** (4 - k))
@@ -322,9 +322,23 @@ def test_click_array_builds_one_stack_per_tree(monkeypatch):
     monkeypatch.setattr(detect, "_tree_stack", counting)
     state = evolve.apply(ChipParams().matrix(), FockState.basis_state((0, 2, 2, 0)))
     trees, _ = paper_6fold_topology()
-    click_array(state, trees, DetectorModel(0.7, 1e-3))
+    click_array([state], trees, DetectorModel(0.7, 1e-3))
     counts = marginal_distribution(state, [0, 1, 2, 3])
     assert built == [(m, max(occ[m] for occ in counts)) for m in range(4)]
+
+
+def test_click_array_of_many_states_matches_each_state_alone():
+    # the shared stacks are taller than one state needs; their first rows,
+    # and so every float of each state's array, stay the same
+    u = ChipParams(phi=0.3).matrix()
+    states = [evolve.apply(u, FockState.basis_state((0, n, n, 0))) for n in (2, 0, 3, 1)]
+    trees, _ = paper_6fold_topology()
+    detectors = DetectorModel(0.7, 1e-3)
+    _, stacked = click_array(states, trees, detectors)
+    assert stacked.shape == (4, 2, 16, 16, 2)
+    for state, array in zip(states, stacked):
+        assert np.array_equal(array, click_array([state], trees, detectors)[1][0])
+    assert click_array([], trees, detectors)[1].shape == (0, 2, 16, 16, 2)
 
 
 def test_detector_model_validated_once():
@@ -400,6 +414,15 @@ def test_reference_distribution_common_herald_coupler_drops_out():
     assert set(a) == set(b)
     for occ in a:
         assert a[occ] == pytest.approx(b[occ], abs=1e-12)
+
+
+def test_topology_json_form_refuses_dark_counts():
+    # the form has no dark count key: 1e-3 was written and read back as 0
+    trees, _ = paper_6fold_topology()
+    with pytest.raises(ValueError, match="topology JSON holds no dark counts, got 0.001"):
+        topology_to_json_dict(trees, DetectorModel(0.7, 1e-3))
+    _, back = topology_from_json_dict(topology_to_json_dict(trees, DetectorModel(0.7, 0.0)))
+    assert back == DetectorModel({d: 0.7 for t in trees for d in t.detector_ids()})
 
 
 def test_topology_json_round_trip():

@@ -200,8 +200,10 @@ def test_repeated_permanents_validate_occupations():
         kernels.repeated_permanents(u, (1, 1), [(2, 1)])  # photon numbers differ
     # the int64 cast truncated (1.5, 0.5) to (1, 0): Per gave 0.7071 on a 50:50 coupler
     half = np.array([[1, 1j], [1j, 1]]) / math.sqrt(2)
-    for s, t in (((1.5, 0.5), [(1, 0)]), ((1, 0), [(0.5, 0.5)]), ((math.nan, 1), [(1, 0)])):
+    # and whole floats and bools are no counts: (1.0, 0.0) and (True, True) ran
+    for s, t in (((1.5, 0.5), [(1, 0)]), ((1, 0), [(0.5, 0.5)]), ((math.nan, 1), [(1, 0)]),
+                 ((1.0, 0.0), np.array([[1, 0]])), ((True, True), [(1, 1)]), ((1, 1), [(True, True)])):
         with pytest.raises(ValueError, match="non-negative integers"):
             kernels.repeated_permanents(half, s, t)
-    whole = kernels.repeated_permanents(half, (1.0, 0.0), np.array([[1, 0]]))
+    whole = kernels.repeated_permanents(half, np.array([1, 0], dtype=np.uint8), np.array([[1, 0]]))
     assert whole[0] == pytest.approx(0.5**0.5)

@@ -4,6 +4,7 @@ README's call names resolve."""
 import builtins
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import math
@@ -64,17 +65,43 @@ def test_readme_call_names_resolve():
     classes = [obj for module in modules for obj in vars(module).values()
                if isinstance(obj, type) and obj.__module__ == module.__name__]
 
-    def resolves(dotted):
+    def resolve(dotted):
+        """The objects from the first scope that holds dotted to its end, or None."""
         for scope in (*modules, *classes, builtins, math):
-            obj = scope
+            path = [scope]
             try:
                 for part in dotted.split("."):
-                    obj = getattr(obj, part)
+                    path.append(getattr(path[-1], part))
             except AttributeError:
                 continue
-            return True
-        return False
+            return path
+        return None
 
-    names = set(re.findall(r"`([A-Za-z_][\w.]*)\(", README.read_text()))
+    text = README.read_text()
+    names = set(re.findall(r"`([A-Za-z_][\w.]*)\(", text))
     assert {"len", "sin", "detect.paper_6fold_topology"} <= names
-    assert sorted(name for name in names if not resolves(name)) == []
+    assert sorted(name for name in names if resolve(name) is None) == []
+
+    # a whole form `name(a, b, key=value)` of plain names binds to the signature
+    # of what it names; other forms (... or a nested call), methods reached
+    # through a class and builtins without a signature (str) are skipped
+    bound, stale = [], []
+    for name, args in re.findall(r"`([A-Za-z_][\w.]*)\(([^`()]*)\)`", text):
+        *through, obj = resolve(name)
+        args = [arg.strip() for arg in args.split(",") if arg.strip()]
+        if not all(re.fullmatch(r"\w+(=\w+)?", arg) for arg in args):
+            continue
+        if any(isinstance(scope, type) for scope in through):
+            continue
+        try:
+            signature = inspect.signature(obj)
+        except ValueError:
+            continue
+        keywords = dict(arg.split("=") for arg in args if "=" in arg)
+        try:
+            signature.bind(*(arg for arg in args if "=" not in arg), **keywords)
+        except TypeError:
+            stale.append(f"{name}({', '.join(args)})")
+        bound.append(name)
+    assert {"contamination_report", "click_array", "nonnegative_ints", "len"} <= set(bound)
+    assert stale == []

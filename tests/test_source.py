@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from noonchip import detect
 from noonchip.circuit import ChipParams, dc_matrix
 from noonchip.detect import DetectorModel, SplitterTree, click_distribution, paper_6fold_topology
 from noonchip.evolve import apply
-from noonchip.fock import FockState, basis_occupations
+from noonchip.fock import FockState, basis_occupations, marginal_distribution
 from noonchip.herald import HeraldPattern
 from noonchip.source import (
     SpdcParams,
@@ -209,6 +210,34 @@ def test_contamination_report_json():
     assert d["false_to_true_ratio"] == pytest.approx(rep.false_to_true_ratio)
     assert len(d["sectors"]) == len(rep.sectors)
     __import__("json").dumps(d)
+
+
+def test_contamination_report_builds_one_stack_per_tree(monkeypatch):
+    # each tree's stack is built once, at the largest count any sector puts
+    # on its mode; building one per sector took 12 stacks here
+    built = []
+    tree_stack = detect._tree_stack
+
+    def counting(tree, detectors, n_top):
+        built.append((tree.mode, n_top))
+        return tree_stack(tree, detectors, n_top)
+
+    monkeypatch.setattr(detect, "_tree_stack", counting)
+    chip, params = ChipParams(), SpdcParams(n_max=2)
+    contamination_report(chip, params, PATTERN, 2, paper_6fold_topology()[0], DetectorModel(0.7, 1e-3))
+    counts = [occ for n in range(params.n_max + 1)
+              for occ in marginal_distribution(apply(chip.matrix(), sector_chip_input(n)), range(4))]
+    assert built == [(m, max(occ[m] for occ in counts)) for m in range(4)]
+
+
+def test_report_of_the_target_sector_alone_has_float_zero_false_events():
+    rep = contamination_report(
+        ChipParams(), SpdcParams(n_max=0), HeraldPattern({0: 0, 3: 0}), 0, *paper_6fold_topology()
+    )
+    assert [s.n_pairs for s in rep.sectors] == [rep.target_sector] == [0]
+    assert rep.true_event_probability == 1.0
+    false = rep.to_json_dict()["false_event_probability"]
+    assert false == 0.0 and type(false) is float  # an int 0 would be written as 0
 
 
 def reference_branches(state, modes, total_photons):
