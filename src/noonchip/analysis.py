@@ -113,7 +113,9 @@ def fringe_period(samples: Sequence[tuple[float, float]]) -> float | None:
     peak).  Returns None when the samples carry no oscillation; raises on
     fewer than MIN_FRINGE_SAMPLES points or a non-uniform grid.  Samples are
     (phi, probability) pairs, FringeSample among them, of numbers that pass
-    fock.is_number; the first that does not raises ValueError.
+    fock.is_number; the first that does not raises ValueError.  A period
+    returned is finite: samples whose fit overflows, such as phases near a
+    float's limit, raise ValueError too, and no numpy warning escapes.
     """
     pairs = []
     for phi, p in samples:
@@ -125,8 +127,15 @@ def fringe_period(samples: Sequence[tuple[float, float]]) -> float | None:
             f"need at least {MIN_FRINGE_SAMPLES} samples to estimate a period, got {len(pairs)}"
         )
     pairs.sort()
-    phis = np.array([p for p, _ in pairs])
-    values = np.array([v for _, v in pairs])
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _fitted_period(np.array([p for p, _ in pairs]), np.array([v for _, v in pairs]))
+    except FloatingPointError as exc:
+        raise ValueError(f"fringe samples overflow the period fit ({exc})") from None
+
+
+def _fitted_period(phis: np.ndarray, values: np.ndarray) -> float | None:
+    """fringe_period on sorted, finite phases and probabilities."""
     steps = np.diff(phis)
     dt = steps.mean()
     if dt <= 0.0 or np.max(np.abs(steps - dt)) > 1e-9 * max(abs(dt), 1.0):

@@ -105,20 +105,26 @@ def dc_matrix(eta: float) -> np.ndarray:
     return np.array([[t, r], [r, t]], dtype=np.complex128)
 
 
+#: the 2x2 identity that a phase block scales
+_EYE2 = np.eye(2)
+
+
 def compile_circuit(circ: Interferometer) -> np.ndarray:
     """Total mode transformation: each element replaces its own rows of the
     matrix so far by its 2x2 block times them, later elements on the left.
     The block goes through BLAS, which rounds as a full matrix product does
     (a scalar multiply differs in the last bit): a phase is e^{i phi} times
     the identity on its row taken twice, and a coupler's symmetric block takes
-    its rows ascending, the order a full product sums in."""
+    its rows ascending, the order a full product sums in, as one strided view
+    of the matrix that the product reads and that its result is written to."""
     u = np.eye(circ.mode_count, dtype=np.complex128)
     for elem in circ.elements:
         if isinstance(elem, PhaseShifter):
-            block = complex(math.cos(elem.phi), math.sin(elem.phi)) * np.eye(2)
+            block = complex(math.cos(elem.phi), math.sin(elem.phi)) * _EYE2
             u[elem.mode] = (block @ u[[elem.mode] * 2])[0]
         else:
-            rows = sorted(elem.modes)
+            a, b = sorted(elem.modes)
+            rows = slice(a, b + 1, b - a)
             eta = elem.eta if isinstance(elem, DirectionalCoupler) else elem.transmission
             u[rows] = dc_matrix(eta) @ u[rows]
     return u

@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .fock import FockState, Occupation, basis_occupations, nonnegative_ints
+from .fock import PRUNE_EPS, FockState, Occupation, basis_occupations, nonnegative_ints
 
 #: hard cap: exact simulation beyond this photon number is out of scope
 MAX_PHOTONS = 10
@@ -93,9 +93,9 @@ def apply(matrix: np.ndarray, state: FockState) -> FockState:
     out: dict[Occupation, complex] = {}
     for n, coeffs in sectors.items():
         basis = _sector(n, modes)[0]
-        kept = np.flatnonzero(coeffs)
+        kept = np.flatnonzero(~(np.abs(coeffs) <= PRUNE_EPS))  # a NaN is kept
         out.update(zip(map(basis.__getitem__, kept.tolist()), coeffs[kept].tolist()))
-    return FockState(modes, out)
+    return FockState._from_checked(modes, out)  # the sector keys passed the count rule
 
 
 @functools.cache

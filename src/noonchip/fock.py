@@ -5,9 +5,12 @@ below the pruning threshold dropped.  States are immutable; every operation
 returns a new instance.  Iteration order is lexicographic in the occupation
 vector so that serialization and reports are deterministic.  The package's
 value rules live here, one each, for library calls and JSON input alike:
-nonnegative_ints for photon counts, mode indices and mode counts (the rule
-FockState applies to its mode count and every occupation), probability for a
-value in [0, 1], and is_number for any other JSON number.
+nonnegative_ints for photon counts, mode indices and mode counts, probability
+for a value in [0, 1], and is_number for any other JSON number.  Keys are
+checked where they enter: FockState(...) puts its mode count and every
+occupation it is given through nonnegative_ints, while evolve.apply, herald
+conditioning, normalized and scaled reuse keys that were already checked (a
+cached sector's, or an existing state's).
 """
 
 from __future__ import annotations
@@ -55,7 +58,10 @@ class FockState:
     """Sparse bosonic state: a map occupation vector -> complex amplitude.
 
     The squared norm may be below 1 (heralded or lossy branches) but never
-    above 1 + NORM_TOL.
+    above 1 + NORM_TOL.  The constructor checks every key it is given by the
+    count rule; the package's own producers whose keys were checked already
+    (evolve.apply, herald conditioning, normalized, scaled) go through
+    _from_checked, which prunes and bounds the norm alike.
     """
 
     __slots__ = ("_modes", "_amps")
@@ -76,6 +82,21 @@ class FockState:
                 amps[key] = amps.get(key, 0j) + value
         self._modes = mode_count
         self._amps = amps
+        self._check_norm()
+
+    @classmethod
+    def _from_checked(cls, mode_count: int, amps: Mapping[Occupation, complex]) -> "FockState":
+        """The state of complex amplitudes on keys that already passed the count
+        rule for mode_count, each given once: a cached sector's or an existing
+        state's.  Pruning and the norm bound are the constructor's, and 0j + a
+        rounds as its sum does (a zero part's sign included)."""
+        state = object.__new__(cls)
+        state._modes = mode_count
+        state._amps = {occ: 0j + a for occ, a in amps.items() if not abs(a) <= PRUNE_EPS}
+        state._check_norm()
+        return state
+
+    def _check_norm(self) -> None:
         norm2 = self.norm_squared()
         if not norm2 <= 1.0 + NORM_TOL:
             raise ValueError(f"state norm^2 = {norm2:.6g} is not a number <= 1")
@@ -126,10 +147,11 @@ class FockState:
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize an empty state")
-        return FockState(self._modes, {occ: a / n for occ, a in self._amps.items()})
+        return FockState._from_checked(self._modes, {occ: a / n for occ, a in self._amps.items()})
 
     def scaled(self, factor: complex) -> "FockState":
-        return FockState(self._modes, {occ: a * factor for occ, a in self._amps.items()})
+        scaled = {occ: complex(a * factor) for occ, a in self._amps.items()}
+        return FockState._from_checked(self._modes, scaled)
 
     def allclose(self, other: "FockState", tol: float = 1e-12) -> bool:
         if self._modes != other._modes:

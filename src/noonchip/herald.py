@@ -81,14 +81,15 @@ def project(state: FockState, pattern: HeraldPattern) -> HeraldResult:
 
 def condition(part: Mapping[Occupation, complex], mode_count: int) -> tuple[float, FockState]:
     """(squared norm, normalized state) of one part of fock.split on the
-    mode_count modes not heralded; an empty part, a null herald, gives 0.0."""
+    mode_count modes not heralded; an empty part, a null herald, gives 0.0.
+    The part's keys, cut from a state's checked keys, are not checked again."""
     if mode_count == 0:
         raise ValueError("herald pattern covers every mode; nothing to condition on")
     if not part:
         return 0.0, FockState(mode_count, {})
     norm2 = sum(abs(a) ** 2 for a in part.values())  # split's terms: each above PRUNE_EPS, norm2 <= 1
     norm = math.sqrt(norm2)
-    return norm2, FockState(mode_count, {occ: a / norm for occ, a in part.items()})
+    return norm2, FockState._from_checked(mode_count, {occ: a / norm for occ, a in part.items()})
 
 
 def heralded_output(chip: ChipParams, input_state: FockState, pattern: HeraldPattern) -> HeraldResult:

@@ -144,6 +144,23 @@ def test_fringe_period_rejects_samples_that_are_not_finite_numbers():
             fringe_period(samples)
 
 
+def test_fringe_period_is_finite_or_raises_near_the_float_limit():
+    # a ramp fits best at the slowest frequency searched, a period of four spans:
+    # on a uniform grid of steps 1e307 the refined frequency underflowed and the
+    # period came back as inf, with numpy's overflow warning
+    for count in (8, 9):
+        xs = [i * 1e307 for i in range(-count, count + 1)]
+        ramp = [0.1 + 0.05 * i / len(xs) for i in range(len(xs))]
+        with pytest.raises(ValueError, match="overflow the period fit"):
+            fringe_period(list(zip(xs, ramp)))
+        assert fringe_period(list(zip(range(len(xs)), ramp))) == pytest.approx(4 * len(xs))
+    # a period of two steps is still in range there, and far from the limit
+    for step in (1e307, 1e300):
+        xs = [i * step for i in range(-8, 9)]
+        period = fringe_period([(x, 0.5 + 0.4 * (-1) ** i) for i, x in enumerate(xs)])
+        assert period == pytest.approx(2 * step, rel=1e-6)
+
+
 def test_fringe_period_accepts_tuples_and_samples():
     xs = grid(64, 4 * math.pi)
     tuples = [(float(x), 0.5 + 0.4 * math.cos(3 * x)) for x in xs]

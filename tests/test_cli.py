@@ -416,6 +416,24 @@ def test_fringe_sparse_grid_reports_no_fit(tmp_path):
     assert "insufficient" in period["note"]
 
 
+def test_fringe_period_json_stays_json_on_an_extreme_grid(tmp_path):
+    # a finite, uniform grid of steps 1e307 wrote "period": Infinity, which is
+    # not JSON, and printed numpy's overflow warning
+    data = preset("fig3a").to_json_dict()
+    data["sweep"]["grid"] = [i * 1e307 for i in range(-8, 9)]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert run_cli(["fringe", "--config", str(path), "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    period = json.loads((out / "period.json").read_text(), parse_constant=reject)
+    assert period["period"] is None
+    assert period["note"].startswith("insufficient for fit")
+
+
 def test_contamination_preset(tmp_path):
     out = tmp_path / "run"
     code = run_cli(["contamination", "--preset", "fig4-contamination", "--out", str(out)])

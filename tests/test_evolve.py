@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from noonchip.circuit import ChipParams, compile_circuit, dc_matrix, with_loss
@@ -17,7 +19,8 @@ from noonchip.evolve import (
     output_distribution,
     sample_output_counts,
 )
-from noonchip.fock import FockState, basis_occupations, inner_product
+from noonchip.fock import PRUNE_EPS, FockState, basis_occupations, inner_product
+from noonchip.herald import HeraldPattern, project
 
 
 def random_state(rng, n_photons, n_modes):
@@ -90,6 +93,32 @@ def test_apply_matches_dict_expansion():
         assert set(got.amplitudes) == set(want.amplitudes), state
         for occ, a in want.amplitudes.items():
             assert abs(got.amplitudes[occ] - a) <= 1e-13, (state, occ)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.lists(st.integers(0, MAX_PHOTONS), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1), st.complex_numbers(max_magnitude=1.0))
+@example(6, [MAX_PHOTONS], 0, 0.5j)
+@example(4, [6, 0], 1, 1e-15)
+def test_checked_keys_are_what_the_constructor_would_build(modes, photons, seed, factor):
+    # apply, herald conditioning, normalized and scaled skip the count rule on
+    # keys they took from a sector or a state: each result must equal what the
+    # checking constructor builds from its own terms
+    rng = np.random.default_rng(seed)
+    terms = {random_occupation(rng, n, modes): complex(rng.normal(), rng.normal()) for n in photons}
+    norm = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
+    evolved = apply(haar(rng, modes), FockState(modes, {occ: a / norm for occ, a in terms.items()}))
+    states = [evolved, evolved.normalized(), evolved.scaled(factor)]
+    if modes > 1:
+        counts = {occ[0] for occ in evolved.amplitudes}
+        for n in (min(counts), max(counts), MAX_PHOTONS + 1):  # the last heralds nothing
+            states.append(project(evolved, HeraldPattern({0: n})).conditional_state)
+    for x in states:
+        assert FockState(x.mode_count, dict(x.amplitudes)).items() == x.items()
+        for occ, a in x.amplitudes.items():
+            assert type(occ) is tuple and len(occ) == x.mode_count
+            assert all(type(n) is int for n in occ)
+            assert abs(a) > PRUNE_EPS
 
 
 def test_two_photon_interference_cancels_coincidence():

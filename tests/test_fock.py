@@ -90,6 +90,11 @@ def test_constructor_validation():
         FockState(2, {(1, -1): 1.0})  # negative occupation
     with pytest.raises(ValueError):
         FockState(2, {(1, 0): 1.2})  # norm^2 > 1 + tol
+    # keys from outside still pass the count rule, though the package's own
+    # producers reuse keys they took from a sector or a state
+    for key in ((1.0, 0), (True, 0), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            FockState(2, {key: 1.0})
     # an infinity raised OverflowError, None a TypeError
     for bad in (math.inf, math.nan, None, 0.5):
         with pytest.raises(ValueError, match="non-negative integers"):
