@@ -191,7 +191,6 @@ class ReverseResult:
     detection_distribution: dict[Occupation, float]
     full_extraction_probability: float
     conditional_distribution: dict[Occupation, float]
-    herald_probability: float | None = None
 
 
 Ensemble = Sequence[tuple[float, FockState]]
@@ -228,23 +227,7 @@ def reverse_pass(ensemble: Ensemble, chip: ChipParams = ChipParams()) -> Reverse
 
     n_total = max(photon_totals, default=0)
     full = {occ: p for occ, p in totals.items() if sum(occ) == n_total}
-    p_full = sum(full.values())
+    p_full = sum(full.values(), 0.0)
     conditional = {occ: p / p_full for occ, p in full.items()} if p_full > 0.0 else {}
     return ReverseResult(totals, p_full, conditional)
 
-
-def sagnac_scenario(
-    chip: ChipParams, input_state: FockState, pattern: herald.HeraldPattern
-) -> ReverseResult:
-    """Full round trip: herald a state on the forward pass, then read it out
-    through the reverse pass.
-
-    For the two-pair input (0, 2, 2, 0) and one herald photon on each outer
-    mode, the ideal heralded state is (|2,0> + |0,2>)/sqrt(2) and the readout
-    gives a |1,1> coincidence with certainty.
-    """
-    forward = herald.heralded_output(chip, input_state, pattern)
-    if forward.is_null:
-        return ReverseResult({}, 0.0, {}, herald_probability=0.0)
-    result = reverse_pass([(1.0, forward.conditional_state)], chip)
-    return replace(result, herald_probability=forward.probability)

@@ -103,7 +103,7 @@ def _cmd_coincidence(args: argparse.Namespace) -> int:
             clock_phase=args.clock_phase,
             rng_seed=args.seed,
         )
-        rows = coinc.coincidence_rows(counts)
+        rows = sorted(detect.outcome_map(counts).items())
         output.files["coincidences.csv"] = detect.csv_text(("channels", "count"), rows)
         total = sum(counts.values())
         output.summary.append(f"{total} coincidence records from {len(events)} pulses")

@@ -195,7 +195,8 @@ def count_coincidences(
     the earliest unconsumed pulse and absorbs every pulse within
     window_cycles - 1 ticks of it.  Only records with at least two distinct
     channels count as coincidences.  Ties in time are taken in channel-name
-    order.  No seed is seed 0.
+    order.  No seed is seed 0.  A channel name may not hold ';', the
+    separator of detect.format_outcome's channel sets.
     """
     (rng_seed,) = nonnegative_ints((0 if rng_seed is None else rng_seed,))
     if not math.isfinite(clock_phase):
@@ -203,6 +204,9 @@ def count_coincidences(
     if not isinstance(pulses, Pulses):
         pulses = Pulses.from_events(pulses)
     names, code = np.unique(pulses.channels, return_inverse=True)
+    for name in names.tolist():
+        if ";" in name:
+            raise ValueError(f"channel name {name!r} holds ';', which separates channels in output")
     code = code.astype(np.min_scalar_type(len(names)))  # narrow codes sort faster
     if config.n_channels is not None and len(names) > config.n_channels:
         raise ValueError(f"stream uses {len(names)} channels, config allows {config.n_channels}")
@@ -296,7 +300,3 @@ def write_pulse_csv(path, events: Iterable[PulseEvent]) -> None:
     with open(path, "w", newline="") as handle:
         handle.write(csv_text(("channel", "t_ns"), rows))
 
-
-def coincidence_rows(counts: dict[frozenset, int]) -> list[tuple[str, int]]:
-    """(channels joined by ';', count) rows, sorted by channels."""
-    return sorted((";".join(sorted(key)), n) for key, n in counts.items())

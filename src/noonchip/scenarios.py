@@ -356,21 +356,27 @@ def run_simulate(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
 
 
 def run_sagnac(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
+    """Heralds the input on the forward pass and reads the conditional state
+    out through analysis.reverse_pass.  For the input (0, 2, 2, 0) and one
+    herald photon on each outer mode, the ideal heralded state is
+    (|2,0> + |0,2>)/sqrt(2), read out as a |1,1> coincidence with certainty;
+    a null herald reads out as the empty state, every probability 0.0."""
+    if config.kind != "sagnac":
+        raise ConfigError(f"expected a sagnac scenario, got kind {config.kind!r}")
     chip = config.chip_params()
     state = config.input_state(chip.circuit().mode_count)
-    result = analysis.sagnac_scenario(chip, state, config.herald_pattern())
+    forward = herald.heralded_output(chip, state, config.herald_pattern())
+    result = analysis.reverse_pass([(1.0, forward.conditional_state)], chip)
     output = ScenarioOutput(summary=[])
     body = {
-        "herald_probability": result.herald_probability,
+        "herald_probability": forward.probability,
         "full_extraction_probability": result.full_extraction_probability,
         "detection_distribution": detect.outcome_map(result.detection_distribution),
         "conditional_distribution": detect.outcome_map(result.conditional_distribution),
     }
     output.files["sagnac.json"] = _dump_json(body)
-    output.summary.append(f"herald probability: {result.herald_probability!r}")
-    output.summary.append(
-        f"full extraction probability: {result.full_extraction_probability!r}"
-    )
+    output.summary.append(f"herald probability: {forward.probability!r}")
+    output.summary.append(f"full extraction probability: {result.full_extraction_probability!r}")
     _distribution_files(output, result.conditional_distribution, fmt)
     return output
 

@@ -14,7 +14,8 @@ the event signature is read at the herald counts.
 Pairs are indistinguishable everywhere but in hom_dip, where partial
 distinguishability enters as a convex mixture: with pairwise overlap x the
 observed statistics are x * quantum + (1 - x) * fully distinguishable, where
-the distinguishable arm routes each photon independently through |U[j, m]|^2.
+the distinguishable arm is fock.multinomial: each photon picks its output
+port on its own, with probability 1/2 at the balanced coupler.
 """
 
 from __future__ import annotations
@@ -67,36 +68,6 @@ def spdc_chip_input(params: SpdcParams) -> FockState:
     return FockState(4, amps)
 
 
-# -- distinguishable-photon statistics ----------------------------------------
-
-
-def distinguishable_output_distribution(
-    matrix: np.ndarray, input_occ: Sequence[int]
-) -> dict[Occupation, float]:
-    """Output photon-count distribution for fully distinguishable photons.
-
-    Each photon routes independently: a photon entering mode m exits mode j
-    with probability |U[j, m]|^2.  Interference terms vanish entirely.
-    """
-    u = evolve._check_matrix(matrix)
-    modes = u.shape[0]
-    occ = nonnegative_ints(input_occ, modes)
-    dist: dict[Occupation, float] = {(0,) * modes: 1.0}
-    for m, s in enumerate(occ):
-        if s == 0:
-            continue
-        q = np.abs(u[:, m]) ** 2
-        q = q / q.sum()
-        layer = multinomial(s, q)
-        merged: dict[Occupation, float] = {}
-        for occ_a, pa in dist.items():
-            for occ_b, pb in layer.items():
-                key = tuple(a + b for a, b in zip(occ_a, occ_b))
-                merged[key] = merged.get(key, 0.0) + pa * pb
-        dist = merged
-    return dist
-
-
 def hom_dip(overlap: float) -> float:
     """Visibility of the |2,2> coincidence dip at a 50:50 coupler, overlap in [0, 1].
 
@@ -105,10 +76,10 @@ def hom_dip(overlap: float) -> float:
     visibility, at overlap 1, is 1/3.
     """
     overlap = probability("overlap", overlap)
-    u = dc_matrix(0.5)
     occ = (2, 2)
-    p_quantum = abs(evolve.amplitude(u, occ, occ)) ** 2
-    p_classical = distinguishable_output_distribution(u, occ)[occ]
+    p_quantum = abs(evolve.amplitude(dc_matrix(0.5), occ, occ)) ** 2
+    # a distinguishable photon leaves a balanced coupler by either port with probability 1/2
+    p_classical = multinomial(4, (0.5, 0.5))[occ]
     p_mixed = overlap * p_quantum + (1.0 - overlap) * p_classical
     return float((p_classical - p_mixed) / p_classical)
 

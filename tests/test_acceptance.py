@@ -18,7 +18,6 @@ from noonchip.analysis import (
     fringe_scan,
     probe_fringe_scan,
     reverse_pass,
-    sagnac_scenario,
 )
 from noonchip.circuit import ChipParams, dc_matrix
 from noonchip.fock import (
@@ -321,15 +320,13 @@ def test_c11_backward_readout():
     )
     p_pure = pure.conditional_distribution.get((1, 1), 0.0)
     p_mix = dephased.conditional_distribution.get((1, 1), 0.0)
-    full = sagnac_scenario(
-        ChipParams(0.5, 0.5, 1 / 3, 1 / 3, 0.0),
-        FockState.basis_state((0, 2, 2, 0)),
-        PATTERN_IL,
-    )
+    chip = ChipParams(0.5, 0.5, 1 / 3, 1 / 3, 0.0)
+    forward = heralded_output(chip, FockState.basis_state((0, 2, 2, 0)), PATTERN_IL)
+    full = reverse_pass([(1.0, forward.conditional_state)], chip)
     ok = (
         abs(p_pure - 1.0) < 1e-10
         and abs(p_mix - 0.5) < 1e-10
-        and abs(full.herald_probability - 4 / 81) < 1e-12
+        and abs(forward.probability - 4 / 81) < 1e-12
         and abs(full.conditional_distribution.get((1, 1), 0.0) - 1.0) < 1e-10
     )
     report(

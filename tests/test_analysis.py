@@ -8,16 +8,16 @@ import pytest
 from noonchip.analysis import (
     FringeSample,
     FringeScenario,
+    ReverseResult,
     fringe_period,
     fringe_scan,
     precision_bounds,
     probe_fringe_scan,
     reverse_pass,
-    sagnac_scenario,
 )
 from noonchip.circuit import ChipParams
 from noonchip.fock import FockState, make_noon
-from noonchip.herald import HeraldPattern
+from noonchip.herald import HeraldPattern, heralded_output
 
 
 def grid(n, span):
@@ -227,22 +227,28 @@ def test_reverse_ensemble_weights_are_probabilities():
             reverse_pass(list(zip(weights, (two_zero, zero_two))))
 
 
+def test_reverse_pass_of_empty_state():
+    # a null herald's empty state: the full-extraction probability was the int 0
+    res = reverse_pass([(1.0, FockState(2, {}))])
+    assert res == ReverseResult({}, 0.0, {})
+    assert type(res.full_extraction_probability) is float
+
+
+def sagnac_round_trip(chip):
+    """(forward herald result, reverse-pass result) of |0,2,2,0> heralded on {0: 1, 3: 1}."""
+    state = FockState.basis_state((0, 2, 2, 0))
+    forward = heralded_output(chip, state, HeraldPattern({0: 1, 3: 1}))
+    return forward, reverse_pass([(1.0, forward.conditional_state)], chip)
+
+
 def test_sagnac_round_trip():
-    res = sagnac_scenario(
-        ChipParams(0.5, 0.5, 1 / 3, 1 / 3, 0.0),
-        FockState.basis_state((0, 2, 2, 0)),
-        HeraldPattern({0: 1, 3: 1}),
-    )
-    assert res.herald_probability == pytest.approx(4 / 81, abs=1e-12)
+    forward, res = sagnac_round_trip(ChipParams(0.5, 0.5, 1 / 3, 1 / 3, 0.0))
+    assert forward.probability == pytest.approx(4 / 81, abs=1e-12)
     assert res.conditional_distribution[(1, 1)] == pytest.approx(1.0, abs=1e-10)
     assert res.full_extraction_probability == pytest.approx(4 / 9, abs=1e-12)
 
 
 def test_sagnac_detection_distribution_normalized():
-    res = sagnac_scenario(
-        ChipParams(0.5, 0.5, 1 / 3, 1 / 3, 0.4),
-        FockState.basis_state((0, 2, 2, 0)),
-        HeraldPattern({0: 1, 3: 1}),
-    )
+    _, res = sagnac_round_trip(ChipParams(0.5, 0.5, 1 / 3, 1 / 3, 0.4))
     assert sum(res.detection_distribution.values()) == pytest.approx(1.0, abs=1e-9)
     assert sum(res.conditional_distribution.values()) == pytest.approx(1.0, abs=1e-9)

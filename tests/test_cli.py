@@ -18,6 +18,9 @@ from noonchip.scenarios import (
     NumericError,
     ScenarioConfig,
     preset,
+    run_contamination,
+    run_fringe,
+    run_sagnac,
     run_simulate,
 )
 
@@ -399,6 +402,41 @@ def test_sagnac_preset(tmp_path):
     assert body["full_extraction_probability"] == pytest.approx(4 / 9, abs=1e-12)
 
 
+def test_null_herald_sagnac_writes_float_zeros(tmp_path):
+    # five herald photons from a four-photon input: the readout of the empty
+    # state wrote a full-extraction probability of 0, an int
+    config = preset("fig2b-sagnac").to_json_dict()
+    config["herald"] = {"0": 5, "3": 0}
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    body = json.loads((out / "sagnac.json").read_text())  # "0" reads back as an int
+    for key in ("herald_probability", "full_extraction_probability"):
+        assert body[key] == 0.0 and type(body[key]) is float, key
+    assert (out / "distribution.csv").read_text() == "outcome,probability\n"
+
+
+def test_sagnac_herald_must_leave_two_modes(tmp_path, capsys):
+    # a null herald on one mode read out as zeros with exit 0, while a
+    # possible one on the same mode exits 2: both leave three modes
+    for herald in ({"0": 5}, {"0": 1}):
+        config = {**preset("fig2b-sagnac").to_json_dict(), "herald": herald}
+        path = tmp_path / "one-mode.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["simulate", "--config", str(path)]) == 2
+        assert "two-mode state" in assert_one_config_error(capsys)
+
+
+def test_runners_check_their_kind():
+    # run_sagnac read a fringe config's missing herald (AttributeError) and
+    # ran a simulate config as a sagnac run
+    for runner, name in ((run_sagnac, "fig3b"), (run_sagnac, "fig2a"), (run_fringe, "fig2a"),
+                         (run_contamination, "fig3b"), (run_simulate, "fig3b")):
+        with pytest.raises(ConfigError, match="expected a .* scenario, got kind"):
+            runner(preset(name))
+
+
 def test_fringe_preset_period(tmp_path):
     out = tmp_path / "run"
     assert run_cli(["fringe", "--preset", "fig3b", "--out", str(out)]) == 0
@@ -630,6 +668,17 @@ def test_coincidence_command(tmp_path):
     text = (out / "coincidences.csv").read_text()
     assert "A;B,1" in text
     assert "A;B;C,1" in text
+
+
+def test_coincidence_channel_with_separator_exits_2(tmp_path, capsys):
+    # records {a;b, c} and {a, b, c} were written as two identical rows a;b;c,1
+    pulses = tmp_path / "pulses.csv"
+    coinc.write_pulse_csv(pulses, [PulseEvent("a;b", 0.0), PulseEvent("c", 1.0),
+                                   PulseEvent("a", 1000.0), PulseEvent("b", 1000.5),
+                                   PulseEvent("c", 1001.0)])
+    assert run_cli(["coincidence", str(pulses), "--out", str(tmp_path / "run")]) == 2
+    assert "channel name 'a;b'" in assert_one_config_error(capsys)
+    assert not (tmp_path / "run").exists()
 
 
 def test_coincidence_empty_stream(tmp_path, capsys):

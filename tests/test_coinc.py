@@ -12,14 +12,13 @@ from noonchip.coinc import (
     CoincidenceConfig,
     PulseEvent,
     Pulses,
-    coincidence_rows,
     count_coincidences,
     empirical_window_profile,
     read_pulse_csv,
     window_profile,
     write_pulse_csv,
 )
-from noonchip.detect import csv_text
+from noonchip.detect import csv_text, outcome_map
 
 CFG = CoincidenceConfig()  # 2.9 ns clock, 3-cycle window, 50 ns dead time
 
@@ -196,8 +195,21 @@ def test_pulse_csv_round_trip(tmp_path):
 
 
 def test_coincidence_csv():
-    text = csv_text(("channels", "count"), coincidence_rows({frozenset({"B", "A"}): 3}))
+    rows = sorted(outcome_map({frozenset({"B", "A"}): 3}).items())
+    text = csv_text(("channels", "count"), rows)
     assert text == "channels,count\nA;B,3\n"
+
+
+def test_channel_name_with_separator_is_rejected():
+    # channels "a;b" and "c" made the record {a;b, c}, whose text form "a;b;c"
+    # is also that of the record {a, b, c}: two rows with the same channels
+    events = [PulseEvent("a;b", 0.0), PulseEvent("c", 1.0),
+              PulseEvent("a", 1000.0), PulseEvent("b", 1000.5), PulseEvent("c", 1001.0)]
+    with pytest.raises(ValueError, match=r"channel name 'a;b' holds ';'"):
+        count_coincidences(events)
+    # the name is refused before counting, so a stream that makes no record raises too
+    with pytest.raises(ValueError, match="holds ';'"):
+        count_coincidences(Pulses(["x;"], [0.0]))
 
 
 # -- the array counter against a pulse-by-pulse reference -------------------------

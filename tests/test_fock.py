@@ -340,6 +340,10 @@ def test_allclose():
 
 def test_multinomial():
     assert multinomial(2, [0.5, 0.5]) == {(0, 2): 0.25, (1, 1): 0.5, (2, 0): 0.25}
+    # four distinguishable photons through a balanced coupler: hom_dip's classical arm
+    assert multinomial(4, (0.5, 0.5)) == {
+        (0, 4): 1 / 16, (1, 3): 1 / 4, (2, 2): 3 / 8, (3, 1): 1 / 4, (4, 0): 1 / 16
+    }
     # count vectors that need a zero-probability outcome are left out
     assert multinomial(2, [1.0, 0.0]) == {(2, 0): 1.0}
     assert sum(multinomial(4, [0.2, 0.3, 0.5]).values()) == pytest.approx(1.0, abs=1e-15)

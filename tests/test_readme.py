@@ -56,6 +56,28 @@ def test_package_exports_resolve():
         assert hasattr(noonchip, name), name
 
 
+def test_readme_dotted_names_resolve():
+    # a backticked `module.attr`, or `noonchip.module.attr`, whose head is a
+    # noonchip module names an attribute of it; file names such as
+    # `herald.json` are skipped
+    heads = {info.name for info in pkgutil.iter_modules(noonchip.__path__)} | {"noonchip"}
+    names = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", README.read_text())
+    checked, missing = [], []
+    for name in names:
+        head, *attrs = name.split(".")
+        if head not in heads or attrs[-1] in ("json", "csv"):
+            continue
+        obj = noonchip if head == "noonchip" else importlib.import_module(f"noonchip.{head}")
+        try:
+            for attr in attrs:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            missing.append(name)
+        checked.append(name)
+    assert {"evolve.apply", "fock.split", "noonchip.circuit.circuit_to_json_dict"} <= set(checked)
+    assert missing == []
+
+
 def test_readme_call_names_resolve():
     # a backticked call form, `name(` or `module.name(`, names an attribute of a
     # noonchip module or of a class defined in one, or a builtin or math function

@@ -11,12 +11,11 @@ from noonchip import detect
 from noonchip.circuit import ChipParams, dc_matrix
 from noonchip.detect import DetectorModel, SplitterTree, click_distribution, paper_6fold_topology
 from noonchip.evolve import apply
-from noonchip.fock import FockState, basis_occupations, marginal_distribution
+from noonchip.fock import FockState, basis_occupations, marginal_distribution, multinomial
 from noonchip.herald import HeraldPattern
 from noonchip.source import (
     SpdcParams,
     contamination_report,
-    distinguishable_output_distribution,
     hom_dip,
     sector_chip_input,
     sector_weights,
@@ -65,20 +64,11 @@ def test_sector_chip_input_layout():
     assert full.amplitude((1, 1, 0, 0)) == 0j
 
 
-def test_distinguishable_routing_single_photon():
-    u = dc_matrix(0.3)
-    dist = distinguishable_output_distribution(u, (1, 0))
-    assert dist[(1, 0)] == pytest.approx(0.3, abs=1e-12)
-    assert dist[(0, 1)] == pytest.approx(0.7, abs=1e-12)
-    # 1.5 photons routed as one; a non-square or non-finite matrix is refused
-    for matrix, occ in ((u, (1.5, 0)), (u, (1, 0, 0)), (u[:, :1], (1,)), (u * np.nan, (1, 0))):
-        with pytest.raises(ValueError):
-            distinguishable_output_distribution(matrix, occ)
-
-
 def test_distinguishable_routing_twin_pairs():
-    # classical routing of 2+2 photons through a balanced coupler
-    dist = distinguishable_output_distribution(dc_matrix(0.5), (2, 2))
+    # classical routing of 2+2 photons through a balanced coupler: each photon
+    # leaves by either port with its |U|^2 probability, independent of the rest
+    ports = np.abs(dc_matrix(0.5)[:, 0]) ** 2
+    dist = multinomial(4, tuple(ports))
     assert dist[(4, 0)] == pytest.approx(1 / 16, abs=1e-12)
     assert dist[(3, 1)] == pytest.approx(1 / 4, abs=1e-12)
     assert dist[(2, 2)] == pytest.approx(3 / 8, abs=1e-12)
