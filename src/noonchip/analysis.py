@@ -22,8 +22,8 @@ import numpy as np
 from . import evolve, herald
 from .circuit import (ChipParams, DirectionalCoupler, Interferometer, LossTap, PhaseShifter,
                       compile_circuit)
-from .fock import (FockState, Occupation, is_number, marginal_distribution, nonnegative_ints,
-                   probability)
+from .fock import (PROB_SUM_TOL, FockState, Occupation, is_number, marginal_distribution,
+                   nonnegative_ints, probability)
 
 
 class FringeSample(NamedTuple):
@@ -215,7 +215,7 @@ def reverse_pass(ensemble: Ensemble, chip: ChipParams = ChipParams()) -> Reverse
     outer couplers (eta3, eta4)."""
     ensemble = tuple((probability("ensemble weight", w), s) for w, s in ensemble)
     weight_sum = sum(w for w, _ in ensemble)
-    if not abs(weight_sum - 1.0) <= 1e-9:
+    if not abs(weight_sum - 1.0) <= PROB_SUM_TOL:
         raise ValueError(f"ensemble weights sum to {weight_sum:.10g}, expected 1")
 
     totals: dict[Occupation, float] = {}

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
-import numbers
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
@@ -75,6 +73,8 @@ class Pulses:
 
 @dataclass(frozen=True)
 class CoincidenceConfig:
+    """Counting settings; the counts window_cycles and n_channels are stored as ints."""
+
     t_clk: float = 2.9
     window_cycles: int = 3
     n_channels: int | None = None
@@ -82,12 +82,21 @@ class CoincidenceConfig:
     jitter_sigma_ns: float = 0.0
 
     def __post_init__(self):
-        if not (is_number(self.window_cycles, numbers.Integral) and 1 <= self.window_cycles <= MAX_TICK):
+        try:
+            (window,) = nonnegative_ints((self.window_cycles,))
+        except ValueError:
+            window = 0  # fails the range check, whose message names the field
+        if not 1 <= window <= MAX_TICK:
             raise ValueError(f"window_cycles must be an integer in [1, 2**53], got {self.window_cycles!r}")
-        if self.n_channels is not None and not (
-            is_number(self.n_channels, numbers.Integral) and self.n_channels >= 1
-        ):
-            raise ValueError(f"n_channels must be null or a positive integer, got {self.n_channels!r}")
+        object.__setattr__(self, "window_cycles", window)
+        if self.n_channels is not None:
+            try:
+                (channels,) = nonnegative_ints((self.n_channels,))
+            except ValueError:
+                channels = 0
+            if channels < 1:
+                raise ValueError(f"n_channels must be null or a positive integer, got {self.n_channels!r}")
+            object.__setattr__(self, "n_channels", channels)
         if not all(is_number(x) for x in (self.t_clk, self.dead_time_ns, self.jitter_sigma_ns)):
             raise ValueError("coincidence settings must be finite numbers")
         if self.t_clk <= 0.0:
@@ -199,7 +208,7 @@ def count_coincidences(
     separator of detect.format_outcome's channel sets.
     """
     (rng_seed,) = nonnegative_ints((0 if rng_seed is None else rng_seed,))
-    if not math.isfinite(clock_phase):
+    if not is_number(clock_phase):
         raise ValueError(f"clock phase must be finite, got {clock_phase!r}")
     if not isinstance(pulses, Pulses):
         pulses = Pulses.from_events(pulses)
@@ -227,6 +236,8 @@ def count_coincidences(
 
 def window_profile(delay: float, config: CoincidenceConfig = CoincidenceConfig()) -> float:
     """Phase-averaged coincidence probability for two pulses a fixed delay apart."""
+    if not is_number(delay):
+        raise ValueError(f"delay must be a finite number, got {delay!r}")
     d = abs(float(delay))
     t_clk = config.t_clk
     upper = config.window_ns  # beyond this the late pulse falls off the window
@@ -248,8 +259,11 @@ def empirical_window_profile(
 
     Pulse pairs on channels A and B are placed at well-separated base times
     with a uniform offset against the clock, which is equivalent to averaging
-    over the clock phase.
+    over the clock phase.  trials is a count of at least 1.
     """
+    (trials,) = nonnegative_ints((trials,))
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = evolve.derived_rng(seed)
     spacing = max(10.0 * config.window_ns, 20.0 * config.dead_time_ns, 100.0)
     offsets = rng.uniform(0.0, config.t_clk, size=trials)

@@ -28,9 +28,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fock import FockState, check_keys, marginal_distribution, nonnegative_ints, probability
-
-PROB_SUM_TOL = 1e-9
+from .fock import (PROB_SUM_TOL, FockState, check_keys, is_number, marginal_distribution,
+                   nonnegative_ints, probability)
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,6 @@ def paper_6fold_topology() -> tuple[list[SplitterTree], DetectorModel]:
     return trees, DetectorModel()
 
 
-
 def topology_to_json_dict(
     trees: Sequence[SplitterTree], detectors: DetectorModel
 ) -> dict:
@@ -299,7 +297,7 @@ def read_distribution_csv(path) -> dict[str, float]:
                 if outcome is None or value is None:
                     raise ValueError("expected outcome,probability")
                 p = float(value)  # not a number: ValueError
-                if not math.isfinite(p):
+                if not is_number(p):
                     raise ValueError(f"probability {value!r} is not finite")
                 if outcome in dist:
                     raise ValueError(f"outcome {outcome!r} is repeated")

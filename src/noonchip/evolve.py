@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .fock import PRUNE_EPS, FockState, Occupation, basis_occupations, nonnegative_ints
+from .fock import PROB_SUM_TOL, PRUNE_EPS, FockState, Occupation, basis_occupations, nonnegative_ints
 
 #: hard cap: exact simulation beyond this photon number is out of scope
 MAX_PHOTONS = 10
@@ -197,7 +197,7 @@ def sample_output_counts(
     occs = sorted(dist)
     probs = np.array([dist[o] for o in occs])
     total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"output probabilities sum to {total:.12g}, expected 1")
     draws = rng.choice(len(occs), size=shots, p=probs / total)
     counts = np.bincount(draws, minlength=len(occs))

@@ -5,8 +5,8 @@ below the pruning threshold dropped.  States are immutable; every operation
 returns a new instance.  Iteration order is lexicographic in the occupation
 vector so that serialization and reports are deterministic.  The package's
 value rules live here, one each, for library calls and JSON input alike:
-nonnegative_ints for photon counts, mode indices and mode counts, probability
-for a value in [0, 1], and is_number for any other JSON number.  Keys are
+nonnegative_ints for every count (photons, modes, seeds, cutoffs, windows),
+probability for a value in [0, 1], and is_number for any other number.  Keys are
 checked where they enter: FockState(...) puts its mode count and every
 occupation it is given through nonnegative_ints, while evolve.apply, herald
 conditioning, normalized and scaled reuse keys that were already checked (a
@@ -15,7 +15,6 @@ cached sector's, or an existing state's).
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from itertools import combinations_with_replacement
@@ -30,6 +29,9 @@ PRUNE_EPS = 1e-14
 
 #: tolerance on the physicality bound  norm^2 <= 1
 NORM_TOL = 1e-12
+
+#: tolerance on a distribution or a set of weights that must sum to 1
+PROB_SUM_TOL = 1e-9
 
 #: the largest count: the largest integer in a float's range, as is_number
 MAX_COUNT = int(sys.float_info.max)
@@ -180,10 +182,9 @@ class FockState:
             occ = tuple(term["occ"])
             if occ in amps:
                 raise ValueError(f"occupation {term['occ']!r} is given twice")
-            amp = complex(term["re"], term["im"])
-            if not cmath.isfinite(amp):
-                raise ValueError(f"amplitude {amp} of {term['occ']} is not finite")
-            amps[occ] = amp
+            if not (is_number(term["re"]) and is_number(term["im"])):
+                raise ValueError(f"amplitude re, im of {term['occ']!r} must be finite numbers")
+            amps[occ] = complex(term["re"], term["im"])
         return cls(data["modes"], amps)
 
 
@@ -196,9 +197,9 @@ def check_keys(data, what: str, allowed: tuple[str, ...]) -> None:
         raise ValueError(f"{what} takes only the keys {', '.join(allowed)}; got {unknown}")
 
 
-def is_number(value, kind: type | tuple[type, ...] = (int, float)) -> bool:
-    """A JSON number of the given kind in a float's range: no bool, string or NaN."""
-    return isinstance(value, kind) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+def is_number(value) -> bool:
+    """The one rule for any other number: an int or float in a float's range, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def probability(what: str, value) -> float:
@@ -211,13 +212,15 @@ def probability(what: str, value) -> float:
 
 def make_noon(n: int, m: int, alpha: float = 0.0) -> FockState:
     """Normalized |n::m> = (|n,m> + e^{i alpha} |m,n>) / sqrt(2) on two modes,
-    n >= m >= 0 by the count rule.
+    n >= m >= 0 by the count rule, alpha a number by is_number.
 
     For n == m the superposition collapses to the single term |n,n>.
     """
     n, m = nonnegative_ints((n, m))
     if n < m:
         raise ValueError(f"require n >= m >= 0, got n={n}, m={m}")
+    if not is_number(alpha):
+        raise ValueError(f"alpha must be a finite number, got {alpha!r}")
     if n == m:
         return FockState(2, {(n, n): 1.0})
     phase = complex(math.cos(alpha), math.sin(alpha))

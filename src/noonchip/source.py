@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +33,7 @@ from .fock import FockState, Occupation, is_number, multinomial, nonnegative_int
 
 @dataclass(frozen=True)
 class SpdcParams:
-    """Pair-source settings: amplitude ratio xi and sector cutoff."""
+    """Pair-source settings: amplitude ratio xi in [0, 1) and sector cutoff n_max, a count."""
 
     xi: float = 0.085
     n_max: int = 4
@@ -42,9 +41,13 @@ class SpdcParams:
     def __post_init__(self):
         # a sector of more than evolve.MAX_PHOTONS photons cannot be evolved
         top = evolve.MAX_PHOTONS // 2
-        n = self.n_max
-        if not (is_number(n, Integral) and 0 <= n <= top):
-            raise ValueError(f"n_max must be an integer in [0, {top}], got {n!r}")
+        try:
+            (n,) = nonnegative_ints((self.n_max,))
+        except ValueError:
+            n = -1  # fails the range check, whose message names the field
+        if not 0 <= n <= top:
+            raise ValueError(f"n_max must be an integer in [0, {top}], got {self.n_max!r}")
+        object.__setattr__(self, "n_max", n)
         if not (is_number(self.xi) and 0.0 <= self.xi < 1.0):
             raise ValueError(f"xi must lie in [0, 1), got {self.xi!r}")
 

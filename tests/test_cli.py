@@ -133,6 +133,14 @@ def test_wrong_config_types_exit_2(tmp_path, capsys):
         ("contamination", "fig4-contamination", ("signal_photons",), 4.0),
     ])
     assert all("non-negative integers" in err for err in errors)
+    # an amplitude part is a JSON number: true ran as 1.0 (herald probability 0.0494)
+    # and "0" failed inside complex()
+    states = [{"modes": 4, "terms": [{"occ": [0, 2, 2, 0], "re": 1.0, "im": 0.0, **part}]}
+              for part in ({"re": True}, {"im": "0"})]
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("simulate", "fig2a", ("input",), {"state": state}) for state in states
+    ])
+    assert all("must be finite numbers" in err for err in errors)
 
 
 def test_fields_that_change_no_result_exit_2(tmp_path, capsys):
@@ -771,7 +779,7 @@ def test_coincidence_window_cycles_must_be_an_integer(tmp_path, capsys):
     pulses = tmp_path / "pulses.csv"
     coinc.write_pulse_csv(pulses, [PulseEvent("A", 0.0), PulseEvent("B", 6.0)])
     cfg = tmp_path / "coinc.json"
-    for value in (2.5, True):
+    for value in (2.5, 2.0, True):
         cfg.write_text(json.dumps({"window_cycles": value}))
         assert run_cli(["coincidence", str(pulses), "--config", str(cfg)]) == 2
         assert_one_config_error(capsys)

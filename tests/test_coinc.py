@@ -43,7 +43,10 @@ def test_config_validation():
     for bad in ("2", 0, True, 1.5):
         with pytest.raises(ValueError, match="n_channels"):
             CoincidenceConfig(n_channels=bad)
-    assert CoincidenceConfig(window_cycles=np.int64(2), n_channels=4).window_ns == pytest.approx(5.8)
+    # a numpy count is stored as the Python int the count rule returns
+    config = CoincidenceConfig(window_cycles=np.int64(2), n_channels=np.int64(4))
+    assert config.window_ns == pytest.approx(5.8)
+    assert type(config.window_cycles) is int and type(config.n_channels) is int
 
 
 def ticks(times, clock_phase=0.0, config=CFG):
@@ -78,6 +81,10 @@ def test_borderline_delay_depends_on_clock_phase():
     assert count_coincidences(events, CFG, clock_phase=0.5) == {
         frozenset({"A", "B"}): 1
     }
+    # True ran as phase 1.0 and "0.5" raised TypeError
+    for bad in (True, "0.5", math.nan):
+        with pytest.raises(ValueError, match="clock phase must be finite"):
+            count_coincidences(events, CFG, clock_phase=bad)
 
 
 def test_triple_grouped_once():
@@ -136,6 +143,10 @@ def test_window_profile_trapezoid():
     assert window_profile(7.25, CFG) == pytest.approx(0.5, abs=1e-12)
     assert window_profile(8.7, CFG) == pytest.approx(0.0, abs=1e-12)
     assert window_profile(12.0, CFG) == 0.0
+    # NaN fell through every comparison and came back as NaN
+    for bad in (math.nan, math.inf, True, "1.0"):
+        with pytest.raises(ValueError, match="delay must be a finite number"):
+            window_profile(bad, CFG)
 
 
 def test_window_profile_monotone():
@@ -160,6 +171,10 @@ def test_empirical_profile_matches_analytic():
     emp = empirical_window_profile(delays, CFG, trials=4000, seed=3)
     for d, e in zip(delays, emp):
         assert e == pytest.approx(window_profile(d, CFG), abs=0.05)
+    # trials is a count of at least 1: 0 divided by zero, 2.5 and True failed in numpy
+    for bad in (0, 2.5, True, -1):
+        with pytest.raises(ValueError):
+            empirical_window_profile(delays, CFG, trials=bad)
 
 
 def test_jitter_reproducible():

@@ -118,7 +118,6 @@ def test_nan_amplitude_is_rejected_not_pruned():
     for build in (
         lambda: FockState(2, {(1, 0): nan, (0, 1): 0.5}),
         lambda: FockState(2, {(1, 0): complex(nan, 1.0)}),
-        lambda: make_noon(2, 0, alpha=nan),
         lambda: make_noon(2, 0).scaled(nan),
     ):
         with pytest.raises(ValueError, match="is not a number <= 1"):
@@ -181,6 +180,11 @@ def test_noon_spec_validation():
         make_noon(1.5, 0.5)
     with pytest.raises(ValueError, match="non-negative integers"):
         make_noon("3", "1")
+    # the phase is a number: NaN failed only at the norm bound, True ran as 1.0
+    # and a string raised TypeError
+    for alpha in (math.nan, math.inf, True, "0.5"):
+        with pytest.raises(ValueError, match="alpha must be a finite number"):
+            make_noon(2, 0, alpha=alpha)
 
 
 def test_inner_product_antilinear_first_argument():

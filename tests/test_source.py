@@ -36,7 +36,8 @@ def test_spdc_params_validation():
     for n_max in (math.nan, 3.5, True, 6):
         with pytest.raises(ValueError):
             SpdcParams(xi=0.1, n_max=n_max)
-    assert SpdcParams(xi=0.1, n_max=np.int64(5)).n_max == 5
+    n_max = SpdcParams(xi=0.1, n_max=np.int64(5)).n_max
+    assert n_max == 5 and type(n_max) is int
     # xi "0.1" failed with a TypeError; the overlap, which no source state
     # reads, is hom_dip's argument
     with pytest.raises(TypeError):
