@@ -1,9 +1,11 @@
 """Phase-fringe scans, super-resolution checks, and the reverse-pass readout.
 
 A fringe scan sweeps the heater phase and records the probability of one
-detection pattern.  An N-photon path-entangled state picks up phase N times
-faster than a single photon, so its fringe period shrinks by 1/N; the period
-estimator measures that super-resolution without assuming it.
+detection pattern, and a probe scan that of a two-mode state after a phase and
+a 50:50 coupler: one sweep loop, which gives each phase as it is to the phase
+shifter it sets, whose check is the only one.  An N-photon path-entangled state
+picks up phase N times faster than a single photon, so its fringe period shrinks
+by 1/N; the period estimator measures that super-resolution without assuming it.
 
 The reverse pass sends a two-mode state back through the central coupler and
 extracts the result at the outer couplers, converting a |2,0> + |0,2>
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,17 +51,23 @@ class FringeScenario:
             object.__setattr__(self, "pattern", herald.HeraldPattern(self.pattern))
 
 
+def _phase_scan(matrix_at: Callable[[float], np.ndarray], state: FockState, modes: Sequence[int],
+                wanted: Occupation, grid: Iterable[float]) -> list[FringeSample]:
+    """The one sweep loop: at each phase, as given to the phase shifter that
+    matrix_at sets and checks, the probability of the counts wanted on modes."""
+    samples = []
+    for x in grid:
+        evolved = evolve.apply(matrix_at(x), state)
+        samples.append(FringeSample(float(x), marginal_distribution(evolved, modes).get(wanted, 0.0)))
+    return samples
+
+
 def fringe_scan(scenario: FringeScenario, phi_grid: Iterable[float]) -> list[FringeSample]:
     """Probability of the detection pattern at each phase setting."""
     modes = scenario.pattern.modes()
     wanted = tuple(scenario.pattern.requirements[m] for m in modes)
-    samples = []
-    for phi in phi_grid:
-        chip = replace(scenario.chip, phi=float(phi))
-        state = evolve.apply(chip.matrix(), scenario.input_state)
-        prob = marginal_distribution(state, modes).get(wanted, 0.0)
-        samples.append(FringeSample(float(phi), prob))
-    return samples
+    return _phase_scan(lambda phi: replace(scenario.chip, phi=phi).matrix(),
+                       scenario.input_state, modes, wanted, phi_grid)
 
 
 def probe_fringe_scan(
@@ -73,14 +81,9 @@ def probe_fringe_scan(
     """
     if state.mode_count != 2:
         raise ValueError("probe scan expects a two-mode state")
-    samples = []
-    wanted = nonnegative_ints(pattern)
-    for theta in theta_grid:
-        probe = Interferometer(2, (PhaseShifter(float(theta), 0), DirectionalCoupler(0.5, (0, 1))))
-        evolved = evolve.apply(compile_circuit(probe), state)
-        prob = abs(evolved.amplitude(wanted)) ** 2
-        samples.append(FringeSample(float(theta), prob))
-    return samples
+    def probe(theta):
+        return compile_circuit(Interferometer(2, (PhaseShifter(theta, 0), DirectionalCoupler(0.5, (0, 1)))))
+    return _phase_scan(probe, state, (0, 1), nonnegative_ints(pattern, 2), theta_grid)
 
 
 # -- period estimation ---------------------------------------------------------
@@ -196,19 +199,6 @@ class ReverseResult:
 Ensemble = Sequence[tuple[float, FockState]]
 
 
-def _reverse_distribution(state: FockState, chip: ChipParams) -> dict[Occupation, float]:
-    """Joint extraction-port distribution for one pure two-mode state."""
-    if state.mode_count != 2:
-        raise ValueError("reverse pass expects a two-mode state")
-    # extraction: the outer couplers tap each arm into modes 2, 3 with amplitude sqrt(1 - eta)
-    taps = (LossTap(1.0 - chip.eta3, 0, 2), LossTap(1.0 - chip.eta4, 1, 3))
-    reverse = Interferometer(4, (DirectionalCoupler(chip.eta2, (0, 1)),) + taps)
-    # the state enters the reverse pass with its modes swapped, taps empty
-    embedded = FockState(4, {(n1, n0, 0, 0): amp for (n0, n1), amp in state.amplitudes.items()})
-    out = evolve.apply(compile_circuit(reverse), embedded)
-    return marginal_distribution(out, (0, 1))
-
-
 def reverse_pass(ensemble: Ensemble, chip: ChipParams = ChipParams()) -> ReverseResult:
     """Sends a weighted ensemble of two-mode states, [(1.0, state)] for a pure
     state, backward through the chip's central coupler (eta2) and taps its
@@ -218,11 +208,18 @@ def reverse_pass(ensemble: Ensemble, chip: ChipParams = ChipParams()) -> Reverse
     if not abs(weight_sum - 1.0) <= PROB_SUM_TOL:
         raise ValueError(f"ensemble weights sum to {weight_sum:.10g}, expected 1")
 
+    # extraction: the outer couplers tap each arm into modes 2, 3 with amplitude sqrt(1 - eta)
+    taps = (LossTap(1.0 - chip.eta3, 0, 2), LossTap(1.0 - chip.eta4, 1, 3))
+    reverse = compile_circuit(Interferometer(4, (DirectionalCoupler(chip.eta2, (0, 1)),) + taps))
     totals: dict[Occupation, float] = {}
     photon_totals = set()
     for weight, state in ensemble:
+        if state.mode_count != 2:
+            raise ValueError("reverse pass expects a two-mode state")
         photon_totals.update(state.photon_sectors())
-        for occ, p in _reverse_distribution(state, chip).items():
+        # the state enters the reverse pass with its modes swapped, taps empty
+        embedded = FockState(4, {(n1, n0, 0, 0): amp for (n0, n1), amp in state.amplitudes.items()})
+        for occ, p in marginal_distribution(evolve.apply(reverse, embedded), (0, 1)).items():
             totals[occ] = totals.get(occ, 0.0) + weight * p
 
     n_total = max(photon_totals, default=0)

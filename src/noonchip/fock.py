@@ -22,6 +22,8 @@ from operator import index, itemgetter, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 Occupation = tuple[int, ...]
 
 #: amplitudes with |a| <= PRUNE_EPS are dropped on construction
@@ -198,8 +200,10 @@ def check_keys(data, what: str, allowed: tuple[str, ...]) -> None:
 
 
 def is_number(value) -> bool:
-    """The one rule for any other number: an int or float in a float's range, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    """The one rule for any other number: a Python or numpy int or float in a float's range, not a bool."""
+    if isinstance(value, (int, float)):  # Python's own first, the common case
+        return not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    return isinstance(value, (np.integer, np.floating)) and abs(float(value)) <= sys.float_info.max
 
 
 def probability(what: str, value) -> float:
@@ -299,7 +303,11 @@ def basis_occupations(n_photons: int, n_modes: int) -> Iterator[Occupation]:
 
 def multinomial(n: int, probs: Sequence[float]) -> dict[Occupation, float]:
     """Distribution of n independent draws over len(probs) outcomes, keyed by
-    count vector; vectors of probability zero are left out."""
+    count vector; vectors of probability zero are left out.  probs pass the
+    probability rule and sum to 1 within PROB_SUM_TOL, or ValueError is raised."""
+    probs = [probability("multinomial probability", p) for p in probs]
+    if not abs(sum(probs) - 1.0) <= PROB_SUM_TOL:
+        raise ValueError(f"multinomial probabilities sum to {sum(probs):.10g}, expected 1")
     out: dict[Occupation, float] = {}
     for counts in basis_occupations(n, len(probs)):
         weight = math.factorial(n)

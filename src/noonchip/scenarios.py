@@ -27,11 +27,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, TypeVar
 
-import numpy as np
-
 from . import analysis, detect, evolve, herald, source
 from .circuit import ChipParams, Interferometer, circuit_from_json_dict, compile_circuit
-from .fock import NORM_TOL, FockState, is_number
+from .fock import NORM_TOL, FockState
 
 T = TypeVar("T")
 
@@ -118,6 +116,8 @@ class ScenarioConfig:
     signal_photons: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a string, got {self.name!r}")
         if self.kind not in OPTIONAL_FIELDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         _one_of(self.circuit, "circuit", ("chip", "file", "inline"))
@@ -213,11 +213,12 @@ class ScenarioConfig:
         data = _block(self.detection, "detection topology")
         return _parse("detection topology", lambda: detect.topology_from_json_dict(data))
 
-    def sweep_grid(self) -> np.ndarray:
+    def sweep_grid(self) -> list:
+        """The grid as given; each phase is checked by the phase shifter it sets."""
         grid = self.sweep["grid"]
-        if not (isinstance(grid, (list, tuple)) and all(is_number(x) for x in grid)):
-            raise ConfigError("sweep.grid must be a list of finite numbers")
-        return np.asarray([float(x) for x in grid])
+        if not isinstance(grid, (list, tuple)):
+            raise ConfigError("sweep.grid must be a list of phases")
+        return grid
 
     def sweep_pattern(self) -> herald.HeraldPattern:
         return _parse("sweep pattern", lambda: _count_pattern(self.sweep["pattern"]))
@@ -399,21 +400,13 @@ def run_fringe(config: ScenarioConfig, fmt: str = "csv") -> ScenarioOutput:
             ("phi", "probability"), [(repr(s.phi), repr(s.probability)) for s in samples]
         )
 
-    note = None
-    period = None
     try:
         period = analysis.fringe_period(samples)
+        note = None if period is not None else "no fringe: samples are constant"
     except ValueError as exc:
-        note = f"insufficient for fit: {exc}"
-    if period is None and note is None:
-        note = "no fringe: samples are constant"
-    output.files["period.json"] = _dump_json(
-        {"period": period, "samples": len(samples), "note": note}
-    )
-    if period is not None:
-        output.summary.append(f"fringe period: {period!r}")
-    else:
-        output.summary.append(note)
+        period, note = None, f"insufficient for fit: {exc}"
+    output.files["period.json"] = _dump_json({"period": period, "samples": len(samples), "note": note})
+    output.summary.append(note or f"fringe period: {period!r}")
     return output
 
 

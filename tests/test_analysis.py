@@ -105,6 +105,21 @@ def test_probe_single_photon_baseline():
     thetas = grid(64, 2 * math.pi)
     samples = probe_fringe_scan(state, (1, 0), thetas)
     assert fringe_period(samples) == pytest.approx(2 * math.pi, rel=1e-9)
+    with pytest.raises(ValueError, match="has 3 modes, expected 2"):
+        probe_fringe_scan(state, (1, 0, 0), thetas)
+
+
+def test_scans_check_each_phase_by_its_phase_shifter():
+    # a phase went through float() first: '0.5' ran as 0.5 and True as 1.0
+    scenario = FringeScenario(ChipParams(), FockState.basis_state((0, 1, 0, 0)), {1: 1})
+    for phase in ("0.5", True):
+        with pytest.raises(ValueError, match="phase shifter phi must be a finite number"):
+            fringe_scan(scenario, [0.0, phase])
+        with pytest.raises(ValueError, match="phase shifter phi must be a finite number"):
+            probe_fringe_scan(make_noon(2, 0), (1, 1), [0.0, phase])
+    # a float32 grid runs as its float64 cast
+    narrow = grid(16, 4 * math.pi).astype(np.float32)
+    assert fringe_scan(scenario, narrow) == fringe_scan(scenario, narrow.astype(np.float64))
 
 
 def test_fringe_period_flat_returns_none():
@@ -205,6 +220,13 @@ def test_reverse_dephased_mixture_does_not():
     assert cond[(1, 1)] == pytest.approx(0.5, abs=1e-10)
     assert cond[(2, 0)] == pytest.approx(0.25, abs=1e-10)
     assert cond[(0, 2)] == pytest.approx(0.25, abs=1e-10)
+    # a mixture reads out as the weighted sum of its members, bit for bit
+    mixed = [(0.25, make_noon(n=2, m=0)), (0.75, FockState.basis_state((1, 1)))]
+    parts = [reverse_pass([(1.0, state)]).detection_distribution for _, state in mixed]
+    outcomes = set(parts[0]) | set(parts[1])
+    assert reverse_pass(mixed).detection_distribution == {
+        occ: 0.25 * parts[0].get(occ, 0.0) + 0.75 * parts[1].get(occ, 0.0) for occ in outcomes
+    }
 
 
 def test_reverse_without_interference_coupler():

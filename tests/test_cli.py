@@ -122,8 +122,11 @@ def test_wrong_config_types_exit_2(tmp_path, capsys):
         ("simulate", "fig2a", ("circuit", "chip", "eta1"), "a"),
         ("fringe", "fig3b-4point", ("sweep", "pattern"), [1]),
         ("fringe", "fig3b-4point", ("sweep", "grid"), 5),
+        ("fringe", "fig3b-4point", ("sweep", "grid", 0), True),
+        ("fringe", "fig3b-4point", ("sweep", "grid", 0), "0.5"),
         ("simulate", "fig2a", ("circuit",), {"inline": no_labels}),
         ("contamination", "fig4-contamination", ("signal_photons",), [1]),
+        ("simulate", "fig2a", ("name",), [1, None]),  # read by nothing: ran with exit 0
     ])
     # the library count rule took 2.0 as 2; a count is a JSON integer
     errors = assert_damaged_presets_exit_2(tmp_path, capsys, [

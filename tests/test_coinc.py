@@ -143,6 +143,7 @@ def test_window_profile_trapezoid():
     assert window_profile(7.25, CFG) == pytest.approx(0.5, abs=1e-12)
     assert window_profile(8.7, CFG) == pytest.approx(0.0, abs=1e-12)
     assert window_profile(12.0, CFG) == 0.0
+    assert window_profile(np.int64(3)) == 1.0  # raised as no finite number
     # NaN fell through every comparison and came back as NaN
     for bad in (math.nan, math.inf, True, "1.0"):
         with pytest.raises(ValueError, match="delay must be a finite number"):

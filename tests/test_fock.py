@@ -17,6 +17,7 @@ from noonchip.fock import (
     make_noon,
     marginal_distribution,
     multinomial,
+    is_number,
     nonnegative_ints,
     probability,
     split,
@@ -73,6 +74,15 @@ def test_probability_rule_takes_exactly_numbers_in_the_unit_interval(value):
     else:
         with pytest.raises(ValueError, match=r"p must lie in \[0, 1\], got "):
             probability("p", value)
+
+
+def test_number_rules_take_numpy_scalars():
+    # a float32 phase or probability raised, though the count rule took numpy ints
+    got = probability("p", np.float32(0.5))
+    assert type(got) is float and got == 0.5
+    assert all(is_number(x) for x in (np.float32(1.5), np.float16(-2), np.int64(-3), np.uint8(7)))
+    bad = (np.True_, np.complex128(1.0), np.float32("nan"), np.float64("inf"))
+    assert not any(is_number(x) for x in bad)
 
 
 def test_basis_state_single_term():
@@ -353,3 +363,10 @@ def test_multinomial():
     assert sum(multinomial(4, [0.2, 0.3, 0.5]).values()) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError, match="non-negative integers"):
         multinomial(1.5, [0.5, 0.5])
+    # (2.0, -1.0) gave {(0, 2): 1.0, (2, 0): 4.0}, (0.5, 0.4) a sum of 0.81 and
+    # a string a TypeError from **
+    for probs in ((2.0, -1.0), ("0.5", 0.5), (0.5, True), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="multinomial probability must lie in"):
+            multinomial(2, probs)
+    with pytest.raises(ValueError, match="sum to 0.9, expected 1"):
+        multinomial(2, (0.5, 0.4))
