@@ -116,14 +116,18 @@ def fringe_period(samples: Sequence[tuple[float, float]]) -> float | None:
     peak).  Returns None when the samples carry no oscillation; raises on
     fewer than MIN_FRINGE_SAMPLES points or a non-uniform grid.  Samples are
     (phi, probability) pairs, FringeSample among them, of numbers that pass
-    fock.is_number; the first that does not raises ValueError.  A period
+    fock.is_number; the first sample that is not raises ValueError.  A period
     returned is finite: samples whose fit overflows, such as phases near a
     float's limit, raise ValueError too, and no numpy warning escapes.
     """
     pairs = []
-    for phi, p in samples:
+    for sample in samples:
+        try:
+            phi, p = sample
+        except (TypeError, ValueError):  # not a pair
+            phi = p = None
         if not (is_number(phi) and is_number(p)):
-            raise ValueError(f"fringe sample ({phi!r}, {p!r}) is not a pair of finite numbers")
+            raise ValueError(f"fringe sample {sample!r} is not a pair of finite numbers")
         pairs.append((float(phi), float(p)))
     if len(pairs) < MIN_FRINGE_SAMPLES:
         raise ValueError(

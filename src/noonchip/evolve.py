@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .fock import PROB_SUM_TOL, PRUNE_EPS, FockState, Occupation, basis_occupations, nonnegative_ints
+from .fock import PROB_SUM_TOL, FockState, Occupation, basis_occupations, nonnegative_ints
 
 #: hard cap: exact simulation beyond this photon number is out of scope
 MAX_PHOTONS = 10
@@ -58,9 +58,13 @@ def _check_photon_cap(n: int) -> None:
 
 
 def is_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+    """Whether matrix is a square 2-D U with |U^dag U - 1| <= tol entrywise, 1 taken off in place."""
     u = np.asarray(matrix, dtype=np.complex128)
-    eye = np.eye(u.shape[0])
-    return bool(np.max(np.abs(u.conj().T @ u - eye)) <= tol)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        return False
+    gram = u.conj().T @ u
+    gram.reshape(-1)[:: len(gram) + 1] -= 1
+    return bool(np.abs(gram).max(initial=0.0) <= tol)
 
 
 def apply(matrix: np.ndarray, state: FockState) -> FockState:
@@ -90,12 +94,8 @@ def apply(matrix: np.ndarray, state: FockState) -> FockState:
                 level += 1
                 poly = np.append(poly, 0)[lower[level]] @ u[:, k]
         sectors[n] = sectors.get(n, 0) + poly * norms
-    out: dict[Occupation, complex] = {}
-    for n, coeffs in sectors.items():
-        basis = _sector(n, modes)[0]
-        kept = np.flatnonzero(~(np.abs(coeffs) <= PRUNE_EPS))  # a NaN is kept
-        out.update(zip(map(basis.__getitem__, kept.tolist()), coeffs[kept].tolist()))
-    return FockState._from_checked(modes, out)  # the sector keys passed the count rule
+    keys = [occ for n in sectors for occ in _sector(n, modes)[0]]  # checked by the count rule
+    return FockState._from_checked(modes, keys, np.concatenate([*sectors.values(), []]))  # [] if empty
 
 
 @functools.cache

@@ -10,7 +10,7 @@ probability for a value in [0, 1], and is_number for any other number.  Keys are
 checked where they enter: FockState(...) puts its mode count and every
 occupation it is given through nonnegative_ints, while evolve.apply, herald
 conditioning, normalized and scaled reuse keys that were already checked (a
-cached sector's, or an existing state's).
+cached sector's, or an existing state's), with one numpy array of their values.
 """
 
 from __future__ import annotations
@@ -64,17 +64,13 @@ class FockState:
     The squared norm may be below 1 (heralded or lossy branches) but never
     above 1 + NORM_TOL.  The constructor checks every key it is given by the
     count rule; the package's own producers whose keys were checked already
-    (evolve.apply, herald conditioning, normalized, scaled) go through
-    _from_checked, which prunes and bounds the norm alike.
+    (evolve.apply, herald conditioning, normalized, scaled) pass them and an
+    array of their values to _from_checked, which prunes and bounds alike.
     """
 
     __slots__ = ("_modes", "_amps")
 
-    def __init__(
-        self,
-        mode_count: int,
-        amplitudes: Mapping[Iterable[int], complex],
-    ):
+    def __init__(self, mode_count: int, amplitudes: Mapping[Iterable[int], complex]):
         (mode_count,) = nonnegative_ints((mode_count,))
         if mode_count < 1:
             raise ValueError("mode_count must be >= 1")
@@ -86,24 +82,20 @@ class FockState:
                 amps[key] = amps.get(key, 0j) + value
         self._modes = mode_count
         self._amps = amps
-        self._check_norm()
+        _check_norm(self.norm_squared())
 
     @classmethod
-    def _from_checked(cls, mode_count: int, amps: Mapping[Occupation, complex]) -> "FockState":
-        """The state of complex amplitudes on keys that already passed the count
-        rule for mode_count, each given once: a cached sector's or an existing
-        state's.  Pruning and the norm bound are the constructor's, and 0j + a
-        rounds as its sum does (a zero part's sign included)."""
+    def _from_checked(cls, mode_count: int, keys: Iterable[Occupation], values) -> "FockState":
+        """The state of values on keys that passed the count rule, each once (a cached
+        sector's or a state's), in their order.  v + 0j rounds as the constructor's
+        0j + a (a zero part's sign too), a NaN fails the norm bound, and the pruned
+        terms, each |v|^2 <= 1e-28, count in that numpy sum."""
+        values = np.asarray(values, dtype=np.complex128) + 0j
+        _check_norm(np.vdot(values, values).real)
         state = object.__new__(cls)
         state._modes = mode_count
-        state._amps = {occ: 0j + a for occ, a in amps.items() if not abs(a) <= PRUNE_EPS}
-        state._check_norm()
+        state._amps = {occ: a for occ, a in zip(keys, values.tolist()) if abs(a) > PRUNE_EPS}
         return state
-
-    def _check_norm(self) -> None:
-        norm2 = self.norm_squared()
-        if not norm2 <= 1.0 + NORM_TOL:
-            raise ValueError(f"state norm^2 = {norm2:.6g} is not a number <= 1")
 
     # -- constructors -----------------------------------------------------
 
@@ -151,11 +143,11 @@ class FockState:
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize an empty state")
-        return FockState._from_checked(self._modes, {occ: a / n for occ, a in self._amps.items()})
+        return FockState._from_checked(self._modes, self._amps, [a / n for a in self._amps.values()])
 
     def scaled(self, factor: complex) -> "FockState":
-        scaled = {occ: complex(a * factor) for occ, a in self._amps.items()}
-        return FockState._from_checked(self._modes, scaled)
+        scaled = [complex(a * factor) for a in self._amps.values()]
+        return FockState._from_checked(self._modes, self._amps, scaled)
 
     def allclose(self, other: "FockState", tol: float = 1e-12) -> bool:
         if self._modes != other._modes:
@@ -188,6 +180,11 @@ class FockState:
                 raise ValueError(f"amplitude re, im of {term['occ']!r} must be finite numbers")
             amps[occ] = complex(term["re"], term["im"])
         return cls(data["modes"], amps)
+
+
+def _check_norm(norm2: float) -> None:
+    if not norm2 <= 1.0 + NORM_TOL:
+        raise ValueError(f"state norm^2 = {norm2:.6g} is not a number <= 1")
 
 
 def check_keys(data, what: str, allowed: tuple[str, ...]) -> None:

@@ -85,11 +85,9 @@ def condition(part: Mapping[Occupation, complex], mode_count: int) -> tuple[floa
     The part's keys, cut from a state's checked keys, are not checked again."""
     if mode_count == 0:
         raise ValueError("herald pattern covers every mode; nothing to condition on")
-    if not part:
-        return 0.0, FockState(mode_count, {})
-    norm2 = sum(abs(a) ** 2 for a in part.values())  # split's terms: each above PRUNE_EPS, norm2 <= 1
+    norm2 = sum((abs(a) ** 2 for a in part.values()), 0.0)  # split's terms: each above PRUNE_EPS, norm2 <= 1
     norm = math.sqrt(norm2)
-    return norm2, FockState._from_checked(mode_count, {occ: a / norm for occ, a in part.items()})
+    return norm2, FockState._from_checked(mode_count, part, [a / norm for a in part.values()])
 
 
 def heralded_output(chip: ChipParams, input_state: FockState, pattern: HeraldPattern) -> HeraldResult:

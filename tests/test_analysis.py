@@ -153,10 +153,18 @@ def test_fringe_period_rejects_samples_that_are_not_finite_numbers():
         [(x, math.inf if i == 3 else math.cos(3 * x)) for i, x in enumerate(xs)],
         [(str(x), str(math.cos(3 * x))) for x in xs],
         [(x, True if i == 5 else math.cos(3 * x)) for i, x in enumerate(xs)],
+        # not pairs: these raised TypeError or "too many values to unpack"
+        [1] * 8,
+        [None] * 8,
+        [(1, 2, 3)] * 8,
     ]
     for samples in cases:
         with pytest.raises(ValueError, match="not a pair of finite numbers"):
             fringe_period(samples)
+    # the first bad sample is named
+    mixed = [(x, math.cos(3 * x)) for x in xs[:4]] + [(0.4, 0.1, 0.2), None]
+    with pytest.raises(ValueError, match=r"^fringe sample \(0\.4, 0\.1, 0\.2\) is not"):
+        fringe_period(mixed)
 
 
 def test_fringe_period_is_finite_or_raises_near_the_float_limit():

@@ -1,5 +1,6 @@
 """Circuit elements, compilation order, chip layout, loss taps, JSON I/O."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -7,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from noonchip import circuit
 from noonchip.circuit import (
     ChipParams,
     DirectionalCoupler,
@@ -160,6 +162,67 @@ def test_chip_params_matrix_unitary_and_periodic():
     assert is_unitary(u, tol=1e-12)
     u2 = replace(p, phi=0.37 + 2 * math.pi).matrix()
     assert np.max(np.abs(u - u2)) < 1e-12
+
+
+def test_chip_matrix_is_its_compiled_circuit_bit_for_bit():
+    # alternating eta sets make the one-entry coupler cache both hit and miss;
+    # a float32 eta equals and hashes as the float of its value, yet gives
+    # other blocks, as 1 - eta stays float32
+    rng = np.random.default_rng(28)
+    eta_sets = []
+    for _ in range(60):
+        etas = [np.float32(x) for x in rng.random(4)]
+        eta_sets += [[float(x) for x in etas], etas]
+    eta_sets += [[0.0, 1.0, -0.0, 1 / 3], [1, 0, np.float64(0.5), np.float32(1 / 3)]]
+    calls = 0
+    for i, etas in enumerate(eta_sets):
+        other = eta_sets[i - 1]
+        for phi in rng.normal(scale=4.0, size=3).tolist() + [0.0]:
+            for chip in (ChipParams(*etas, phi=phi), ChipParams(*other, phi=phi), ChipParams(*etas, phi=phi)):
+                assert np.array_equal(chip.matrix(), compile_circuit(chip.circuit()))
+                calls += 1
+    assert calls > 1000
+    last_float32 = ChipParams(*eta_sets[0][:3], np.float32(eta_sets[0][3])).matrix()
+    assert not np.array_equal(last_float32, ChipParams(*eta_sets[0]).matrix())
+
+
+def test_chip_matrix_is_fresh_and_skips_the_builders_once_cached(monkeypatch):
+    chip = ChipParams(0.4, 0.6, 0.3, 0.2, phi=0.9)
+    want = [compile_circuit(replace(chip, phi=phi).circuit()) for phi in (0.9, -2.0)]
+    first = chip.matrix()
+    first[:] = 7.0
+    assert np.array_equal(chip.matrix(), want[0])
+
+    def refuse(*args):
+        raise AssertionError("rebuilt on a cache hit")
+
+    monkeypatch.setattr(circuit, "dc_matrix", refuse)
+    monkeypatch.setattr(ChipParams, "circuit", refuse)
+    assert np.array_equal(chip.matrix(), want[0])
+    assert np.array_equal(replace(chip, phi=-2.0).matrix(), want[1])
+
+
+def chip_error(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+def test_chip_matrix_rejects_bad_settings_as_its_circuit_does():
+    bad_etas = ([0.5], "0.5", math.nan, 1.5, None, True)
+    for name in ("eta1", "eta2", "eta3", "eta4"):
+        for bad in bad_etas:
+            chip = replace(ChipParams(), **{name: bad})
+            message = chip_error(chip.matrix)
+            assert message == f"directional coupler eta must lie in [0, 1], got {bad!r}"
+            assert message == chip_error(chip.circuit)
+    message = chip_error(ChipParams(phi="0.5").matrix)
+    assert message == "phase shifter phi must be a finite number, got '0.5'"
+    # two bad settings: the first in the circuit's element order names itself
+    for a, b in itertools.combinations(("eta1", "phi", "eta3", "eta4", "eta2"), 2):
+        chip = replace(ChipParams(), **{a: "bad-" + a, b: "bad-" + b})
+        assert "bad-" + a in chip_error(chip.matrix)
+        assert chip_error(chip.matrix) == chip_error(chip.circuit)
 
 
 def test_chip_params_defaults():

@@ -1,6 +1,7 @@
 """Dual evolution engines: polynomial expansion and permanent transitions."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from noonchip.evolve import (
     output_distribution,
     sample_output_counts,
 )
-from noonchip.fock import PRUNE_EPS, FockState, basis_occupations, inner_product
-from noonchip.herald import HeraldPattern, project
+from noonchip.fock import PRUNE_EPS, FockState, basis_occupations, inner_product, split
+from noonchip.herald import HeraldPattern, condition, project
 
 
 def random_state(rng, n_photons, n_modes):
@@ -93,6 +94,61 @@ def test_apply_matches_dict_expansion():
         assert set(got.amplitudes) == set(want.amplitudes), state
         for occ, a in want.amplitudes.items():
             assert abs(got.amplitudes[occ] - a) <= 1e-13, (state, occ)
+
+
+def raw_terms(amps):
+    """The terms of a map in its order, each amplitude as the raw bytes of its two parts."""
+    return [(occ, struct.pack("<2d", a.real, a.imag)) for occ, a in amps.items()]
+
+
+def test_apply_builds_its_state_as_the_dict_it_replaced(monkeypatch):
+    # apply hands _from_checked each sector's keys in the order its photon
+    # number first appears in the input; the old build zipped the same keys
+    # and values into a dict and pruned it with 0j + a
+    passed = []
+    from_checked = FockState._from_checked.__func__
+
+    def spy(cls, mode_count, keys, values):
+        keys = list(keys)
+        passed.append((keys, np.asarray(values).tolist()))
+        return from_checked(cls, mode_count, keys, values)
+
+    monkeypatch.setattr(FockState, "_from_checked", classmethod(spy))
+    rng = np.random.default_rng(28)
+    states = []
+    for m in (2, 3, 4):
+        for photons in ((3, 1), (0, 2, 4), (1,)):
+            terms = {}
+            for n in photons:
+                for occ in rng.permutation(list(basis_occupations(n, m)))[:2]:
+                    terms[tuple(int(x) for x in occ)] = complex(rng.normal(), rng.normal())
+            norm = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
+            states.append((haar(rng, m), FockState(m, {occ: a / norm for occ, a in terms.items()})))
+    states.append((ChipParams(phi=0.7).matrix(), FockState.basis_state((0, 3, 3, 0))))
+    states.append((np.eye(2), FockState(2, {(1, 0): 0.6, (0, 0): 0.8})))  # exact zeros to prune
+    pruned = multi_sector = 0
+    for u, state in states:
+        passed.clear()
+        got = apply(u, state)
+        ((keys, values),) = passed
+        order = list(dict.fromkeys(sum(occ) for occ in state.amplitudes))
+        assert keys == [occ for n in order for occ in basis_occupations(n, state.mode_count)]
+        old = {occ: 0j + a for occ, a in zip(keys, values) if not abs(a) <= PRUNE_EPS}
+        assert raw_terms(got.amplitudes) == raw_terms(old)
+        pruned += len(got) < len(keys)
+        multi_sector += len(order) > 1
+    assert pruned >= 2 and multi_sector >= 6
+
+
+def test_herald_condition_matches_the_dict_it_replaced():
+    out = apply(ChipParams(phi=0.4).matrix(), FockState.basis_state((0, 3, 3, 0)))
+    for reqs in ({0: 1, 3: 1}, {0: 0}, {1: 2, 2: 1}):
+        part = split(out, reqs).get(tuple(reqs[m] for m in sorted(reqs)), {})
+        norm2, state = condition(part, 4 - len(reqs))
+        assert norm2 == sum(abs(a) ** 2 for a in part.values())
+        norm = math.sqrt(norm2)
+        want = {occ: 0j + a / norm for occ, a in part.items() if not abs(a / norm) <= PRUNE_EPS}
+        assert raw_terms(state.amplitudes) == raw_terms(want)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -282,6 +338,10 @@ def test_non_unitary_rejected_by_expansion_engine():
     # the permanent route is a raw matrix functional; it accepts any square
     # matrix so loss-tap submatrices stay computable
     assert amplitude(bad, (0, 1), (0, 1)) == pytest.approx(0.5)
+    # anything but a square 2-D matrix is not unitary: these raised numpy's
+    # broadcast or matmul errors, and the 1-D [1] passed
+    for shape_bad in (np.eye(3)[:, :2], np.eye(2, 3), np.eye(2)[None], np.array([1.0])):
+        assert not is_unitary(shape_bad)
 
 
 def test_non_finite_matrix_rejected():

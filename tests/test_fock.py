@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import struct
 import sys
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noonchip.fock import (
+    NORM_TOL,
+    PRUNE_EPS,
     FockState,
     basis_occupations,
     inner_product,
@@ -132,6 +135,53 @@ def test_nan_amplitude_is_rejected_not_pruned():
     ):
         with pytest.raises(ValueError, match="is not a number <= 1"):
             build()
+
+
+def raw_terms(amps):
+    """The terms of a map in its order, each amplitude as the raw bytes of its two parts."""
+    return [(occ, struct.pack("<2d", a.real, a.imag)) for occ, a in amps.items()]
+
+
+def dict_from_checked(amps):
+    """The dict comprehension that built a checked state's terms before the
+    array constructor: prune, then 0j + a."""
+    return {occ: 0j + a for occ, a in amps.items() if not abs(a) <= PRUNE_EPS}
+
+
+def test_array_constructor_prunes_and_rounds_as_the_dict_it_replaced():
+    eps_up = math.nextafter(PRUNE_EPS, 1.0)
+    amps = {(0, 2): complex(-0.0, 0.6), (2, 0): complex(0.8, -0.0), (1, 1): PRUNE_EPS,
+            (3, 0): complex(0.0, -PRUNE_EPS), (0, 3): eps_up, (1, 2): -0.0}
+    state = FockState._from_checked(2, amps, list(amps.values()))
+    assert raw_terms(state.amplitudes) == raw_terms(dict_from_checked(amps))
+    assert list(state.amplitudes) == [(0, 2), (2, 0), (0, 3)]  # the keys' order, not sorted
+    # a zero part comes out +0.0, as the constructor's own 0j + a gives it
+    assert [math.copysign(1.0, x) for a in list(state.amplitudes.values())[:2] for x in (a.real, a.imag)] == [1.0] * 4
+    assert raw_terms(state.amplitudes) == raw_terms(FockState(2, amps).amplitudes)
+    # the norm bound: over 1 + NORM_TOL, or NaN, raises the constructor's message
+    for values in ([1.0, math.sqrt(2 * NORM_TOL)], [complex(math.nan, 0.0), 0.5]):
+        with pytest.raises(ValueError, match=r"^state norm\^2 = \S+ is not a number <= 1$"):
+            FockState._from_checked(1, [(0,), (1,)], values)
+    assert len(FockState._from_checked(1, [(0,), (1,)], [1.0, math.sqrt(0.5 * NORM_TOL)])) == 2
+    assert len(FockState._from_checked(3, [], np.zeros(0, dtype=complex))) == 0
+
+
+def test_normalized_and_scaled_match_the_dict_they_replaced():
+    rng = np.random.default_rng(9)
+    occs = list(basis_occupations(3, 3))
+    for _ in range(50):
+        values = rng.normal(size=len(occs)) + 1j * rng.normal(size=len(occs))
+        values[rng.random(len(occs)) < 0.2] = 0.0
+        values.real[rng.random(len(occs)) < 0.2] = -0.0
+        values /= 2 * np.linalg.norm(values)
+        state = FockState(3, dict(zip(occs, values.tolist())))
+        n = state.norm()
+        want = dict_from_checked({occ: a / n for occ, a in state.amplitudes.items()})
+        assert raw_terms(state.normalized().amplitudes) == raw_terms(want)
+        for factor in (1.5, -1.0, complex(rng.normal(), rng.normal()), 1j, 0.0):
+            if abs(factor) < 2.0:
+                want = dict_from_checked({occ: complex(a * factor) for occ, a in state.amplitudes.items()})
+                assert raw_terms(state.scaled(factor).amplitudes) == raw_terms(want)
 
 
 def test_items_sorted_lexicographically():
