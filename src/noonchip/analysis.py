@@ -24,7 +24,7 @@ import numpy as np
 from . import evolve, herald
 from .circuit import (ChipParams, DirectionalCoupler, Interferometer, LossTap, PhaseShifter,
                       compile_circuit)
-from .fock import (PROB_SUM_TOL, FockState, Occupation, is_number, marginal_distribution,
+from .fock import (PROB_SUM_TOL, FockState, Occupation, count, is_number, marginal_distribution,
                    nonnegative_ints, probability)
 
 
@@ -64,10 +64,9 @@ def _phase_scan(matrix_at: Callable[[float], np.ndarray], state: FockState, mode
 
 def fringe_scan(scenario: FringeScenario, phi_grid: Iterable[float]) -> list[FringeSample]:
     """Probability of the detection pattern at each phase setting."""
-    modes = scenario.pattern.modes()
-    wanted = tuple(scenario.pattern.requirements[m] for m in modes)
+    pattern = scenario.pattern
     return _phase_scan(lambda phi: replace(scenario.chip, phi=phi).matrix(),
-                       scenario.input_state, modes, wanted, phi_grid)
+                       scenario.input_state, pattern.modes(), pattern.counts(), phi_grid)
 
 
 def probe_fringe_scan(
@@ -177,9 +176,7 @@ def _fitted_period(phis: np.ndarray, values: np.ndarray) -> float | None:
 
 def precision_bounds(n_photons: int) -> tuple[float, float]:
     """(shot-noise limit, Heisenberg limit) phase uncertainties for n photons."""
-    (n,) = nonnegative_ints((n_photons,))
-    if n < 1:
-        raise ValueError("need at least one photon")
+    n = count("n_photons", n_photons, lo=1)
     return 1.0 / math.sqrt(n), 1.0 / n
 
 

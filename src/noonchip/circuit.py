@@ -29,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .fock import check_keys, is_number, nonnegative_ints, probability
+from .fock import check_keys, count, nonnegative_ints, number, probability
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ class PhaseShifter:
     mode: int
 
     def __post_init__(self):
-        if not is_number(self.phi):
-            raise ValueError(f"phase shifter phi must be a finite number, got {self.phi!r}")
+        number("phase shifter phi", self.phi)
 
     @property
     def modes(self) -> tuple[int]:
@@ -86,8 +85,7 @@ class Interferometer:
     elements: tuple[Element, ...] = ()
 
     def __post_init__(self):
-        (mode_count,) = nonnegative_ints((self.mode_count,))
-        object.__setattr__(self, "mode_count", mode_count)
+        object.__setattr__(self, "mode_count", count("interferometer mode_count", self.mode_count))
         for elem in self.elements:
             if max(nonnegative_ints(elem.modes)) >= self.mode_count:
                 raise ValueError(f"element {elem} references a mode outside 0..{self.mode_count - 1}")
@@ -191,7 +189,7 @@ def with_loss(circ: Interferometer, mode: int, transmission: float) -> Interfero
 # "modes" counts signal modes only; environment modes for loss taps are
 # assigned in element order after the signal modes on load.  A key outside
 # this form is rejected, and so is a setting that is not a finite number or a
-# mode or mode count that fails fock.nonnegative_ints (a bool, 2.0, a string).
+# mode or mode count that fails fock's count rule (a bool, 2.0, a string).
 
 #: the keys each element type takes
 ELEMENT_KEYS = {"dc": ("type", "eta", "modes"), "phase": ("type", "phi", "mode"),

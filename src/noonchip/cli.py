@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -82,6 +83,9 @@ def _cmd_coincidence(args: argparse.Namespace) -> int:
                 f"window_cycles must be at most {(MAX_PROFILE_ROWS - 9) // 4}"
             )
         delays = [0.25 * config.t_clk * i for i in range(rows)]
+        if not math.isfinite(delays[-1]):  # (window_cycles + 2) * t_clk
+            raise ConfigError(f"window profile's last delay {delays[-1]!r} ns is beyond a float's "
+                              f"range; t_clk {config.t_clk!r} ns is too large")
         output.files["window_profile.csv"] = detect.csv_text(
             ("delay_ns", "probability"),
             [(repr(d), repr(coinc.window_profile(d, config))) for d in delays],

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import evolve
 from .detect import csv_text
-from .fock import is_number, nonnegative_ints
+from .fock import count, is_number, number
 
 #: |tick| must stay below this: float64 holds every integer up to 2**53
 MAX_TICK = 2**53
@@ -73,7 +73,8 @@ class Pulses:
 
 @dataclass(frozen=True)
 class CoincidenceConfig:
-    """Counting settings; the counts window_cycles and n_channels are stored as ints."""
+    """Counting settings; the counts window_cycles and n_channels are stored as ints,
+    and the window window_cycles * t_clk must be a finite number of ns."""
 
     t_clk: float = 2.9
     window_cycles: int = 3
@@ -82,25 +83,16 @@ class CoincidenceConfig:
     jitter_sigma_ns: float = 0.0
 
     def __post_init__(self):
-        try:
-            (window,) = nonnegative_ints((self.window_cycles,))
-        except ValueError:
-            window = 0  # fails the range check, whose message names the field
-        if not 1 <= window <= MAX_TICK:
-            raise ValueError(f"window_cycles must be an integer in [1, 2**53], got {self.window_cycles!r}")
-        object.__setattr__(self, "window_cycles", window)
+        object.__setattr__(self, "window_cycles", count("window_cycles", self.window_cycles, 1, MAX_TICK))
         if self.n_channels is not None:
-            try:
-                (channels,) = nonnegative_ints((self.n_channels,))
-            except ValueError:
-                channels = 0
-            if channels < 1:
-                raise ValueError(f"n_channels must be null or a positive integer, got {self.n_channels!r}")
-            object.__setattr__(self, "n_channels", channels)
-        if not all(is_number(x) for x in (self.t_clk, self.dead_time_ns, self.jitter_sigma_ns)):
-            raise ValueError("coincidence settings must be finite numbers")
+            object.__setattr__(self, "n_channels", count("n_channels", self.n_channels, lo=1))
+        for name in ("t_clk", "dead_time_ns", "jitter_sigma_ns"):
+            number(name, getattr(self, name))
         if self.t_clk <= 0.0:
             raise ValueError("t_clk must be positive")
+        if not is_number(self.window_ns):
+            raise ValueError(f"window_cycles * t_clk = {self.window_cycles!r} * {self.t_clk!r} ns "
+                             "is beyond a float's range")
         if self.dead_time_ns < 0.0 or self.jitter_sigma_ns < 0.0:
             raise ValueError("dead time and jitter must be non-negative")
 
@@ -207,9 +199,8 @@ def count_coincidences(
     order.  No seed is seed 0.  A channel name may not hold ';', the
     separator of detect.format_outcome's channel sets.
     """
-    (rng_seed,) = nonnegative_ints((0 if rng_seed is None else rng_seed,))
-    if not is_number(clock_phase):
-        raise ValueError(f"clock phase must be finite, got {clock_phase!r}")
+    rng_seed = count("seed", 0 if rng_seed is None else rng_seed)
+    number("clock phase", clock_phase)
     if not isinstance(pulses, Pulses):
         pulses = Pulses.from_events(pulses)
     names, code = np.unique(pulses.channels, return_inverse=True)
@@ -236,9 +227,7 @@ def count_coincidences(
 
 def window_profile(delay: float, config: CoincidenceConfig = CoincidenceConfig()) -> float:
     """Phase-averaged coincidence probability for two pulses a fixed delay apart."""
-    if not is_number(delay):
-        raise ValueError(f"delay must be a finite number, got {delay!r}")
-    d = abs(float(delay))
+    d = abs(float(number("delay", delay)))
     t_clk = config.t_clk
     upper = config.window_ns  # beyond this the late pulse falls off the window
     lower = upper - t_clk
@@ -261,9 +250,7 @@ def empirical_window_profile(
     with a uniform offset against the clock, which is equivalent to averaging
     over the clock phase.  trials is a count of at least 1.
     """
-    (trials,) = nonnegative_ints((trials,))
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = count("trials", trials, lo=1)
     rng = evolve.derived_rng(seed)
     spacing = max(10.0 * config.window_ns, 20.0 * config.dead_time_ns, 100.0)
     offsets = rng.uniform(0.0, config.t_clk, size=trials)

@@ -13,7 +13,7 @@ Each state's photon counts on the covered modes, as a dense tensor, are
 contracted with each tree's stack in mode order into one array with an axis of
 2^L clicked-leaf bitmasks per tree, whose popcounts are the tree's click
 counts; click_distribution keys it by clicked-id frozensets.
-Tree modes go through fock.nonnegative_ints, and leaf probabilities,
+Tree modes go through fock.count, and leaf probabilities,
 efficiencies and dark counts through fock.probability.
 """
 
@@ -28,8 +28,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fock import (PROB_SUM_TOL, FockState, check_keys, is_number, marginal_distribution,
-                   nonnegative_ints, probability)
+from .fock import (PROB_SUM_TOL, FockState, check_keys, count, is_number, marginal_distribution,
+                   probability)
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class SplitterTree:
     leaves: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", nonnegative_ints((self.mode,))[0])
+        object.__setattr__(self, "mode", count("splitter tree mode", self.mode))
         leaves = tuple((d, probability(f"leaf probability for {d}", p)) for d, p in self.leaves)
         object.__setattr__(self, "leaves", leaves)
         ids = [d for d, _ in self.leaves]

@@ -14,9 +14,9 @@ Two independent routes are provided on purpose:
 
 They share no code beyond the matrix and fock's sector enumeration, and no
 arithmetic, so they cross-check each other.
-Occupations given to amplitude, output_distribution and sample_output_counts,
-and its seed and shot count, go through fock.nonnegative_ints, so 1.5 photons
-fail rather than count as 1.
+Occupations given to amplitude, output_distribution and sample_output_counts
+go through fock.nonnegative_ints, and its seed and shot count through
+fock.count, so 1.5 photons fail rather than count as 1.
 Exact amplitude arithmetic throughout; global phase is never normalized away.
 """
 
@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .fock import PROB_SUM_TOL, FockState, Occupation, basis_occupations, nonnegative_ints
+from .fock import PROB_SUM_TOL, FockState, Occupation, basis_occupations, count, nonnegative_ints
 
 #: hard cap: exact simulation beyond this photon number is out of scope
 MAX_PHOTONS = 10
@@ -183,15 +183,14 @@ def derived_rng(seed: int) -> np.random.Generator:
     draws in every run.  The seed is a count, so None, True, 1.0 and -1 fail
     rather than draw from OS entropy or stand for another seed.
     """
-    (seed,) = nonnegative_ints((seed,))
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    return np.random.default_rng(np.random.SeedSequence(entropy=count("seed", seed), spawn_key=(0,)))
 
 
 def sample_output_counts(
     matrix: np.ndarray, input_occ: Iterable[int], rng_seed: int, shots: int
 ) -> tuple[list[Occupation], np.ndarray]:
     """Histogram of output occupations over the given number of draws."""
-    (shots,) = nonnegative_ints((shots,))
+    shots = count("shots", shots)
     rng = derived_rng(rng_seed)
     dist = output_distribution(matrix, input_occ)
     occs = sorted(dist)

@@ -5,10 +5,11 @@ below the pruning threshold dropped.  States are immutable; every operation
 returns a new instance.  Iteration order is lexicographic in the occupation
 vector so that serialization and reports are deterministic.  The package's
 value rules live here, one each, for library calls and JSON input alike:
-nonnegative_ints for every count (photons, modes, seeds, cutoffs, windows),
-probability for a value in [0, 1], and is_number for any other number.  Keys are
-checked where they enter: FockState(...) puts its mode count and every
-occupation it is given through nonnegative_ints, while evolve.apply, herald
+count for one count (photons, modes, seeds, cutoffs, windows), nonnegative_ints
+for a sequence of counts, probability for a value in [0, 1] and number for any
+other number (these two test is_number); count, probability and number name the value.
+Keys are checked where they enter: FockState(...) puts its mode count through
+count and every occupation through nonnegative_ints, while evolve.apply, herald
 conditioning, normalized and scaled reuse keys that were already checked (a
 cached sector's, or an existing state's), with one numpy array of their values.
 """
@@ -40,9 +41,9 @@ MAX_COUNT = int(sys.float_info.max)
 
 
 def nonnegative_ints(values: Iterable, length: int | None = None) -> Occupation:
-    """The one count rule, for occupations, counts, modes and mode counts: Python
-    ints of values of an int type (a numpy int too, not a bool) in [0, MAX_COUNT],
-    so 2.0, True, 1.5, -1, "2", inf and None fail; length of them if given."""
+    """The count rule for a sequence (occupations, pattern modes and counts, element
+    modes): Python ints of values of an int type (a numpy int too, not a bool) in
+    [0, MAX_COUNT], so 2.0, True, 1.5, -1, "2", inf and None fail; length of them if given."""
     out = []
     for n in values:
         try:
@@ -58,6 +59,19 @@ def nonnegative_ints(values: Iterable, length: int | None = None) -> Occupation:
     return key
 
 
+def count(what: str, value, lo: int = 0, hi: int | None = None) -> int:
+    """The count rule for one value: value as a Python int if of an int type (a numpy int
+    too, not a bool) in [lo, hi], hi MAX_COUNT if None; else ValueError naming what."""
+    try:
+        n = None if type(value) is bool else index(value)
+    except TypeError:
+        n = None
+    if n is None or not lo <= n <= (MAX_COUNT if hi is None else hi):
+        span = f">= {lo} in a float's range" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{what} must be an integer {span}, got {value!r}")
+    return n
+
+
 class FockState:
     """Sparse bosonic state: a map occupation vector -> complex amplitude.
 
@@ -71,9 +85,7 @@ class FockState:
     __slots__ = ("_modes", "_amps")
 
     def __init__(self, mode_count: int, amplitudes: Mapping[Iterable[int], complex]):
-        (mode_count,) = nonnegative_ints((mode_count,))
-        if mode_count < 1:
-            raise ValueError("mode_count must be >= 1")
+        mode_count = count("mode_count", mode_count, lo=1)
         amps: dict[Occupation, complex] = {}
         for occ, amp in amplitudes.items():
             key = nonnegative_ints(occ, mode_count)
@@ -197,10 +209,17 @@ def check_keys(data, what: str, allowed: tuple[str, ...]) -> None:
 
 
 def is_number(value) -> bool:
-    """The one rule for any other number: a Python or numpy int or float in a float's range, not a bool."""
+    """number's and probability's test: a Python or numpy int or float in a float's range, not a bool."""
     if isinstance(value, (int, float)):  # Python's own first, the common case
         return not isinstance(value, bool) and abs(value) <= sys.float_info.max
     return isinstance(value, (np.integer, np.floating)) and abs(float(value)) <= sys.float_info.max
+
+
+def number(what: str, value):
+    """The one rule for any other number: value as given if is_number passes it, naming what."""
+    if not is_number(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return value
 
 
 def probability(what: str, value) -> float:
@@ -213,15 +232,13 @@ def probability(what: str, value) -> float:
 
 def make_noon(n: int, m: int, alpha: float = 0.0) -> FockState:
     """Normalized |n::m> = (|n,m> + e^{i alpha} |m,n>) / sqrt(2) on two modes,
-    n >= m >= 0 by the count rule, alpha a number by is_number.
+    n >= m >= 0 by the count rule, alpha a number.
 
     For n == m the superposition collapses to the single term |n,n>.
     """
-    n, m = nonnegative_ints((n, m))
-    if n < m:
-        raise ValueError(f"require n >= m >= 0, got n={n}, m={m}")
-    if not is_number(alpha):
-        raise ValueError(f"alpha must be a finite number, got {alpha!r}")
+    n = count("n", n)
+    m = count("m", m, hi=n)
+    number("alpha", alpha)
     if n == m:
         return FockState(2, {(n, n): 1.0})
     phase = complex(math.cos(alpha), math.sin(alpha))
@@ -290,9 +307,8 @@ def basis_occupations(n_photons: int, n_modes: int) -> Iterator[Occupation]:
     each vector is the differences of (0, c, n_photons), and ascending bars
     give ascending vectors.  Both arguments are checked at the call.
     """
-    n, modes = nonnegative_ints((n_photons, n_modes))
-    if modes < 1:
-        raise ValueError("need n_modes >= 1")
+    n = count("n_photons", n_photons)
+    modes = count("n_modes", n_modes, lo=1)
     end = (n,)
     return (tuple(map(sub, bars + end, (0,) + bars))
             for bars in combinations_with_replacement(range(n + 1), modes - 1))

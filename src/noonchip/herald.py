@@ -29,14 +29,17 @@ class HeraldPattern:
     def __post_init__(self):
         if not isinstance(self.requirements, Mapping):
             raise ValueError(f"a count pattern maps modes to counts, got {self.requirements!r}")
-        reqs = dict(zip(nonnegative_ints(self.requirements),
-                        nonnegative_ints(self.requirements.values())))
+        reqs = dict(sorted(zip(nonnegative_ints(self.requirements),
+                               nonnegative_ints(self.requirements.values()))))
         if not reqs:
             raise ValueError("a count pattern needs at least one mode")
-        object.__setattr__(self, "requirements", reqs)
+        object.__setattr__(self, "requirements", reqs)  # in ascending mode order
 
     def modes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.requirements))
+        return tuple(self.requirements)
+
+    def counts(self) -> tuple[int, ...]:  # in the order of modes()
+        return tuple(self.requirements.values())
 
     def photon_count(self) -> int:
         return sum(self.requirements.values())
@@ -66,7 +69,7 @@ class HeraldResult:
             "probability": self.probability,
             "null": self.is_null,
             "kept_modes": list(self.kept_modes),
-            "pattern": {str(m): n for m, n in sorted(self.pattern.requirements.items())},
+            "pattern": {str(m): n for m, n in self.pattern.requirements.items()},
             "state": self.conditional_state.to_json_dict(),
         }
 
@@ -74,7 +77,7 @@ class HeraldResult:
 def project(state: FockState, pattern: HeraldPattern) -> HeraldResult:
     """Projects onto the herald counts and strips the heralded modes."""
     reqs = pattern.requirements
-    part = split(state, reqs).get(tuple(reqs[m] for m in pattern.modes()), {})
+    part = split(state, reqs).get(pattern.counts(), {})
     kept = tuple(m for m in range(state.mode_count) if m not in reqs)
     return HeraldResult(*condition(part, len(kept)), kept, pattern)
 

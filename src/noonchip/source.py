@@ -28,7 +28,7 @@ import numpy as np
 
 from . import detect, evolve, herald
 from .circuit import ChipParams, dc_matrix
-from .fock import FockState, Occupation, is_number, multinomial, nonnegative_ints, probability, split
+from .fock import FockState, Occupation, count, is_number, multinomial, probability, split
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,7 @@ class SpdcParams:
 
     def __post_init__(self):
         # a sector of more than evolve.MAX_PHOTONS photons cannot be evolved
-        top = evolve.MAX_PHOTONS // 2
-        try:
-            (n,) = nonnegative_ints((self.n_max,))
-        except ValueError:
-            n = -1  # fails the range check, whose message names the field
-        if not 0 <= n <= top:
-            raise ValueError(f"n_max must be an integer in [0, {top}], got {self.n_max!r}")
-        object.__setattr__(self, "n_max", n)
+        object.__setattr__(self, "n_max", count("n_max", self.n_max, hi=evolve.MAX_PHOTONS // 2))
         if not (is_number(self.xi) and 0.0 <= self.xi < 1.0):
             raise ValueError(f"xi must lie in [0, 1), got {self.xi!r}")
 
@@ -163,7 +156,7 @@ def contamination_report(
     Sectors other than the target that still produce the signature are
     flagged as mislabeled; their click counts alias lower photon numbers.
     """
-    (signal_photons,) = nonnegative_ints((signal_photons,))
+    signal_photons = count("signal_photons", signal_photons)
     herald_photons = pattern.photon_count()
     total = herald_photons + signal_photons
     if total % 2:
@@ -182,7 +175,7 @@ def contamination_report(
         if m not in covered:
             raise ValueError(f"herald mode {m} carries no splitter tree")
 
-    wanted = tuple(pattern.requirements[m] for m in pattern.modes())
+    wanted = pattern.counts()
     u = chip.matrix()
     kept = u.shape[0] - len(wanted)
     weights = sector_weights(params)

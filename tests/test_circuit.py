@@ -287,7 +287,7 @@ def test_element_mode_range_validation():
     with pytest.raises(ValueError, match="got True"):
         Interferometer(3, (PhaseShifter(0.3, True),))
     for bad in (2.0, True):
-        with pytest.raises(ValueError, match="non-negative integers"):
+        with pytest.raises(ValueError, match="interferometer mode_count must be an integer"):
             Interferometer(bad, ())
     assert type(Interferometer(np.int64(2), ()).mode_count) is int
 

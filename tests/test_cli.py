@@ -135,7 +135,8 @@ def test_wrong_config_types_exit_2(tmp_path, capsys):
         ("fringe", "fig3b-4point", ("sweep", "pattern", "1"), 4.0),
         ("contamination", "fig4-contamination", ("signal_photons",), 4.0),
     ])
-    assert all("non-negative integers" in err for err in errors)
+    assert all("non-negative integers" in err for err in errors[:3])
+    assert "signal_photons must be an integer" in errors[3]
     # an amplitude part is a JSON number: true ran as 1.0 (herald probability 0.0494)
     # and "0" failed inside complex()
     states = [{"modes": 4, "terms": [{"occ": [0, 2, 2, 0], "re": 1.0, "im": 0.0, **part}]}
@@ -728,6 +729,37 @@ def test_coincidence_profile_row_cap(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_coincidence_window_beyond_a_float_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "coinc.json"
+    pulses = tmp_path / "pulses.csv"
+    coinc.write_pulse_csv(pulses, [PulseEvent("A", 0.0), PulseEvent("B", 1.0)])
+    # a window of 2e308 ns was stored as inf and the profile read 1.0 past its end
+    cfg.write_text(json.dumps({"t_clk": 1e308, "window_cycles": 2}))
+    for argv in ([str(pulses)], ["--profile"]):
+        assert run_cli(["coincidence", *argv, "--config", str(cfg)]) == 2
+        err = assert_one_config_error(capsys)
+        assert "window_cycles * t_clk = 2 * 1e+308 ns" in err
+    # the window, 1.5e308 ns, is finite, but the profile runs on to 2.5e308 ns:
+    # that ended in "delay must be a finite number, got inf", a delay never given
+    cfg.write_text(json.dumps({"t_clk": 5e307}))
+    out = tmp_path / "run"
+    assert run_cli(["coincidence", "--profile", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "t_clk 5e+307 ns is too large" in assert_one_config_error(capsys)
+    assert not out.exists()
+
+
+def test_scenario_count_doors_name_the_field(tmp_path, capsys):
+    # each exited 2 with "expected non-negative integers, got ...", naming no field
+    topology = detect.topology_to_json_dict(*detect.paper_6fold_topology())
+    topology["trees"][0]["mode"] = -1
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("contamination", "fig4-contamination", ("signal_photons",), -2),
+        ("contamination", "fig4-contamination", ("detection",), {"inline": topology}),
+    ])
+    assert "signal_photons must be an integer >= 0 in a float's range, got -2" in errors[0]
+    assert "splitter tree mode must be an integer >= 0 in a float's range, got -1" in errors[1]
+
+
 def test_coincidence_needs_input():
     assert run_cli(["coincidence"]) == 2
     assert run_cli(["coincidence", "/nonexistent/pulses.csv"]) == 2
@@ -751,10 +783,10 @@ def test_coincidence_seed_must_be_a_count(tmp_path, capsys):
     assert run_cli(["coincidence", str(pulses), "--config", str(cfg), "--seed", "7"]) == 0
     capsys.readouterr()
     assert run_cli(["coincidence", str(pulses), "--config", str(cfg), "--seed", "-1"]) == 2
-    assert "non-negative integers, got -1" in assert_one_config_error(capsys)
+    assert "seed must be an integer >= 0 in a float's range, got -1" in assert_one_config_error(capsys)
     # without jitter no draw uses the seed, which is checked all the same
     assert run_cli(["coincidence", str(pulses), "--seed", "-1"]) == 2
-    assert "non-negative integers, got -1" in assert_one_config_error(capsys)
+    assert "seed must be an integer >= 0 in a float's range, got -1" in assert_one_config_error(capsys)
 
 
 def test_coincidence_extreme_clock_exits_2(tmp_path, capsys):
@@ -808,7 +840,7 @@ def test_coincidence_nan_clock_phase_on_empty_stream_exits_2(tmp_path, capsys):
     assert run_cli(["coincidence", str(pulses)]) == 0
     capsys.readouterr()
     assert run_cli(["coincidence", str(pulses), "--clock-phase", "nan"]) == 2
-    assert "clock phase must be finite, got nan" in assert_one_config_error(capsys)
+    assert "clock phase must be a finite number, got nan" in assert_one_config_error(capsys)
 
 
 def test_coincidence_channel_names_round_trip(tmp_path):
@@ -829,7 +861,9 @@ def test_coincidence_bad_settings_exits_2(tmp_path, capsys):
     assert run_cli(["coincidence", str(pulses), "--config", str(cfg)]) == 2
     assert_one_config_error(capsys)
     for settings, message in (
-        ({"window_cycles": 0}, "window_cycles must be an integer in [1, 2**53], got 0"),
+        ({"window_cycles": 0}, "window_cycles must be an integer in [1, 9007199254740992], got 0"),
+        # named no field: "coincidence settings must be finite numbers"
+        ({"t_clk": "a"}, "t_clk must be a finite number, got 'a'"),
         ({"bogus": 1}, "CoincidenceConfig.__init__() got an unexpected keyword argument 'bogus'"),
         ([1], "noonchip.coinc.CoincidenceConfig() argument after ** must be a mapping, not list"),
     ):

@@ -43,6 +43,13 @@ def test_config_validation():
     for bad in ("2", 0, True, 1.5):
         with pytest.raises(ValueError, match="n_channels"):
             CoincidenceConfig(n_channels=bad)
+    # window_cycles * t_clk was stored as inf, and the profile read 1.0 past the
+    # window's end; an int t_clk raised OverflowError in the profile
+    for t_clk in (1e308, 10**308):
+        with pytest.raises(ValueError, match=r"window_cycles \* t_clk = 2 \* 1"):
+            CoincidenceConfig(t_clk=t_clk, window_cycles=2)
+    # the largest window a float holds keeps its trapezoid
+    assert window_profile(1.25e308, CoincidenceConfig(t_clk=5e307)) == 0.5
     # a numpy count is stored as the Python int the count rule returns
     config = CoincidenceConfig(window_cycles=np.int64(2), n_channels=np.int64(4))
     assert config.window_ns == pytest.approx(5.8)
@@ -83,7 +90,7 @@ def test_borderline_delay_depends_on_clock_phase():
     }
     # True ran as phase 1.0 and "0.5" raised TypeError
     for bad in (True, "0.5", math.nan):
-        with pytest.raises(ValueError, match="clock phase must be finite"):
+        with pytest.raises(ValueError, match="clock phase must be a finite number"):
             count_coincidences(events, CFG, clock_phase=bad)
 
 
@@ -197,7 +204,7 @@ def test_jitter_seed_is_a_count():
     # no seed is seed 0, not OS entropy
     assert count_coincidences(events, cfg) == count_coincidences(events, cfg, rng_seed=0)
     for bad in (True, 1.0, -1, "5"):
-        with pytest.raises(ValueError, match="non-negative integers"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
             count_coincidences(events, cfg, rng_seed=bad)
 
 

@@ -43,7 +43,7 @@ def test_tree_validation():
     # a fractional mode was accepted, and so were a bool or whole-float mode
     # and an id that is no string, which became the string of its value
     for bad in (1.5, -1, None, True, 2.0):
-        with pytest.raises(ValueError, match="non-negative integers"):
+        with pytest.raises(ValueError, match="splitter tree mode must be an integer"):
             SplitterTree(bad, (("A", 0.5),))
     for bad in (None, 5, True):
         with pytest.raises(ValueError, match="detector ids must be strings"):

@@ -12,16 +12,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noonchip.fock import (
+    MAX_COUNT,
     NORM_TOL,
     PRUNE_EPS,
     FockState,
     basis_occupations,
+    count,
     inner_product,
     make_noon,
     marginal_distribution,
     multinomial,
     is_number,
     nonnegative_ints,
+    number,
     probability,
     split,
     state_fidelity,
@@ -55,6 +58,41 @@ def test_count_rule_accepts_non_negative_whole_numbers(values):
 def test_count_rule_rejects_everything_else(bad):
     with pytest.raises(ValueError):
         nonnegative_ints([1, bad])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.integers(-3, 2**70), st.integers(0, 2**62).map(np.int64), st.floats(), st.booleans(),
+    st.text(), st.none(),
+))
+@example(MAX_COUNT)
+@example(MAX_COUNT + 1)
+@example(np.True_)
+def test_count_is_the_sequence_rule_for_one_value(value):
+    try:
+        (want,) = nonnegative_ints([value])
+    except ValueError:
+        with pytest.raises(ValueError, match=r"^x must be an integer >= 0 in a float's range, got "):
+            count("x", value)
+    else:
+        got = count("x", value)
+        assert got == want and type(got) is int
+
+
+def test_count_bounds_are_inclusive_and_named():
+    assert count("x", 1, lo=1) == 1 and count("x", np.int64(3), hi=3) == 3
+    with pytest.raises(ValueError, match=r"^x must be an integer >= 1 in a float's range, got 0$"):
+        count("x", 0, lo=1)
+    with pytest.raises(ValueError, match=r"^x must be an integer in \[2, 3\], got 4$"):
+        count("x", 4, lo=2, hi=3)
+
+
+def test_number_rule_passes_numbers_through_as_given():
+    for value in (0, -2.5, np.float32(1.5), np.int64(-3), sys.float_info.max):
+        assert number("x", value) is value
+    for bad in (math.nan, math.inf, True, "0.5", None, 1j, MAX_COUNT * 2):
+        with pytest.raises(ValueError, match="^x must be a finite number, got "):
+            number("x", bad)
 
 
 def test_count_rule_checks_the_length():
@@ -114,7 +152,7 @@ def test_constructor_validation():
             FockState.basis_state((bad,))
     # FockState(2.0, ...) was accepted with the float mode count 2.0
     for bad in (2.0, True, np.float64(2.0), -1):
-        with pytest.raises(ValueError, match="non-negative integers"):
+        with pytest.raises(ValueError, match="mode_count must be an integer"):
             FockState(bad, {(1, 0): 1.0})
     assert type(FockState(np.int64(2), {(1, 0): 1.0}).mode_count) is int
 
@@ -236,9 +274,9 @@ def test_noon_spec_validation():
     with pytest.raises(ValueError):
         make_noon(n=-1, m=0)
     # the count rule: 1.5 photons were accepted, and strings raised TypeError
-    with pytest.raises(ValueError, match="non-negative integers"):
+    with pytest.raises(ValueError, match="n must be an integer"):
         make_noon(1.5, 0.5)
-    with pytest.raises(ValueError, match="non-negative integers"):
+    with pytest.raises(ValueError, match="n must be an integer"):
         make_noon("3", "1")
     # the phase is a number: NaN failed only at the norm bound, True ran as 1.0
     # and a string raised TypeError
@@ -365,7 +403,7 @@ def test_basis_occupations_lexicographic():
             cube = itertools.product(range(n + 1), repeat=m)
             assert list(basis_occupations(n, m)) == sorted(occ for occ in cube if sum(occ) == n)
     # checked at the call, not when the generator is first iterated
-    with pytest.raises(ValueError, match="non-negative integers"):
+    with pytest.raises(ValueError, match="n_photons must be an integer"):
         basis_occupations(1.5, 2)
 
 
@@ -411,7 +449,7 @@ def test_multinomial():
     # count vectors that need a zero-probability outcome are left out
     assert multinomial(2, [1.0, 0.0]) == {(2, 0): 1.0}
     assert sum(multinomial(4, [0.2, 0.3, 0.5]).values()) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError, match="non-negative integers"):
+    with pytest.raises(ValueError, match="n_photons must be an integer"):
         multinomial(1.5, [0.5, 0.5])
     # (2.0, -1.0) gave {(0, 2): 1.0, (2, 0): 4.0}, (0.5, 0.4) a sum of 0.81 and
     # a string a TypeError from **

@@ -188,7 +188,7 @@ def test_contamination_validation():
     # -2 gave target sector 0 and zero event probabilities; 2.0 gave the
     # float target sector 2.0, written to JSON as 2.0
     for bad in (-2, 2.0, True):
-        with pytest.raises(ValueError, match="non-negative integers"):
+        with pytest.raises(ValueError, match="signal_photons must be an integer"):
             contamination_report(
                 ChipParams(), SpdcParams(xi=0.1, n_max=4), PATTERN, bad, *paper_6fold_topology()
             )
