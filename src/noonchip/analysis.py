@@ -2,10 +2,13 @@
 
 A fringe scan sweeps the heater phase and records the probability of one
 detection pattern, and a probe scan that of a two-mode state after a phase and
-a 50:50 coupler: one sweep loop, which gives each phase as it is to the phase
-shifter it sets, whose check is the only one.  An N-photon path-entangled state
-picks up phase N times faster than a single photon, so its fringe period shrinks
-by 1/N; the period estimator measures that super-resolution without assuming it.
+a 50:50 coupler: one sweep, which checks every phase first by the phase
+shifter's own rule.  With at most N photons that probability is a
+trigonometric polynomial of degree N in the phase, so a grid of more than 2N+1
+phases is evaluated exactly from 2N+1 equispaced samples.  An N-photon
+path-entangled state picks up phase N times faster than a single photon, so its
+fringe period shrinks by 1/N; the period estimator measures that
+super-resolution without assuming it.
 
 The reverse pass sends a two-mode state back through the central coupler and
 extracts the result at the outer couplers, converting a |2,0> + |0,2>
@@ -25,7 +28,7 @@ from . import evolve, herald
 from .circuit import (ChipParams, DirectionalCoupler, Interferometer, LossTap, PhaseShifter,
                       compile_circuit)
 from .fock import (PROB_SUM_TOL, FockState, Occupation, count, is_number, marginal_distribution,
-                   nonnegative_ints, probability)
+                   nonnegative_ints, number, probability)
 
 
 class FringeSample(NamedTuple):
@@ -53,13 +56,30 @@ class FringeScenario:
 
 def _phase_scan(matrix_at: Callable[[float], np.ndarray], state: FockState, modes: Sequence[int],
                 wanted: Occupation, grid: Iterable[float]) -> list[FringeSample]:
-    """The one sweep loop: at each phase, as given to the phase shifter that
-    matrix_at sets and checks, the probability of the counts wanted on modes."""
-    samples = []
-    for x in grid:
-        evolved = evolve.apply(matrix_at(x), state)
-        samples.append(FringeSample(float(x), marginal_distribution(evolved, modes).get(wanted, 0.0)))
-    return samples
+    """The one sweep: at each phase, which matrix_at gives to one phase shifter
+    on one mode, the probability of the counts wanted on modes.
+
+    Every phase is checked first by the phase shifter's rule.  With at most n
+    photons the probability is a trigonometric polynomial of degree n in the
+    phase, so a grid of more than 2n + 1 phases costs 2n + 1 steps: the steps
+    at the equispaced nodes give its coefficients by one real FFT, and the grid
+    is one product of them with the powers of e^{i phi}, written in [0, 1].
+    A shorter grid takes one step per phase.
+    """
+    def at(x):
+        return marginal_distribution(evolve.apply(matrix_at(x), state), modes).get(wanted, 0.0)
+
+    grid = [number("phase shifter phi", x) for x in grid]
+    nodes = 2 * max(state.photon_sectors(), default=0) + 1
+    if len(grid) <= nodes:
+        return [FringeSample(float(x), at(x)) for x in grid]
+    coeffs = np.fft.rfft([at(2.0 * math.pi * j / nodes) for j in range(nodes)]) / nodes
+    coeffs[1:] *= 2.0  # d_{-m} is d_m's conjugate: p = Re(d_0 + 2 sum_m d_m e^{i m phi})
+    phis = np.array([float(x) for x in grid])
+    powers = np.vander(np.cos(phis) + 1j * np.sin(phis), len(coeffs), increasing=True)
+    values = (powers @ coeffs).real
+    values = np.where(values > 0.0, np.minimum(values, 1.0), 0.0)  # -0.0 and rounding below 0 read 0.0
+    return list(map(FringeSample, phis.tolist(), values.tolist()))
 
 
 def fringe_scan(scenario: FringeScenario, phi_grid: Iterable[float]) -> list[FringeSample]:

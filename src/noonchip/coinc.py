@@ -74,7 +74,8 @@ class Pulses:
 @dataclass(frozen=True)
 class CoincidenceConfig:
     """Counting settings; the counts window_cycles and n_channels are stored as ints,
-    and the window window_cycles * t_clk must be a finite number of ns."""
+    a numpy int t_clk as a Python int (so the window cannot wrap), and the window
+    window_cycles * t_clk must be a finite number of ns."""
 
     t_clk: float = 2.9
     window_cycles: int = 3
@@ -88,6 +89,8 @@ class CoincidenceConfig:
             object.__setattr__(self, "n_channels", count("n_channels", self.n_channels, lo=1))
         for name in ("t_clk", "dead_time_ns", "jitter_sigma_ns"):
             number(name, getattr(self, name))
+        if isinstance(self.t_clk, np.integer):
+            object.__setattr__(self, "t_clk", int(self.t_clk))
         if self.t_clk <= 0.0:
             raise ValueError("t_clk must be positive")
         if not is_number(self.window_ns):

@@ -1,10 +1,14 @@
 """Fringe scans, period estimation, and the backward readout pass."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from noonchip import evolve
 from noonchip.analysis import (
     FringeSample,
     FringeScenario,
@@ -15,9 +19,10 @@ from noonchip.analysis import (
     probe_fringe_scan,
     reverse_pass,
 )
-from noonchip.circuit import ChipParams
-from noonchip.fock import FockState, make_noon
+from noonchip.circuit import ChipParams, DirectionalCoupler, Interferometer, PhaseShifter, compile_circuit
+from noonchip.fock import FockState, make_noon, marginal_distribution
 from noonchip.herald import HeraldPattern, heralded_output
+from noonchip.scenarios import preset, run_fringe
 
 
 def grid(n, span):
@@ -120,6 +125,126 @@ def test_scans_check_each_phase_by_its_phase_shifter():
     # a float32 grid runs as its float64 cast
     narrow = grid(16, 4 * math.pi).astype(np.float32)
     assert fringe_scan(scenario, narrow) == fringe_scan(scenario, narrow.astype(np.float64))
+
+
+# -- the node-sampled scan against one chip evaluation per phase -----------------
+
+
+def per_phase(matrix_at, state, modes, wanted, phases):
+    """The scan as one matrix, apply and marginal per phase: the oracle."""
+    samples = []
+    for x in phases:
+        evolved = evolve.apply(matrix_at(x), state)
+        samples.append(FringeSample(float(x), marginal_distribution(evolved, modes).get(wanted, 0.0)))
+    return samples
+
+
+def per_phase_fringe(scenario, phases):
+    pattern = scenario.pattern
+    return per_phase(lambda phi: replace(scenario.chip, phi=phi).matrix(), scenario.input_state,
+                     pattern.modes(), pattern.counts(), phases)
+
+
+def per_phase_probe(state, pattern, thetas):
+    def probe(theta):
+        return compile_circuit(Interferometer(2, (PhaseShifter(theta, 0), DirectionalCoupler(0.5, (0, 1)))))
+    return per_phase(probe, state, (0, 1), tuple(pattern), thetas)
+
+
+def assert_matches_per_phase(samples, oracle):
+    assert [s.phi for s in samples] == [s.phi for s in oracle]
+    for s, o in zip(samples, oracle):
+        assert type(s.probability) is float and 0.0 <= s.probability <= 1.0, s
+        assert abs(s.probability - o.probability) <= 1e-15, (s, o)
+
+
+def preset_scan(name):
+    config = preset(name)
+    scenario = FringeScenario(config.chip_params(), config.input_state(4), config.sweep_pattern())
+    return scenario, config.sweep_grid()
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3b"])
+def test_scan_matches_per_phase_loop_on_preset_grids(name):
+    scenario, phases = preset_scan(name)
+    assert_matches_per_phase(fringe_scan(scenario, phases), per_phase_fringe(scenario, phases))
+
+
+@st.composite
+def chip_scans(draw):
+    n = draw(st.integers(1, 6))
+    occupation = [0] * 4
+    for mode in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)):
+        occupation[mode] += 1
+    # counts on some modes of one output with n photons, so most patterns can happen
+    output = [0] * 4
+    for mode in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)):
+        output[mode] += 1
+    modes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+    chip = ChipParams(*(draw(st.floats(0.0, 1.0)) for _ in range(4)))
+    phases = draw(st.lists(st.floats(-100.0, 100.0), min_size=2 * n + 2, max_size=300))
+    scenario = FringeScenario(chip, FockState.basis_state(tuple(occupation)), {m: output[m] for m in modes})
+    return scenario, phases
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chip_scans())
+def test_scan_matches_per_phase_loop_on_drawn_chips(case):
+    scenario, phases = case
+    assert_matches_per_phase(fringe_scan(scenario, phases), per_phase_fringe(scenario, phases))
+
+
+def test_probe_scan_matches_per_phase_loop():
+    thetas = list(grid(64, 2 * math.pi)) + [-3.5, 0.0, 0.0, 100.0]
+    for n in range(1, 5):
+        for alpha in (0.0, math.pi / 3, math.pi):
+            state = make_noon(n, 0, alpha)
+            for k in range(n + 1):
+                assert_matches_per_phase(probe_fringe_scan(state, (k, n - k), thetas),
+                                         per_phase_probe(state, (k, n - k), thetas))
+
+
+def test_scan_takes_every_phase_its_phase_shifter_takes():
+    # huge phases go through cos and sin of the phase itself, never m * phi
+    phases = [1e300, -1e300, 1.7976931348623157e308, 10**300, np.float32(0.5), np.float32(-2.25),
+              np.int64(3), np.int64(-7), np.int64(2**62), 0, -0.0, 5e-324, 2.0, 2.0, 2.0, math.pi, math.pi]
+    for scenario in (preset_scan("fig3a")[0], preset_scan("fig3b")[0]):
+        assert_matches_per_phase(fringe_scan(scenario, phases), per_phase_fringe(scenario, phases))
+    state = make_noon(4, 0)
+    assert_matches_per_phase(probe_fringe_scan(state, (2, 2), phases), per_phase_probe(state, (2, 2), phases))
+
+
+def count_apply_calls(monkeypatch):
+    calls = []
+    apply = evolve.apply
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return apply(*args, **kwargs)
+    monkeypatch.setattr(evolve, "apply", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, evaluations", [("fig3a", 3), ("fig3b", 13), ("fig3b-4point", 4)])
+def test_scan_costs_at_most_2n_plus_1_chip_evaluations(monkeypatch, name, evaluations):
+    # one photon: 3 nodes; six photons: 13 nodes; four phases are fewer than 13
+    calls = count_apply_calls(monkeypatch)
+    run_fringe(preset(name))
+    assert len(calls) == evaluations
+
+
+def test_long_grids_check_every_phase_before_any_evaluation(monkeypatch):
+    calls = count_apply_calls(monkeypatch)
+    scenario = FringeScenario(ChipParams(), FockState.basis_state((0, 1, 0, 0)), {1: 1})
+    for bad in ("0.5", True, math.nan):
+        phases = list(grid(256, 4 * math.pi))
+        phases[200] = bad
+        with pytest.raises(ValueError, match="phase shifter phi must be a finite number"):
+            fringe_scan(scenario, phases)
+        with pytest.raises(ValueError, match="phase shifter phi must be a finite number"):
+            probe_fringe_scan(make_noon(2, 0), (1, 1), phases)
+    assert calls == []
+    assert fringe_scan(scenario, []) == [] == probe_fringe_scan(make_noon(2, 0), (1, 1), iter([]))
 
 
 def test_fringe_period_flat_returns_none():

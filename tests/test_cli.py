@@ -337,6 +337,14 @@ def test_out_of_range_fields_exit_2(tmp_path, capsys):
     ])
 
 
+def test_fringe_long_grid_bad_phase_exits_2(tmp_path, capsys):
+    # fig3a's 256 phases take the node-sampled scan, which checks every phase first
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("fringe", "fig3a", ("sweep", "grid", 200), bad) for bad in ("0.5", True, math.nan)
+    ])
+    assert all("phase shifter phi must be a finite number" in err for err in errors)
+
+
 def test_numbers_too_large_for_a_float_exit_2(tmp_path, capsys):
     # each ended in an OverflowError traceback
     huge = 2**1100
@@ -709,6 +717,13 @@ def test_coincidence_profile(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == 1.0
+
+
+def test_coincidence_profile_summary_keeps_an_int_clock_an_int(tmp_path, capsys):
+    cfg = tmp_path / "coinc.json"
+    cfg.write_text(json.dumps({"t_clk": 3}))
+    assert run_cli(["coincidence", "--profile", "--config", str(cfg)]) == 0
+    assert "window profile: flat up to 6 ns, zero from 9 ns" in capsys.readouterr().out
 
 
 def test_coincidence_profile_row_cap(tmp_path, capsys):

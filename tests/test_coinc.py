@@ -50,6 +50,13 @@ def test_config_validation():
             CoincidenceConfig(t_clk=t_clk, window_cycles=2)
     # the largest window a float holds keeps its trapezoid
     assert window_profile(1.25e308, CoincidenceConfig(t_clk=5e307)) == 0.5
+    # a numpy int t_clk multiplied in int64: 4 * 2**62 wrapped to a window of 0 ns
+    # (with a RuntimeWarning), and the profile read 0.0 inside the window
+    config = CoincidenceConfig(t_clk=np.int64(2**62), window_cycles=4)
+    assert type(config.t_clk) is int and config.window_ns == 2**64
+    assert window_profile(1.0, config) == 1.0
+    assert window_profile(2.0**64 - 2.0**61, config) == 0.5
+    assert CoincidenceConfig(t_clk=np.uint8(3)).window_ns == 9
     # a numpy count is stored as the Python int the count rule returns
     config = CoincidenceConfig(window_cycles=np.int64(2), n_channels=np.int64(4))
     assert config.window_ns == pytest.approx(5.8)
