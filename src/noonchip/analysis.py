@@ -229,6 +229,8 @@ def reverse_pass(ensemble: Ensemble, chip: ChipParams = ChipParams()) -> Reverse
     if not abs(weight_sum - 1.0) <= PROB_SUM_TOL:
         raise ValueError(f"ensemble weights sum to {weight_sum:.10g}, expected 1")
 
+    for eta in (chip.eta3, chip.eta4, chip.eta2):
+        probability("directional coupler eta", eta)
     # extraction: the outer couplers tap each arm into modes 2, 3 with amplitude sqrt(1 - eta)
     taps = (LossTap(1.0 - chip.eta3, 0, 2), LossTap(1.0 - chip.eta4, 1, 3))
     reverse = compile_circuit(Interferometer(4, (DirectionalCoupler(chip.eta2, (0, 1)),) + taps))

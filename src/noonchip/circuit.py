@@ -17,12 +17,11 @@ labeled a, b, c, d and outputs i, j, k, l) is
     DC2(1,2) . [DC3(0,1) (+) DC4(2,3)] . Phase(phi, 2) . DC1(1,2)
 
 with device values eta1 = eta2 = 1/2 and eta3 = eta4 = 1/3, the defaults of
-ChipParams, which builds it; its matrix compiles the couplers once per eta set.
+ChipParams, which builds it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -39,7 +38,7 @@ class DirectionalCoupler:
 
     def __post_init__(self):
         probability("directional coupler eta", self.eta)
-        if self.modes[0] == self.modes[1]:
+        if len(self.modes) != 2 or self.modes[0] == self.modes[1]:
             raise ValueError("coupler needs two distinct modes")
 
 
@@ -104,19 +103,6 @@ def dc_matrix(eta: float) -> np.ndarray:
     return np.array([[t, r], [r, t]], dtype=np.complex128)
 
 
-#: the 2x2 identity that a phase block scales
-_EYE2 = np.eye(2)
-
-
-def _row_update(elem: Element) -> tuple[list[int] | slice, np.ndarray]:
-    """The rows an element replaces and its 2x2 block; see compile_circuit."""
-    if isinstance(elem, PhaseShifter):
-        return [elem.mode] * 2, complex(math.cos(elem.phi), math.sin(elem.phi)) * _EYE2
-    a, b = sorted(elem.modes)
-    eta = elem.eta if isinstance(elem, DirectionalCoupler) else elem.transmission
-    return slice(a, b + 1, b - a), dc_matrix(eta)
-
-
 def compile_circuit(circ: Interferometer) -> np.ndarray:
     """Total mode transformation: each element replaces its own rows of the
     matrix so far by its 2x2 block times them, later elements on the left.
@@ -126,7 +112,14 @@ def compile_circuit(circ: Interferometer) -> np.ndarray:
     coupler's symmetric block takes its rows ascending, the order a full
     product sums in, as one strided view of the matrix."""
     u = np.eye(circ.mode_count, dtype=np.complex128)
-    for rows, block in map(_row_update, circ.elements):
+    for elem in circ.elements:
+        if isinstance(elem, PhaseShifter):
+            rows = [elem.mode] * 2
+            block = complex(math.cos(elem.phi), math.sin(elem.phi)) * np.eye(2)
+        else:
+            a, b = sorted(elem.modes)
+            rows = slice(a, b + 1, b - a)
+            block = dc_matrix(elem.eta if isinstance(elem, DirectionalCoupler) else elem.transmission)
         u[rows] = block @ u[rows]
     return u
 
@@ -152,25 +145,7 @@ class ChipParams:
         ))
 
     def matrix(self) -> np.ndarray:
-        """compile_circuit(self.circuit()) bit for bit, checked in its order, from cached couplers."""
-        probability("directional coupler eta", self.eta1)
-        heater = _row_update(PhaseShifter(self.phi, 2))
-        for eta in (self.eta3, self.eta4, self.eta2):
-            probability("directional coupler eta", eta)
-        after_dc1, updates = _chip_couplers(self.eta1, self.eta2, self.eta3, self.eta4)
-        u = after_dc1.copy()
-        for rows, block in (heater, *updates):
-            u[rows] = block @ u[rows]
-        return u
-
-
-@functools.lru_cache(maxsize=1, typed=True)
-def _chip_couplers(eta1, eta2, eta3, eta4) -> tuple[np.ndarray, tuple]:
-    """The read-only matrix after DC1 and the updates of DC3, DC4, DC2; typed, as float32 etas differ."""
-    dc1, _, *after = ChipParams(eta1, eta2, eta3, eta4).circuit().elements
-    u = compile_circuit(Interferometer(4, (dc1,)))
-    u.flags.writeable = False
-    return u, tuple(map(_row_update, after))
+        return compile_circuit(self.circuit())
 
 
 def with_loss(circ: Interferometer, mode: int, transmission: float) -> Interferometer:

@@ -382,6 +382,24 @@ def test_reverse_ensemble_weights_are_probabilities():
             reverse_pass(list(zip(weights, (two_zero, zero_two))))
 
 
+def test_reverse_pass_checks_the_chips_couplers_as_its_circuit_does():
+    # 1 - eta was taken before any rule saw eta: True ran as eta 1, a string
+    # raised TypeError, 1.5 was reported as a loss tap transmission of -0.5
+    state = make_noon(n=2, m=0)
+    for name in ("eta2", "eta3", "eta4"):
+        for bad in (True, "0.3", 1.5, math.nan, None):
+            chip = replace(ChipParams(), **{name: bad})
+            with pytest.raises(ValueError) as info:
+                reverse_pass([(1.0, state)], chip)
+            assert str(info.value) == f"directional coupler eta must lie in [0, 1], got {bad!r}"
+    # two bad couplers: the first in the chip circuit's order names itself
+    chip = ChipParams(eta2="bad-eta2", eta3="bad-eta3", eta4="bad-eta4")
+    with pytest.raises(ValueError, match="bad-eta3"):
+        reverse_pass([(1.0, state)], chip)
+    with pytest.raises(ValueError, match="bad-eta3"):
+        chip.circuit()
+
+
 def test_reverse_pass_of_empty_state():
     # a null herald's empty state: the full-extraction probability was the int 0
     res = reverse_pass([(1.0, FockState(2, {}))])

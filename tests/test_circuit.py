@@ -8,7 +8,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from noonchip import circuit
 from noonchip.circuit import (
     ChipParams,
     DirectionalCoupler,
@@ -130,7 +129,7 @@ def random_circuit(rng):
     return Interferometer(m, tuple(elems))
 
 
-def test_row_update_matches_embedded_product_bit_for_bit():
+def test_compile_circuit_matches_embedded_product_bit_for_bit():
     rng = np.random.default_rng(18)
     taps = 0
     for _ in range(1500):
@@ -165,9 +164,8 @@ def test_chip_params_matrix_unitary_and_periodic():
 
 
 def test_chip_matrix_is_its_compiled_circuit_bit_for_bit():
-    # alternating eta sets make the one-entry coupler cache both hit and miss;
-    # a float32 eta equals and hashes as the float of its value, yet gives
-    # other blocks, as 1 - eta stays float32
+    # a float32 eta equals the float of its value, yet gives other blocks,
+    # as 1 - eta stays float32
     rng = np.random.default_rng(28)
     eta_sets = []
     for _ in range(60):
@@ -186,20 +184,11 @@ def test_chip_matrix_is_its_compiled_circuit_bit_for_bit():
     assert not np.array_equal(last_float32, ChipParams(*eta_sets[0]).matrix())
 
 
-def test_chip_matrix_is_fresh_and_skips_the_builders_once_cached(monkeypatch):
+def test_chip_matrix_is_fresh():
     chip = ChipParams(0.4, 0.6, 0.3, 0.2, phi=0.9)
-    want = [compile_circuit(replace(chip, phi=phi).circuit()) for phi in (0.9, -2.0)]
     first = chip.matrix()
     first[:] = 7.0
-    assert np.array_equal(chip.matrix(), want[0])
-
-    def refuse(*args):
-        raise AssertionError("rebuilt on a cache hit")
-
-    monkeypatch.setattr(circuit, "dc_matrix", refuse)
-    monkeypatch.setattr(ChipParams, "circuit", refuse)
-    assert np.array_equal(chip.matrix(), want[0])
-    assert np.array_equal(replace(chip, phi=-2.0).matrix(), want[1])
+    assert np.array_equal(chip.matrix(), compile_circuit(chip.circuit()))
 
 
 def chip_error(build):
@@ -290,6 +279,14 @@ def test_element_mode_range_validation():
         with pytest.raises(ValueError, match="interferometer mode_count must be an integer"):
             Interferometer(bad, ())
     assert type(Interferometer(np.int64(2), ()).mode_count) is int
+
+
+def test_coupler_needs_exactly_two_distinct_modes():
+    # three modes reached compile_circuit and failed there unpacking them, one
+    # mode raised an IndexError
+    for modes in ((0, 1, 2), (1,), (), (2, 2)):
+        with pytest.raises(ValueError, match="coupler needs two distinct modes"):
+            DirectionalCoupler(0.5, modes)
 
 
 def test_json_round_trip_preserves_matrix():
