@@ -27,8 +27,8 @@ import numpy as np
 from . import evolve, herald
 from .circuit import (ChipParams, DirectionalCoupler, Interferometer, LossTap, PhaseShifter,
                       compile_circuit)
-from .fock import (PROB_SUM_TOL, FockState, Occupation, count, is_number, marginal_distribution,
-                   nonnegative_ints, number, probability)
+from .fock import (FockState, Occupation, count, is_number, marginal_distribution, nonnegative_ints,
+                   number, probabilities, probability)
 
 
 class FringeSample(NamedTuple):
@@ -224,10 +224,8 @@ def reverse_pass(ensemble: Ensemble, chip: ChipParams = ChipParams()) -> Reverse
     """Sends a weighted ensemble of two-mode states, [(1.0, state)] for a pure
     state, backward through the chip's central coupler (eta2) and taps its
     outer couplers (eta3, eta4)."""
-    ensemble = tuple((probability("ensemble weight", w), s) for w, s in ensemble)
-    weight_sum = sum(w for w, _ in ensemble)
-    if not abs(weight_sum - 1.0) <= PROB_SUM_TOL:
-        raise ValueError(f"ensemble weights sum to {weight_sum:.10g}, expected 1")
+    ensemble = tuple(ensemble)
+    weights = probabilities("ensemble weights", (w for w, _ in ensemble))
 
     for eta in (chip.eta3, chip.eta4, chip.eta2):
         probability("directional coupler eta", eta)
@@ -236,7 +234,7 @@ def reverse_pass(ensemble: Ensemble, chip: ChipParams = ChipParams()) -> Reverse
     reverse = compile_circuit(Interferometer(4, (DirectionalCoupler(chip.eta2, (0, 1)),) + taps))
     totals: dict[Occupation, float] = {}
     photon_totals = set()
-    for weight, state in ensemble:
+    for weight, (_, state) in zip(weights, ensemble):
         if state.mode_count != 2:
             raise ValueError("reverse pass expects a two-mode state")
         photon_totals.update(state.photon_sectors())

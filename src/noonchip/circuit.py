@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -38,8 +38,10 @@ class DirectionalCoupler:
 
     def __post_init__(self):
         probability("directional coupler eta", self.eta)
-        if len(self.modes) != 2 or self.modes[0] == self.modes[1]:
+        modes = tuple(self.modes) if isinstance(self.modes, Iterable) else ()  # a bare 3 is no pair
+        if len(modes) != 2 or modes[0] == modes[1]:
             raise ValueError("coupler needs two distinct modes")
+        object.__setattr__(self, "modes", modes)
 
 
 @dataclass(frozen=True)
@@ -187,14 +189,16 @@ def circuit_from_json_dict(data: dict) -> Interferometer:
     check_keys(data, "circuit", ("modes", "elements"))
     elements: list[Element] = []
     next_env = data["modes"]
-    for entry in data.get("elements", []):
+    entries = data.get("elements", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"circuit elements must be a list, got {entries!r}")
+    for entry in entries:
         kind = entry["type"]
-        if kind not in ELEMENT_KEYS:
+        if not isinstance(kind, str) or kind not in ELEMENT_KEYS:
             raise ValueError(f"unknown element type {kind!r}")
         check_keys(entry, f"{kind} element", ELEMENT_KEYS[kind])
         if kind == "dc":
-            a, b = entry["modes"]
-            elements.append(DirectionalCoupler(entry["eta"], (a, b)))
+            elements.append(DirectionalCoupler(entry["eta"], entry["modes"]))
         elif kind == "phase":
             elements.append(PhaseShifter(entry["phi"], entry["mode"]))
         else:

@@ -97,10 +97,7 @@ def _cmd_coincidence(args: argparse.Namespace) -> int:
     else:
         if args.pulses is None:
             raise ConfigError("give a pulse CSV file or --profile")
-        pulses = Path(args.pulses)
-        if not pulses.is_file():
-            raise ConfigError(f"pulse file not found: {pulses}")
-        events = coinc.read_pulse_csv(pulses)
+        events = coinc.read_pulse_csv(args.pulses)
         counts = coinc.count_coincidences(
             events,
             config,
@@ -118,9 +115,6 @@ def _cmd_coincidence(args: argparse.Namespace) -> int:
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
-    for path in (args.dist_a, args.dist_b):
-        if not Path(path).is_file():
-            raise ConfigError(f"distribution file not found: {path}")
     p = detect.read_distribution_csv(args.dist_a)
     q = detect.read_distribution_csv(args.dist_b)
     print(repr(detect.fidelity(p, q)))

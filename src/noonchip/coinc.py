@@ -11,7 +11,8 @@ for a window T_IC = window_cycles * t_clk:
     0                              for d >= T_IC
 
 A stream is held as arrays (Pulses: channel names and times), from the CSV
-reader to the counts.  count_coincidences sorts it by time, adds Gaussian
+reader to the counts; the pulse CSV goes through detect.read_csv_columns, the
+package's one CSV reader.  count_coincidences sorts it by time, adds Gaussian
 jitter as one vector, applies the per-channel dead time (exact: only runs of
 short gaps on one channel are resolved pulse by pulse), maps times to integer
 clock ticks and groups them greedily from the earliest pulse, so no pulse is
@@ -21,8 +22,6 @@ holds every integer.  A list of PulseEvent goes through Pulses.from_events.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
@@ -30,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import evolve
-from .detect import csv_text
+from .detect import csv_text, read_csv_columns
 from .fock import count, is_number, number
 
 #: |tick| must stay below this: float64 holds every integer up to 2**53
@@ -271,31 +270,11 @@ def empirical_window_profile(
 
 
 def read_pulse_csv(path) -> Pulses:
-    """Reads a pulse stream with columns channel,t_ns; every time must be finite.
-
-    Columns are found by header name, any line end is taken and blank lines
-    are skipped; a short row, a time that is not a finite number, a CSV error
-    or a NUL character (which numpy strings drop from the end of a channel
-    name) raises ValueError naming the file.
-    """
-    with open(path, newline="") as handle:
-        text = handle.read()
-    try:
-        if "\0" in text:
-            raise ValueError("NUL character in the pulse file")
-        header, *rows = list(csv.reader(io.StringIO(text, newline=""))) or [[]]
-        column = {name: i for i, name in enumerate(header)}
-        if not {"channel", "t_ns"} <= column.keys():
-            raise ValueError("expected columns 'channel,t_ns'")
-        rows = [row for row in rows if row]
-        c, k = column["channel"], column["t_ns"]
-        width = max(c, k) + 1
-        if min(map(len, rows), default=width) < width:
-            short = next(row for row in rows if len(row) < width)
-            raise ValueError(f"row {short!r} has fewer than {width} fields")
-        return Pulses([row[c] for row in rows], np.array([row[k] for row in rows], dtype=float))
-    except (csv.Error, ValueError) as exc:  # csv.Error: e.g. a field over csv's size limit
-        raise ValueError(f"{path}: {exc}") from None
+    """Reads a pulse stream with columns channel,t_ns through
+    detect.read_csv_columns; a time that is not a finite number raises
+    ValueError naming the file."""
+    return read_csv_columns(path, "pulse", ("channel", "t_ns"),
+                            lambda channels, t: Pulses(channels, np.array(t, dtype=float)))
 
 
 def write_pulse_csv(path, events: Iterable[PulseEvent]) -> None:

@@ -13,8 +13,10 @@ Each state's photon counts on the covered modes, as a dense tensor, are
 contracted with each tree's stack in mode order into one array with an axis of
 2^L clicked-leaf bitmasks per tree, whose popcounts are the tree's click
 counts; click_distribution keys it by clicked-id frozensets.
-Tree modes go through fock.count, and leaf probabilities,
-efficiencies and dark counts through fock.probability.
+Tree modes go through fock.count, leaf probabilities, efficiencies and dark
+counts through fock.probability, and fidelity's distributions through
+fock.probabilities.  Every CSV file is written through csv_text, the one CSV
+writer, and read through read_csv_columns, the one CSV reader.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fock import (PROB_SUM_TOL, FockState, check_keys, count, is_number, marginal_distribution,
-                   probability)
+from .fock import (PROB_SUM_TOL, FockState, check_keys, count, marginal_distribution, number,
+                   probabilities, probability)
 
 
 @dataclass(frozen=True)
@@ -185,15 +188,10 @@ def click_distribution(
 
 
 def fidelity(p: Mapping, q: Mapping) -> float:
-    """Probability-theoretic fidelity sum_j sqrt(p_j q_j) over shared outcomes."""
-    total_p = sum(p.values())
-    total_q = sum(q.values())
-    if abs(total_p - 1.0) > PROB_SUM_TOL or abs(total_q - 1.0) > PROB_SUM_TOL:
-        raise ValueError(
-            f"distributions must each sum to 1 (got {total_p:.10g} and {total_q:.10g})"
-        )
-    for v in (*p.values(), *q.values()):
-        probability("probabilities", v)
+    """Probability-theoretic fidelity sum_j sqrt(p_j q_j) over shared outcomes;
+    each distribution passes fock.probabilities."""
+    probabilities("probabilities of the first distribution", p.values())
+    probabilities("probabilities of the second distribution", q.values())
     return float(sum(math.sqrt(p[k] * q[k]) for k in set(p) & set(q)))
 
 
@@ -282,26 +280,45 @@ def distribution_csv_text(dist: Mapping) -> str:
     return csv_text(("outcome", "probability"), [(k, repr(float(v))) for k, v in rows])
 
 
-def read_distribution_csv(path) -> dict[str, float]:
-    """Reads columns outcome,probability; a short row, a repeated outcome, a
-    probability that is not a finite number or a CSV error raises ValueError
-    naming the file and line."""
+def read_csv_columns(path, what: str, names: Sequence[str], build: Callable):
+    """build(*columns): the named columns of a CSV file, each a list of strings,
+    read in one csv pass.  Columns are found by header name, any line end is
+    taken and blank lines are skipped.  A missing file, bytes that do not
+    decode, a missing column, a short row, a NUL character (which numpy strings
+    drop from the end of a field), a CSV error or a ValueError from build
+    raises ValueError naming the file; what names its contents."""
+    if not Path(path).is_file():
+        raise ValueError(f"{what} file not found: {path}")
+    try:
+        with open(path, newline="") as handle:
+            text = handle.read()  # bytes that are not UTF-8: UnicodeDecodeError, a ValueError
+        if "\0" in text:
+            raise ValueError(f"NUL character in the {what} file")
+        header, *rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row] or [[]]
+        column = {name: i for i, name in enumerate(header)}
+        if not set(names) <= column.keys():
+            raise ValueError(f"expected columns {','.join(names)!r}")
+        picks = [column[name] for name in names]
+        width = max(picks) + 1
+        if min(map(len, rows), default=width) < width:
+            short = next(row for row in rows if len(row) < width)
+            raise ValueError(f"row {short!r} has fewer than {width} fields")
+        return build(*([row[i] for row in rows] for i in picks))
+    except (csv.Error, ValueError) as exc:  # csv.Error: e.g. a field over csv's size limit
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _distribution(outcomes: list[str], values: list[str]) -> dict[str, float]:
     dist: dict[str, float] = {}
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        try:
-            if reader.fieldnames is None or not {"outcome", "probability"} <= set(reader.fieldnames):
-                raise ValueError("expected columns 'outcome,probability'")
-            for row in reader:
-                outcome, value = row["outcome"], row["probability"]
-                if outcome is None or value is None:
-                    raise ValueError("expected outcome,probability")
-                p = float(value)  # not a number: ValueError
-                if not is_number(p):
-                    raise ValueError(f"probability {value!r} is not finite")
-                if outcome in dist:
-                    raise ValueError(f"outcome {outcome!r} is repeated")
-                dist[outcome] = p
-        except (csv.Error, ValueError) as exc:  # csv.Error: e.g. a field over csv's size limit
-            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    for outcome, value in zip(outcomes, values):
+        p = number("probability", float(value))  # not a number: ValueError
+        if outcome in dist:
+            raise ValueError(f"outcome {outcome!r} is repeated")
+        dist[outcome] = p
     return dist
+
+
+def read_distribution_csv(path) -> dict[str, float]:
+    """Reads columns outcome,probability through read_csv_columns; a repeated outcome
+    or a probability that is not a finite number raises ValueError naming the file."""
+    return read_csv_columns(path, "distribution", ("outcome", "probability"), _distribution)

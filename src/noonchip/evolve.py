@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .fock import PROB_SUM_TOL, FockState, Occupation, basis_occupations, count, nonnegative_ints
+from .fock import FockState, Occupation, basis_occupations, count, nonnegative_ints, probabilities
 
 #: hard cap: exact simulation beyond this photon number is out of scope
 MAX_PHOTONS = 10
@@ -195,9 +195,7 @@ def sample_output_counts(
     dist = output_distribution(matrix, input_occ)
     occs = sorted(dist)
     probs = np.array([dist[o] for o in occs])
-    total = probs.sum()
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"output probabilities sum to {total:.12g}, expected 1")
-    draws = rng.choice(len(occs), size=shots, p=probs / total)
+    probabilities("output probabilities", probs.tolist())
+    draws = rng.choice(len(occs), size=shots, p=probs / probs.sum())
     counts = np.bincount(draws, minlength=len(occs))
     return occs, counts

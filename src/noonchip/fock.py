@@ -5,13 +5,14 @@ below the pruning threshold dropped.  States are immutable; every operation
 returns a new instance.  Iteration order is lexicographic in the occupation
 vector so that serialization and reports are deterministic.  The package's
 value rules live here, one each, for library calls and JSON input alike:
-count for one count (photons, modes, seeds, cutoffs, windows), nonnegative_ints
-for a sequence of counts, probability for a value in [0, 1] and number for any
-other number (these two test is_number); count, probability and number name the value.
-Keys are checked where they enter: FockState(...) puts its mode count through
-count and every occupation through nonnegative_ints, while evolve.apply, herald
-conditioning, normalized and scaled reuse keys that were already checked (a
-cached sector's, or an existing state's), with one numpy array of their values.
+count for one count (photons, modes, seeds, cutoffs, windows) and nonnegative_ints
+for a sequence of counts (one count test), probability for a value in [0, 1],
+probabilities for values that sum to 1 within PROB_SUM_TOL, and number for any
+other number (probability and number test is_number); all but nonnegative_ints
+name the value.  Keys are checked where they enter: FockState(...) puts its mode
+count through count and every occupation through nonnegative_ints, while
+evolve.apply, herald conditioning and scaled reuse keys that were already checked
+(a cached sector's, or an existing state's), with one numpy array of their values.
 """
 
 from __future__ import annotations
@@ -40,19 +41,25 @@ PROB_SUM_TOL = 1e-9
 MAX_COUNT = int(sys.float_info.max)
 
 
+def _as_count(value, lo: int, hi: int) -> int | None:
+    """The count test of count and nonnegative_ints: value as a Python int if it is
+    of an int type (a numpy int too, not a bool) in [lo, hi], else None."""
+    try:
+        n = index(value)
+    except TypeError:
+        return None
+    return n if type(value) is not bool and lo <= n <= hi else None
+
+
 def nonnegative_ints(values: Iterable, length: int | None = None) -> Occupation:
     """The count rule for a sequence (occupations, pattern modes and counts, element
     modes): Python ints of values of an int type (a numpy int too, not a bool) in
     [0, MAX_COUNT], so 2.0, True, 1.5, -1, "2", inf and None fail; length of them if given."""
     out = []
     for n in values:
-        try:
-            as_int = -1 if type(n) is bool else index(n)
-        except TypeError:
-            as_int = -1
-        if not 0 <= as_int <= MAX_COUNT:
+        out.append(_as_count(n, 0, MAX_COUNT))
+        if out[-1] is None:
             raise ValueError(f"expected non-negative integers, got {n!r}")
-        out.append(as_int)
     key = tuple(out)
     if length is not None and len(key) != length:
         raise ValueError(f"occupation {key} has {len(key)} modes, expected {length}")
@@ -62,11 +69,8 @@ def nonnegative_ints(values: Iterable, length: int | None = None) -> Occupation:
 def count(what: str, value, lo: int = 0, hi: int | None = None) -> int:
     """The count rule for one value: value as a Python int if of an int type (a numpy int
     too, not a bool) in [lo, hi], hi MAX_COUNT if None; else ValueError naming what."""
-    try:
-        n = None if type(value) is bool else index(value)
-    except TypeError:
-        n = None
-    if n is None or not lo <= n <= (MAX_COUNT if hi is None else hi):
+    n = _as_count(value, lo, MAX_COUNT if hi is None else hi)
+    if n is None:
         span = f">= {lo} in a float's range" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{what} must be an integer {span}, got {value!r}")
     return n
@@ -78,7 +82,7 @@ class FockState:
     The squared norm may be below 1 (heralded or lossy branches) but never
     above 1 + NORM_TOL.  The constructor checks every key it is given by the
     count rule; the package's own producers whose keys were checked already
-    (evolve.apply, herald conditioning, normalized, scaled) pass them and an
+    (evolve.apply, herald conditioning, scaled) pass them and an
     array of their values to _from_checked, which prunes and bounds alike.
     """
 
@@ -142,20 +146,11 @@ class FockState:
     def norm_squared(self) -> float:
         return sum(abs(a) ** 2 for a in self._amps.values())
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
-
     def photon_sectors(self) -> list[int]:
         """Sorted list of total photon numbers present in the state."""
         return sorted({sum(occ) for occ in self._amps})
 
     # -- algebra -----------------------------------------------------------
-
-    def normalized(self) -> "FockState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize an empty state")
-        return FockState._from_checked(self._modes, self._amps, [a / n for a in self._amps.values()])
 
     def scaled(self, factor: complex) -> "FockState":
         scaled = [complex(a * factor) for a in self._amps.values()]
@@ -228,6 +223,19 @@ def probability(what: str, value) -> float:
     if not (is_number(value) and 0.0 <= value <= 1.0):
         raise ValueError(f"{what} must lie in [0, 1], got {value!r}")
     return float(value)
+
+
+def probabilities(what: str, values: Iterable) -> list[float]:
+    """The one sum-to-one rule: each value through probability, as a list of
+    floats that sums to 1 within PROB_SUM_TOL; else ValueError naming what.
+    A value above 1 by at most PROB_SUM_TOL, the rounding of a computed sure
+    outcome such as |e^{i phi}|^2, is read as 1."""
+    probs = [1.0 if is_number(p) and 1.0 < p <= 1.0 + PROB_SUM_TOL else probability(what, p)
+             for p in values]
+    total = sum(probs)
+    if not abs(total - 1.0) <= PROB_SUM_TOL:
+        raise ValueError(f"{what} sum to {total:.10g}, expected 1")
+    return probs
 
 
 def make_noon(n: int, m: int, alpha: float = 0.0) -> FockState:
@@ -317,10 +325,8 @@ def basis_occupations(n_photons: int, n_modes: int) -> Iterator[Occupation]:
 def multinomial(n: int, probs: Sequence[float]) -> dict[Occupation, float]:
     """Distribution of n independent draws over len(probs) outcomes, keyed by
     count vector; vectors of probability zero are left out.  probs pass the
-    probability rule and sum to 1 within PROB_SUM_TOL, or ValueError is raised."""
-    probs = [probability("multinomial probability", p) for p in probs]
-    if not abs(sum(probs) - 1.0) <= PROB_SUM_TOL:
-        raise ValueError(f"multinomial probabilities sum to {sum(probs):.10g}, expected 1")
+    sum-to-one rule, probabilities, or ValueError is raised."""
+    probs = probabilities("multinomial probabilities", probs)
     out: dict[Occupation, float] = {}
     for counts in basis_occupations(n, len(probs)):
         weight = math.factorial(n)

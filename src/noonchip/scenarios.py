@@ -118,7 +118,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ConfigError(f"name must be a string, got {self.name!r}")
-        if self.kind not in OPTIONAL_FIELDS:
+        if not isinstance(self.kind, str) or self.kind not in OPTIONAL_FIELDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         _one_of(self.circuit, "circuit", ("chip", "file", "inline"))
         _one_of(self.input, "input", ("occupation", "state", "spdc"))

@@ -164,22 +164,22 @@ def test_chip_params_matrix_unitary_and_periodic():
 
 
 def test_chip_matrix_is_its_compiled_circuit_bit_for_bit():
-    # a float32 eta equals the float of its value, yet gives other blocks,
-    # as 1 - eta stays float32
+    # the oracle is the embedded product of the paper's layout, built here:
+    # DC1(1,2), Phase(phi, 2), DC3(0,1), DC4(2,3), DC2(1,2).  A float32 eta
+    # equals the float of its value, yet gives other blocks, as 1 - eta stays float32
     rng = np.random.default_rng(28)
     eta_sets = []
     for _ in range(60):
         etas = [np.float32(x) for x in rng.random(4)]
         eta_sets += [[float(x) for x in etas], etas]
     eta_sets += [[0.0, 1.0, -0.0, 1 / 3], [1, 0, np.float64(0.5), np.float32(1 / 3)]]
-    calls = 0
-    for i, etas in enumerate(eta_sets):
-        other = eta_sets[i - 1]
+    for etas in eta_sets:
         for phi in rng.normal(scale=4.0, size=3).tolist() + [0.0]:
-            for chip in (ChipParams(*etas, phi=phi), ChipParams(*other, phi=phi), ChipParams(*etas, phi=phi)):
-                assert np.array_equal(chip.matrix(), compile_circuit(chip.circuit()))
-                calls += 1
-    assert calls > 1000
+            eta1, eta2, eta3, eta4 = etas
+            layout = Interferometer(4, (
+                DirectionalCoupler(eta1, (1, 2)), PhaseShifter(phi, 2), DirectionalCoupler(eta3, (0, 1)),
+                DirectionalCoupler(eta4, (2, 3)), DirectionalCoupler(eta2, (1, 2))))
+            assert np.array_equal(ChipParams(*etas, phi=phi).matrix(), embedded_product(layout))
     last_float32 = ChipParams(*eta_sets[0][:3], np.float32(eta_sets[0][3])).matrix()
     assert not np.array_equal(last_float32, ChipParams(*eta_sets[0]).matrix())
 

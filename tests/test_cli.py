@@ -393,6 +393,34 @@ def test_unknown_key_in_circuit_block_exits_2(tmp_path, capsys):
     ])
 
 
+def test_coupler_modes_other_than_a_pair_exit_2_by_the_coupler_rule(tmp_path, capsys):
+    # the reader unpacked the modes first: "too many values to unpack (expected 2)",
+    # "not enough values to unpack" and "cannot unpack non-iterable int object"
+    circuits = []
+    for modes in ([0, 1, 2], [1], 3):
+        circuits.append(circuit_to_json_dict(ChipParams().circuit()))
+        circuits[-1]["elements"][0]["modes"] = modes
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("simulate", "fig2a", ("circuit",), {"inline": circuit}) for circuit in circuits
+    ])
+    assert errors == ["config error: bad circuit: coupler needs two distinct modes\n"] * 3
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    # "unhashable type: 'list'"
+    (("kind",), [], "unknown scenario kind []"),
+    # "string indices must be integers, not 'str'"
+    (("circuit",), {"inline": {"modes": 4, "elements": {"dc": 1}}},
+     "bad circuit: circuit elements must be a list, got {'dc': 1}"),
+    # "unhashable type: 'list'"
+    (("circuit",), {"inline": {"modes": 4, "elements": [{"type": ["dc"], "eta": 0.5, "modes": [1, 2]}]}},
+     "bad circuit: unknown element type ['dc']"),
+], ids=["kind", "elements", "element type"])
+def test_config_shape_errors_name_their_field(tmp_path, capsys, keys, value, message):
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, [("simulate", "fig2a", keys, value)])
+    assert errors == [f"config error: {message}\n"]
+
+
 def test_simulate_preset_writes_expected_files(tmp_path):
     out = tmp_path / "run"
     assert run_cli(["simulate", "--preset", "fig2a", "--out", str(out)]) == 0
@@ -639,7 +667,8 @@ def test_fidelity_unnormalized_exits_2(tmp_path, capsys):
     a.write_text(detect.distribution_csv_text({"x": 1.0}))
     b.write_text(detect.distribution_csv_text({"x": 0.25}))
     assert run_cli(["fidelity", str(a), str(b)]) == 2
-    assert capsys.readouterr().err == "config error: distributions must each sum to 1 (got 1 and 0.25)\n"
+    assert capsys.readouterr().err == ("config error: probabilities of the second distribution "
+                                       "sum to 0.25, expected 1\n")
 
 
 def test_fidelity_non_finite_probability_exits_2(tmp_path, capsys):
@@ -666,7 +695,7 @@ def test_fidelity_repeated_outcome_exits_2(tmp_path, capsys):
     b.write_text(detect.distribution_csv_text({"x": 1.0}))
     assert run_cli(["fidelity", str(a), str(b)]) == 2
     err = assert_one_config_error(capsys)
-    assert f"{a}, line 3: outcome 'x' is repeated" in err
+    assert f"{a}: outcome 'x' is repeated" in err
 
 
 def test_coincidence_command(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from noonchip import detect, evolve
 from noonchip.circuit import ChipParams
+from noonchip.coinc import read_pulse_csv
 from noonchip.detect import (
     DetectorModel,
     SplitterTree,
@@ -21,6 +22,7 @@ from noonchip.detect import (
     click_distribution,
     fidelity,
     paper_6fold_topology,
+    read_distribution_csv,
     topology_from_json_dict,
     topology_to_json_dict,
 )
@@ -392,6 +394,42 @@ def test_fidelity_rejects_nan():
     for p, q in (({"x": math.nan}, {"x": 1.0}), ({"x": 1.0}, {"x": math.nan})):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got nan"):
             fidelity(p, q)
+
+
+READERS = {"pulse": (read_pulse_csv, "channel,t_ns"),
+           "distribution": (read_distribution_csv, "outcome,probability")}
+
+#: bad files, each written with the reader's own header, and the message each raises
+BAD_FILES = {
+    "missing file": (None, "file not found"),
+    "missing column": ("a,b\nx,1.0\n", "expected columns"),
+    "empty file": ("", "expected columns"),
+    "short row": ("{header}\nx\n", "fewer than 2 fields"),
+    "NUL character": ("{header}\nx\0,1.0\n", "NUL character"),
+    "field over csv's size limit": ("{header}\n" + "x" * 200_000 + ",1.0\n", "field limit"),
+    "bytes that are not UTF-8": ("{header}\n\udcff,1.0\n", "can't decode"),
+}
+
+
+@pytest.mark.parametrize("reader, header", READERS.values(), ids=READERS)
+@pytest.mark.parametrize("body, message", BAD_FILES.values(), ids=BAD_FILES)
+def test_csv_readers_share_one_set_of_file_rules(tmp_path, reader, header, body, message):
+    # a missing file raised FileNotFoundError from both readers, the
+    # distribution reader kept a NUL character and read a short row's missing
+    # field as None, and the pulse reader did not name the file of bytes that
+    # do not decode
+    path = tmp_path / "input.csv"
+    if body is not None:
+        path.write_bytes(body.format(header=header).encode(errors="surrogateescape"))
+    with pytest.raises(ValueError, match=message) as info:
+        reader(path)
+    assert str(path) in str(info.value)
+
+
+def test_distribution_csv_columns_line_ends_and_blank_lines(tmp_path):
+    path = tmp_path / "dist.csv"
+    path.write_bytes(b'\r\nprobability,outcome\r\n\r\n0.25,a\r0.75,"b,c"\n\n')
+    assert read_distribution_csv(path) == {"a": 0.25, "b,c": 0.75}
 
 
 def heralded_counts(chip):

@@ -157,14 +157,14 @@ def test_herald_condition_matches_the_dict_it_replaced():
 @example(6, [MAX_PHOTONS], 0, 0.5j)
 @example(4, [6, 0], 1, 1e-15)
 def test_checked_keys_are_what_the_constructor_would_build(modes, photons, seed, factor):
-    # apply, herald conditioning, normalized and scaled skip the count rule on
+    # apply, herald conditioning and scaled skip the count rule on
     # keys they took from a sector or a state: each result must equal what the
     # checking constructor builds from its own terms
     rng = np.random.default_rng(seed)
     terms = {random_occupation(rng, n, modes): complex(rng.normal(), rng.normal()) for n in photons}
     norm = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
     evolved = apply(haar(rng, modes), FockState(modes, {occ: a / norm for occ, a in terms.items()}))
-    states = [evolved, evolved.normalized(), evolved.scaled(factor)]
+    states = [evolved, evolved.scaled(factor)]
     if modes > 1:
         counts = {occ[0] for occ in evolved.amplitudes}
         for n in (min(counts), max(counts), MAX_PHOTONS + 1):  # the last heralds nothing
@@ -393,6 +393,27 @@ def test_sampling_is_deterministic_per_seed():
     assert np.array_equal(a[1], b[1])
     c = sample_output_counts(u, (0, 2, 2, 0), rng_seed=10, shots=500)
     assert not np.array_equal(a[1], c[1])
+
+
+def test_sampling_draws_are_pinned_and_the_sum_rule_is_fock_probabilities():
+    # the counts the draws gave before the sum check went through fock.probabilities
+    occs, counts = sample_output_counts(ChipParams().matrix(), (0, 2, 2, 0), rng_seed=9, shots=500)
+    assert {occ: n for occ, n in zip(occs, counts.tolist()) if n} == {
+        (0, 0, 0, 4): 36, (0, 0, 1, 3): 45, (0, 0, 2, 2): 11, (0, 1, 0, 3): 31, (0, 1, 1, 2): 61,
+        (0, 1, 2, 1): 12, (0, 2, 0, 2): 7, (0, 2, 1, 1): 13, (0, 2, 2, 0): 5, (1, 0, 1, 2): 17,
+        (1, 0, 2, 1): 13, (1, 1, 0, 2): 15, (1, 1, 2, 0): 14, (1, 2, 0, 1): 11, (1, 2, 1, 0): 11,
+        (2, 0, 0, 2): 27, (2, 0, 1, 1): 9, (2, 0, 2, 0): 6, (2, 1, 0, 1): 15, (2, 1, 1, 0): 31,
+        (2, 2, 0, 0): 2, (3, 0, 1, 0): 28, (3, 1, 0, 0): 43, (4, 0, 0, 0): 37}
+    # bar couplers and a phase: the sure outcome's |e^{i phi}|^2 rounds above 1
+    bar = ChipParams(1.0, 1.0, 1.0, 1.0, phi=0.063).matrix()
+    assert output_distribution(bar, (0, 0, 1, 0)) == {(0, 0, 1, 0): 1.0000000000000004}
+    occs, counts = sample_output_counts(bar, (0, 0, 1, 0), rng_seed=3, shots=4)
+    assert occs == [(0, 0, 1, 0)] and counts.tolist() == [4]
+    # a matrix that is not unitary: each value is a probability, and they sum to 1
+    with pytest.raises(ValueError, match=r"^output probabilities sum to 0.25, expected 1$"):
+        sample_output_counts(0.5 * np.eye(2), (1, 0), rng_seed=0, shots=3)
+    with pytest.raises(ValueError, match=r"^output probabilities must lie in \[0, 1\], got 1.44$"):
+        sample_output_counts(1.2 * np.eye(2), (1, 0), rng_seed=0, shots=3)
 
 
 def test_sampling_seed_and_shots_are_counts():

@@ -25,6 +25,7 @@ from noonchip.fock import (
     is_number,
     nonnegative_ints,
     number,
+    probabilities,
     probability,
     split,
     state_fidelity,
@@ -204,7 +205,7 @@ def test_array_constructor_prunes_and_rounds_as_the_dict_it_replaced():
     assert len(FockState._from_checked(3, [], np.zeros(0, dtype=complex))) == 0
 
 
-def test_normalized_and_scaled_match_the_dict_they_replaced():
+def test_scaled_matches_the_dict_it_replaced():
     rng = np.random.default_rng(9)
     occs = list(basis_occupations(3, 3))
     for _ in range(50):
@@ -213,9 +214,6 @@ def test_normalized_and_scaled_match_the_dict_they_replaced():
         values.real[rng.random(len(occs)) < 0.2] = -0.0
         values /= 2 * np.linalg.norm(values)
         state = FockState(3, dict(zip(occs, values.tolist())))
-        n = state.norm()
-        want = dict_from_checked({occ: a / n for occ, a in state.amplitudes.items()})
-        assert raw_terms(state.normalized().amplitudes) == raw_terms(want)
         for factor in (1.5, -1.0, complex(rng.normal(), rng.normal()), 1j, 0.0):
             if abs(factor) < 2.0:
                 want = dict_from_checked({occ: complex(a * factor) for occ, a in state.amplitudes.items()})
@@ -226,14 +224,6 @@ def test_items_sorted_lexicographically():
     s = FockState(2, {(2, 0): 0.5, (0, 2): 0.5, (1, 1): 0.5})
     occs = [occ for occ, _ in s.items()]
     assert occs == sorted(occs)
-
-
-def test_norm_and_normalized():
-    s = FockState(2, {(1, 0): 0.3, (0, 1): 0.4})
-    assert s.norm() == pytest.approx(0.5, abs=1e-15)
-    n = s.normalized()
-    assert n.norm_squared() == pytest.approx(1.0, abs=1e-14)
-    assert n.amplitude((1, 0)) == pytest.approx(0.6)
 
 
 def test_photon_sectors():
@@ -307,6 +297,22 @@ def test_state_fidelity_phase_invariant():
     b = FockState(2, {o: amp * np.exp(0.83j) for o, amp in zip(occs, amps)})
     assert state_fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
     assert state_fidelity(a, a) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_probabilities_is_the_sum_to_one_rule():
+    probs = probabilities("weights", (0.25, np.float64(0.75), 0))
+    assert probs == [0.25, 0.75, 0.0] and all(type(p) is float for p in probs)
+    with pytest.raises(ValueError, match=r"^weights sum to 0.9, expected 1$"):
+        probabilities("weights", [0.5, 0.4])
+    with pytest.raises(ValueError, match=r"^weights sum to 0, expected 1$"):
+        probabilities("weights", [])
+    for bad in (1.5, -0.5, math.nan, True, "0.5"):
+        with pytest.raises(ValueError, match=r"^weights must lie in \[0, 1\], got "):
+            probabilities("weights", [bad, 0.0])
+    # the rounding of a computed sure outcome is read as 1; more is not
+    assert probabilities("weights", [1.0 + 4e-16, 0.0]) == [1.0, 0.0]
+    with pytest.raises(ValueError, match="must lie in"):
+        probabilities("weights", [1.0 + 1e-8, 0.0])
 
 
 def test_marginal_distribution_full_and_partial():
@@ -454,7 +460,7 @@ def test_multinomial():
     # (2.0, -1.0) gave {(0, 2): 1.0, (2, 0): 4.0}, (0.5, 0.4) a sum of 0.81 and
     # a string a TypeError from **
     for probs in ((2.0, -1.0), ("0.5", 0.5), (0.5, True), (math.nan, 1.0)):
-        with pytest.raises(ValueError, match="multinomial probability must lie in"):
+        with pytest.raises(ValueError, match="multinomial probabilities must lie in"):
             multinomial(2, probs)
     with pytest.raises(ValueError, match="sum to 0.9, expected 1"):
         multinomial(2, (0.5, 0.4))

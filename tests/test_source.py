@@ -245,7 +245,9 @@ def reference_branches(state, modes, total_photons):
             }
             if amps:
                 raw = FockState(len(kept), amps)
-                branches[counts] = (raw.norm_squared(), raw.normalized())
+                norm = math.sqrt(raw.norm_squared())
+                normalised = FockState(len(kept), {occ: a / norm for occ, a in raw.amplitudes.items()})
+                branches[counts] = (raw.norm_squared(), normalised)
     return branches
 
 
