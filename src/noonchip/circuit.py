@@ -28,7 +28,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .fock import check_keys, count, nonnegative_ints, number, probability
+from .fock import check_keys, count, json_list, nonnegative_ints, number, probability
 
 
 @dataclass(frozen=True)
@@ -164,13 +164,12 @@ def with_loss(circ: Interferometer, mode: int, transmission: float) -> Interfero
 #    {"type": "loss", "t": 0.667, "mode": 0}]}
 #
 # "modes" counts signal modes only; environment modes for loss taps are
-# assigned in element order after the signal modes on load.  A key outside
-# this form is rejected, and so is a setting that is not a finite number or a
-# mode or mode count that fails fock's count rule (a bool, 2.0, a string).
+# assigned in element order after the signal modes on load.  Each object and list
+# passes fock.check_keys or fock.json_list before it is read; a setting that is not a
+# finite number, or a mode or mode count that fails fock's count rule, is rejected.
 
-#: the keys each element type takes
-ELEMENT_KEYS = {"dc": ("type", "eta", "modes"), "phase": ("type", "phi", "mode"),
-                "loss": ("type", "t", "mode")}
+#: the keys each element type takes besides "type"
+ELEMENT_KEYS = {"dc": ("eta", "modes"), "phase": ("phi", "mode"), "loss": ("t", "mode")}
 
 
 def circuit_to_json_dict(circ: Interferometer) -> dict:
@@ -186,17 +185,14 @@ def circuit_to_json_dict(circ: Interferometer) -> dict:
 
 
 def circuit_from_json_dict(data: dict) -> Interferometer:
-    check_keys(data, "circuit", ("modes", "elements"))
+    check_keys(data, "circuit", ("modes",), ("elements",))
     elements: list[Element] = []
-    next_env = data["modes"]
-    entries = data.get("elements", [])
-    if not isinstance(entries, list):
-        raise ValueError(f"circuit elements must be a list, got {entries!r}")
-    for entry in entries:
-        kind = entry["type"]
+    next_env = count("circuit modes", data["modes"])
+    for entry in json_list("circuit elements", data.get("elements", [])):
+        kind = check_keys(entry, "element", ("type",), sum(ELEMENT_KEYS.values(), ()))["type"]
         if not isinstance(kind, str) or kind not in ELEMENT_KEYS:
             raise ValueError(f"unknown element type {kind!r}")
-        check_keys(entry, f"{kind} element", ELEMENT_KEYS[kind])
+        check_keys(entry, f"{kind} element", ("type",) + ELEMENT_KEYS[kind])
         if kind == "dc":
             elements.append(DirectionalCoupler(entry["eta"], entry["modes"]))
         elif kind == "phase":

@@ -25,12 +25,12 @@ from .scenarios import (
     NumericError,
     ScenarioConfig,
     ScenarioOutput,
-    _parse,
     load_json,
     preset,
     run_contamination,
     run_fringe,
     run_simulate,
+    settings,
 )
 
 EXIT_OK = 0
@@ -65,15 +65,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _coincidence_config(args: argparse.Namespace) -> coinc.CoincidenceConfig:
-    settings = {}
-    if args.config is not None:
-        settings = load_json(args.config, "config")
-    return _parse("coincidence settings", lambda: coinc.CoincidenceConfig(**settings))
-
-
 def _cmd_coincidence(args: argparse.Namespace) -> int:
-    config = _coincidence_config(args)
+    data = {} if args.config is None else load_json(args.config, "config")
+    config = settings("coincidence settings", coinc.CoincidenceConfig, data)
     output = ScenarioOutput(summary=[])
     if args.profile:
         rows = 4 * config.window_cycles + 9

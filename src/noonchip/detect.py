@@ -31,8 +31,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fock import (PROB_SUM_TOL, FockState, check_keys, count, marginal_distribution, number,
-                   probabilities, probability)
+from .fock import (PROB_SUM_TOL, FockState, check_keys, count, json_list, marginal_distribution,
+                   number, probabilities, probability)
 
 
 @dataclass(frozen=True)
@@ -232,18 +232,18 @@ def topology_to_json_dict(
 def topology_from_json_dict(data: dict) -> tuple[list[SplitterTree], DetectorModel]:
     """Reads the topology_to_json_dict form; a key outside it, or an efficiency
     for an id that is no leaf, raises ValueError."""
-    check_keys(data, "detection", ("trees", "efficiency"))
+    check_keys(data, "detection", ("trees",), ("efficiency",))
     trees = []
-    for entry in data["trees"]:
+    for entry in json_list("detection trees", data["trees"]):
         check_keys(entry, "splitter tree", ("mode", "leaves"))
         leaves = []
-        for leaf in entry["leaves"]:
+        for leaf in json_list("splitter tree leaves", entry["leaves"]):
             check_keys(leaf, "leaf", ("det", "p"))
             leaves.append((leaf["det"], leaf["p"]))
         trees.append(SplitterTree(entry["mode"], tuple(leaves)))
     _validate_trees(trees)
     efficiency = data.get("efficiency", {})
-    check_keys(efficiency, "efficiency", tuple(d for t in trees for d in t.detector_ids()))
+    check_keys(efficiency, "efficiency", (), tuple(d for t in trees for d in t.detector_ids()))
     return trees, DetectorModel(efficiency=efficiency or 1.0)
 
 

@@ -9,10 +9,11 @@ count for one count (photons, modes, seeds, cutoffs, windows) and nonnegative_in
 for a sequence of counts (one count test), probability for a value in [0, 1],
 probabilities for values that sum to 1 within PROB_SUM_TOL, and number for any
 other number (probability and number test is_number); all but nonnegative_ints
-name the value.  Keys are checked where they enter: FockState(...) puts its mode
-count through count and every occupation through nonnegative_ints, while
-evolve.apply, herald conditioning and scaled reuse keys that were already checked
-(a cached sector's, or an existing state's), with one numpy array of their values.
+name the value, as do check_keys and json_list, the JSON object and array rules
+that every reader runs first.  Keys are checked where they enter: FockState(...)
+puts its mode count through count and every occupation through nonnegative_ints,
+while evolve.apply, herald conditioning and scaled reuse keys that were already
+checked (a cached sector's, or an existing state's), with one numpy array of their values.
 """
 
 from __future__ import annotations
@@ -178,9 +179,9 @@ class FockState:
         """Reads the to_json_dict form, one term per occupation."""
         check_keys(data, "state", ("modes", "terms"))
         amps = {}
-        for term in data["terms"]:
+        for term in json_list("state terms", data["terms"]):
             check_keys(term, "state term", ("occ", "re", "im"))
-            occ = tuple(term["occ"])
+            occ = nonnegative_ints(json_list("state term occ", term["occ"]))
             if occ in amps:
                 raise ValueError(f"occupation {term['occ']!r} is given twice")
             if not (is_number(term["re"]) and is_number(term["im"])):
@@ -194,13 +195,26 @@ def _check_norm(norm2: float) -> None:
         raise ValueError(f"state norm^2 = {norm2:.6g} is not a number <= 1")
 
 
-def check_keys(data, what: str, allowed: tuple[str, ...]) -> None:
-    """Raises ValueError unless data is a JSON object with keys only from allowed."""
+def check_keys(data, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """The one JSON object rule: data as given if it is a dict that holds every
+    required key and no key outside required and optional; else ValueError naming what."""
     if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    unknown = ", ".join(repr(key) for key in sorted(set(data) - set(allowed)))
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"{what} needs the key{'s' * (len(missing) > 1)} {', '.join(missing)}")
+    allowed = dict.fromkeys(required + optional)
+    unknown = ", ".join(sorted(repr(key) for key in data if key not in allowed))
     if unknown:
         raise ValueError(f"{what} takes only the keys {', '.join(allowed)}; got {unknown}")
+    return data
+
+
+def json_list(what: str, value) -> list:
+    """The one JSON array rule: value as given if it is a list (or a tuple); else ValueError naming what."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def is_number(value) -> bool:

@@ -4,8 +4,9 @@ A ScenarioConfig captures one reproducible computation: circuit settings, an
 input state, optional herald pattern, detection topology, and sweep settings.
 Each kind reads a fixed set of the optional fields (OPTIONAL_FIELDS) and
 cannot run without some of them (REQUIRED_FIELDS); a config that sets any
-other field is rejected.  A ScenarioConfig checks only this structure; each
-value is checked where it is read, by what it builds or by the runner.  Configs
+other field is rejected.  A ScenarioConfig checks only this structure, by fock.check_keys
+and fock.json_list (settings for the chip, pair-source and coincidence blocks); each value
+is checked where it is read, by what it builds or by the runner.  Configs
 serialize to JSON and round-trip identically, and every preset below
 reproduces one of the chip's benchmark curves:
 
@@ -29,7 +30,7 @@ from typing import Callable, Mapping, TypeVar
 
 from . import analysis, detect, evolve, herald, source
 from .circuit import ChipParams, Interferometer, circuit_from_json_dict, compile_circuit
-from .fock import NORM_TOL, FockState
+from .fock import NORM_TOL, FockState, check_keys, json_list
 
 T = TypeVar("T")
 
@@ -43,25 +44,37 @@ class NumericError(RuntimeError):
 
 
 def load_json(path, what: str):
-    """Parsed JSON file; a missing file or bad JSON raises ConfigError."""
+    """Parsed JSON file; a missing file, bytes that are not UTF-8 or bad JSON raise ConfigError."""
     file = Path(path)
     if not file.is_file():
         raise ConfigError(f"{what} file not found: {file}")
     try:
-        return json.loads(file.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(file.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError(f"invalid JSON in {file}: {exc}") from exc
 
 
 def _parse(what: str, build: Callable[[], T]) -> T:
-    """build(); a KeyError, TypeError or ValueError from it is bad <what> input,
-    and so is an OverflowError (a JSON number too large for a float)."""
+    """build(); a TypeError or ValueError from it is bad <what> input, and so
+    is an OverflowError (a JSON number too large for a float)."""
     try:
         return build()
-    except KeyError as exc:
-        raise ConfigError(f"bad {what}: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _shape(rule: Callable[..., T], *args) -> T:
+    """rule(*args), fock.check_keys or fock.json_list on config JSON; a ValueError is a ConfigError."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def settings(what: str, cls: type[T], data) -> T:
+    """cls(**data) for a dataclass cls whose fields all have defaults and a JSON object
+    data of some of its fields; a wrong shape or value raises ConfigError "bad <what>: ..."."""
+    return _parse(what, lambda: cls(**check_keys(data, cls.__name__, (), tuple(cls.__dataclass_fields__))))
 
 
 def _block(block: dict, what: str):
@@ -70,7 +83,7 @@ def _block(block: dict, what: str):
 
 
 def _one_of(block, name: str, keys: tuple[str, ...]) -> None:
-    if not isinstance(block, dict) or len(block) != 1 or next(iter(block)) not in keys:
+    if len(_shape(check_keys, block, name, (), keys)) != 1:
         raise ConfigError(f"{name} must give exactly one of: {', '.join(keys)}")
     if not isinstance(block.get("file", ""), str):
         raise ConfigError(f"{name}.file must be a path string")
@@ -83,10 +96,13 @@ def _count_pattern(data) -> herald.HeraldPattern:
     if not isinstance(data, dict):
         raise ValueError(f"a count pattern maps modes to counts, got {data!r}")
     for key in data:
-        if str(int(key)) != key:  # int("x") raises on its own
+        if not (str(key).isdecimal() and str(int(key)) == key):
             raise ValueError(f"a pattern key is a mode written as str(mode), got {key!r}")
     return herald.HeraldPattern({int(key): n for key, n in data.items()})
 
+
+#: the fields a config may leave out; each kind reads some of them
+_KIND_FIELDS = ("herald", "detection", "sweep", "signal_photons")
 
 #: the optional fields each scenario kind reads; setting any other is an error
 OPTIONAL_FIELDS = {
@@ -122,22 +138,13 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         _one_of(self.circuit, "circuit", ("chip", "file", "inline"))
         _one_of(self.input, "input", ("occupation", "state", "spdc"))
-        given = [
-            name
-            for name in ("herald", "detection", "sweep", "signal_photons")
-            if getattr(self, name) is not None
-        ]
-        unread = [name for name in given if name not in OPTIONAL_FIELDS[self.kind]]
-        if unread:
-            raise ConfigError(f"{self.kind} scenarios do not read: {', '.join(unread)}")
-        missing = [name for name in REQUIRED_FIELDS.get(self.kind, ()) if name not in given]
-        if missing:
-            raise ConfigError(f"{self.kind} scenarios need: {', '.join(missing)}")
+        given = {name: getattr(self, name) for name in _KIND_FIELDS if getattr(self, name) is not None}
+        _shape(check_keys, given, f"{self.kind} scenario", REQUIRED_FIELDS.get(self.kind, ()),
+               OPTIONAL_FIELDS[self.kind])
         if self.detection is not None:
             _one_of(self.detection, "detection", ("file", "inline"))
-        sweep = self.sweep
-        if sweep is not None and not (isinstance(sweep, dict) and set(sweep) == {"grid", "pattern"}):
-            raise ConfigError("sweep takes exactly a grid and a pattern")
+        if self.sweep is not None:
+            _shape(check_keys, self.sweep, "sweep", ("grid", "pattern"))
 
     # -- serialization ----------------------------------------------------
 
@@ -146,15 +153,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_dict(cls, data) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        extra = set(data) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ConfigError(f"unknown config fields: {', '.join(sorted(extra))}")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**_shape(check_keys, data, "config", ("name", "kind", "circuit", "input"), _KIND_FIELDS))
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -170,9 +169,8 @@ class ScenarioConfig:
     # -- resolution ---------------------------------------------------------
 
     def chip_params(self) -> ChipParams:
-        if "chip" not in self.circuit:
-            raise ConfigError(f"{self.kind} scenarios need circuit.chip settings")
-        return _parse("chip settings", lambda: ChipParams(**self.circuit["chip"]))
+        circuit = _shape(check_keys, self.circuit, f"{self.kind} scenario's circuit", ("chip",))
+        return settings("chip settings", ChipParams, circuit["chip"])
 
     def interferometer(self) -> Interferometer:
         if "chip" in self.circuit:
@@ -187,7 +185,8 @@ class ScenarioConfig:
                 raise ConfigError("the pair-source input is defined on the four-mode chip")
             return source.spdc_chip_input(params)
         if "occupation" in self.input:
-            state = _parse("input.occupation", lambda: FockState.basis_state(self.input["occupation"]))
+            occupation = _shape(json_list, "input.occupation", self.input["occupation"])
+            state = _parse("input.occupation", lambda: FockState.basis_state(occupation))
         else:
             state = _parse("input.state", lambda: FockState.from_json_dict(self.input["state"]))
             if abs(state.norm_squared() - 1.0) > NORM_TOL:
@@ -197,9 +196,8 @@ class ScenarioConfig:
         return state
 
     def spdc_params(self) -> source.SpdcParams:
-        if "spdc" not in self.input:
-            raise ConfigError("this scenario needs a pair-source input block")
-        return _parse("pair-source settings", lambda: source.SpdcParams(**self.input["spdc"]))
+        block = _shape(check_keys, self.input, f"{self.kind} scenario's input", ("spdc",))
+        return settings("pair-source settings", source.SpdcParams, block["spdc"])
 
     def herald_pattern(self) -> herald.HeraldPattern | None:
         if self.herald is None:
@@ -215,10 +213,7 @@ class ScenarioConfig:
 
     def sweep_grid(self) -> list:
         """The grid as given; each phase is checked by the phase shifter it sets."""
-        grid = self.sweep["grid"]
-        if not isinstance(grid, (list, tuple)):
-            raise ConfigError("sweep.grid must be a list of phases")
-        return grid
+        return _shape(json_list, "sweep.grid", self.sweep["grid"])
 
     def sweep_pattern(self) -> herald.HeraldPattern:
         return _parse("sweep pattern", lambda: _count_pattern(self.sweep["pattern"]))

@@ -421,6 +421,95 @@ def test_config_shape_errors_name_their_field(tmp_path, capsys, keys, value, mes
     assert errors == [f"config error: {message}\n"]
 
 
+def _set(*keys_and_value):
+    """An edit that sets the value at a key path of a preset's JSON."""
+    *keys, value = keys_and_value
+
+    def edit(data):
+        for key in keys[:-1]:
+            data = data[key]
+        data[keys[-1]] = value
+    return edit
+
+
+_LOSS_CIRCUIT = {"elements": [{"type": "loss", "t": 0.5, "mode": 0}]}
+_STATE = {"modes": 4, "terms": [{"occ": [0, 2, 2, 0], "re": 1.0, "im": 0.0}]}
+_TOPOLOGY = detect.topology_to_json_dict(*detect.paper_6fold_topology())
+
+
+@pytest.mark.parametrize("command, name, edit, message", [
+    # "'int' object is not subscriptable"
+    ("simulate", "fig2a", _set("circuit", {"inline": {"modes": 4, "elements": [1]}}),
+     "bad circuit: element must be a JSON object, got 1"),
+    # "can only concatenate str (not "int") to str"
+    ("simulate", "fig2a", _set("circuit", {"inline": {**_LOSS_CIRCUIT, "modes": "4"}}),
+     "bad circuit: circuit modes must be an integer >= 0 in a float's range, got '4'"),
+    # "... got 5.0", the mode count after the loss tap
+    ("simulate", "fig2a", _set("circuit", {"inline": {**_LOSS_CIRCUIT, "modes": 4.0}}),
+     "bad circuit: circuit modes must be an integer >= 0 in a float's range, got 4.0"),
+    # "missing key 'modes'", as if the circuit lacked it
+    ("simulate", "fig2a", _set("circuit", {"inline": {"modes": 4, "elements": [{"type": "dc", "eta": 0.5}]}}),
+     "bad circuit: dc element needs the key modes"),
+    # each of the next five: "'int' object is not iterable"
+    ("simulate", "fig2a", _set("input", {"state": {**_STATE, "terms": 5}}),
+     "bad input.state: state terms must be a list, got 5"),
+    ("simulate", "fig2a", _set("input", {"state": {**_STATE, "terms": [{"occ": 5, "re": 1.0, "im": 0.0}]}}),
+     "bad input.state: state term occ must be a list, got 5"),
+    ("contamination", "fig4-contamination", _set("detection", {"inline": {**_TOPOLOGY, "trees": 5}}),
+     "bad detection topology: detection trees must be a list, got 5"),
+    ("contamination", "fig4-contamination",
+     _set("detection", {"inline": {**_TOPOLOGY, "trees": [{"mode": 0, "leaves": 5}]}}),
+     "bad detection topology: splitter tree leaves must be a list, got 5"),
+    ("simulate", "fig2a", _set("input", "occupation", 5), "input.occupation must be a list, got 5"),
+    # "ChipParams() argument after ** must be a mapping, not list"
+    ("simulate", "fig2a", _set("circuit", "chip", [1]),
+     "bad chip settings: ChipParams must be a JSON object, got [1]"),
+    # "SpdcParams() argument after ** must be a mapping, not list"
+    ("contamination", "fig4-contamination", _set("input", "spdc", [1]),
+     "bad pair-source settings: SpdcParams must be a JSON object, got [1]"),
+    # "ChipParams.__init__() got an unexpected keyword argument 'bogus'"
+    ("simulate", "fig2a", _set("circuit", "chip", {"bogus": 1}),
+     "bad chip settings: ChipParams takes only the keys eta1, eta2, eta3, eta4, phi; got 'bogus'"),
+    # "ScenarioConfig.__init__() missing 1 required positional argument: 'input'"
+    ("simulate", "fig2a", lambda data: data.pop("input"), "config needs the key input"),
+], ids=["element", "modes str", "modes float", "dc modes", "terms", "occ", "trees", "leaves",
+        "occupation", "chip list", "spdc list", "chip key", "no input"])
+def test_json_shape_errors_name_their_block(tmp_path, capsys, command, name, edit, message):
+    data = preset(name).to_json_dict()
+    edit(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert run_cli([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_config_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    # "config error: 'utf-8' codec can't decode byte 0xff in position 0: ..."
+    path = tmp_path / "settings.json"
+    path.write_bytes(b"\xff{}")
+    for argv in (["simulate", "--config", str(path)], ["coincidence", "--profile", "--config", str(path)]):
+        assert run_cli(argv) == 2
+        assert f"invalid JSON in {path}: 'utf-8' codec can't decode" in assert_one_config_error(capsys)
+
+
+def test_config_nested_too_deep_for_the_parser_exits_2(tmp_path, capsys):
+    # a RecursionError traceback, exit 1
+    path = tmp_path / "scenario.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run_cli(["simulate", "--config", str(path)]) == 2
+    assert f"invalid JSON in {path}: maximum recursion depth exceeded" in assert_one_config_error(capsys)
+
+
+def test_pattern_key_that_is_no_integer_is_named_by_the_key_rule(tmp_path, capsys):
+    # "invalid literal for int() with base 10: 'x'"
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, [
+        ("simulate", "fig2a", ("herald",), {"0": 1, "x": 1}),
+        ("fringe", "fig3b-4point", ("sweep", "pattern"), {"x": 1}),
+    ])
+    assert errors == [f"config error: bad {what} pattern: a pattern key is a mode written as "
+                      "str(mode), got 'x'\n" for what in ("herald", "sweep")]
+
+
 def test_simulate_preset_writes_expected_files(tmp_path):
     out = tmp_path / "run"
     assert run_cli(["simulate", "--preset", "fig2a", "--out", str(out)]) == 0
@@ -908,8 +997,11 @@ def test_coincidence_bad_settings_exits_2(tmp_path, capsys):
         ({"window_cycles": 0}, "window_cycles must be an integer in [1, 9007199254740992], got 0"),
         # named no field: "coincidence settings must be finite numbers"
         ({"t_clk": "a"}, "t_clk must be a finite number, got 'a'"),
-        ({"bogus": 1}, "CoincidenceConfig.__init__() got an unexpected keyword argument 'bogus'"),
-        ([1], "noonchip.coinc.CoincidenceConfig() argument after ** must be a mapping, not list"),
+        # "CoincidenceConfig.__init__() got an unexpected keyword argument 'bogus'"
+        ({"bogus": 1}, "CoincidenceConfig takes only the keys t_clk, window_cycles, n_channels, "
+                       "dead_time_ns, jitter_sigma_ns; got 'bogus'"),
+        # "noonchip.coinc.CoincidenceConfig() argument after ** must be a mapping, not list"
+        ([1], "CoincidenceConfig must be a JSON object, got [1]"),
     ):
         cfg.write_text(json.dumps(settings))
         assert run_cli(["coincidence", str(pulses), "--config", str(cfg)]) == 2

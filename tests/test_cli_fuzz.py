@@ -1,6 +1,7 @@
 """Preset configs with one or two values replaced by random JSON, and fuzzed
 pulse and distribution CSV files, still end in exit 0, 2 or 3, never a
-traceback, and a failure prints one stderr line."""
+traceback, and a failure prints one stderr line; a config's line is none of
+Python's own messages."""
 
 import contextlib
 import copy
@@ -64,6 +65,10 @@ def _positions(value, path=()):
         yield from _positions(child, path + (key,))
 
 
+#: parts of Python's own messages, which name no config field
+PYTHON_MESSAGES = ("__init__()", "argument after", "missing key", "invalid literal", "object is not")
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(BASES)), st.data())
 def test_damaged_configs_exit_cleanly(name, data):
@@ -84,6 +89,7 @@ def test_damaged_configs_exit_cleanly(name, data):
     assert code in (0, 2, 3)
     if code:
         assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
+        assert not any(leak in stderr.getvalue() for leak in PYTHON_MESSAGES), stderr.getvalue()
 
 
 # -- CSV inputs -------------------------------------------------------------------

@@ -17,12 +17,14 @@ from noonchip.fock import (
     PRUNE_EPS,
     FockState,
     basis_occupations,
+    check_keys,
     count,
     inner_product,
     make_noon,
     marginal_distribution,
     multinomial,
     is_number,
+    json_list,
     nonnegative_ints,
     number,
     probabilities,
@@ -430,6 +432,39 @@ def test_json_dict_shape():
     assert d["modes"] == 2
     assert d["terms"] == [{"occ": [0, 1], "re": 1.0, "im": 0.0}]
     json.dumps(d)  # serializable as-is
+
+
+def test_json_terms_pass_the_count_rule_before_the_repeat_rule():
+    # "occupation [0, 2, 2, 0.0] is given twice"
+    terms = [{"occ": occ, "re": 0.6, "im": 0.0} for occ in ([0, 2, 2, 0], [0, 2, 2, 0.0])]
+    with pytest.raises(ValueError) as info:
+        FockState.from_json_dict({"modes": 4, "terms": terms})
+    assert str(info.value) == "expected non-negative integers, got 0.0"
+    with pytest.raises(ValueError, match=r"occupation \[0, 2, 2, 0\] is given twice"):
+        FockState.from_json_dict({"modes": 4, "terms": terms[:1] * 2})
+
+
+def test_check_keys_is_the_json_object_rule():
+    data = {"a": 1, "c": 2}
+    assert check_keys(data, "block", ("a",), ("b", "c")) is data
+    for bad, required, message in (
+        ([1], ("a",), "block must be a JSON object, got [1]"),
+        ({"c": 2}, ("a",), "block needs the key a"),
+        ({}, ("a", "b"), "block needs the keys a, b"),
+        ({"a": 1, "b": 2, "z": 3, "y": 4}, ("a",), "block takes only the keys a, b, c; got 'y', 'z'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            check_keys(bad, "block", required, ("b", "c"))
+        assert str(info.value) == message
+
+
+def test_json_list_is_the_json_array_rule():
+    for value in ([], [1, "a"], (0.5,)):
+        assert json_list("grid", value) is value
+    for bad in (5, "ab", {"a": 1}, None, range(2)):
+        with pytest.raises(ValueError) as info:
+            json_list("grid", bad)
+        assert str(info.value) == f"grid must be a list, got {bad!r}"
 
 
 def test_scaled():
