@@ -206,7 +206,8 @@ def check_keys(data, what: str, required: tuple[str, ...], optional: tuple[str, 
     allowed = dict.fromkeys(required + optional)
     unknown = ", ".join(sorted(repr(key) for key in data if key not in allowed))
     if unknown:
-        raise ValueError(f"{what} takes only the keys {', '.join(allowed)}; got {unknown}")
+        takes = f"only the keys {', '.join(allowed)}" if allowed else "no keys"
+        raise ValueError(f"{what} takes {takes}; got {unknown}")
     return data
 
 

@@ -3,8 +3,9 @@
 A herald pattern demands exact counts on a subset of modes; projecting keeps
 the matching component, records its squared norm as the herald probability,
 and returns the renormalized conditional state on the remaining modes.
-Patterns take int modes and counts only; the scenario config reader turns a
-JSON pattern's string keys into modes.
+Patterns take int modes and counts; HeraldPattern.from_json_dict and
+to_json_dict read and write a pattern's JSON form, whose keys are modes
+written as str(mode).
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from typing import Mapping
 
 from . import evolve
 from .circuit import ChipParams
-from .fock import FockState, Occupation, nonnegative_ints, split
+from .fock import MAX_COUNT, FockState, Occupation, nonnegative_ints, split
+
+#: the most digits a mode can have; a longer pattern key names no mode
+_MODE_DIGITS = len(str(MAX_COUNT))
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,22 @@ class HeraldPattern:
         if not reqs:
             raise ValueError("a count pattern needs at least one mode")
         object.__setattr__(self, "requirements", reqs)  # in ascending mode order
+
+    @classmethod
+    def from_json_dict(cls, data) -> "HeraldPattern":
+        """A JSON object of counts as a pattern.  A key names mode m only when it
+        is str(m), the form to_json_dict writes, so "03", "+3", " 3", "1_0", "٣"
+        and a key of more digits than any mode has name no mode."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a count pattern maps modes to counts, got {data!r}")
+        for key in data:
+            if not (isinstance(key, str) and len(key) <= _MODE_DIGITS and key.isdecimal()
+                    and str(int(key)) == key):
+                raise ValueError(f"a pattern key is a mode written as str(mode), got {key!r}")
+        return cls({int(key): n for key, n in data.items()})
+
+    def to_json_dict(self) -> dict[str, int]:
+        return {str(m): n for m, n in self.requirements.items()}
 
     def modes(self) -> tuple[int, ...]:
         return tuple(self.requirements)
@@ -69,7 +89,7 @@ class HeraldResult:
             "probability": self.probability,
             "null": self.is_null,
             "kept_modes": list(self.kept_modes),
-            "pattern": {str(m): n for m, n in self.pattern.requirements.items()},
+            "pattern": self.pattern.to_json_dict(),
             "state": self.conditional_state.to_json_dict(),
         }
 

@@ -2,11 +2,11 @@
 
 A ScenarioConfig captures one reproducible computation: circuit settings, an
 input state, optional herald pattern, detection topology, and sweep settings.
-Each kind reads a fixed set of the optional fields (OPTIONAL_FIELDS) and
-cannot run without some of them (REQUIRED_FIELDS); a config that sets any
-other field is rejected.  A ScenarioConfig checks only this structure, by fock.check_keys
-and fock.json_list (settings for the chip, pair-source and coincidence blocks); each value
-is checked where it is read, by what it builds or by the runner.  Configs
+KINDS says which optional fields and block forms each kind reads; a config
+that sets any other is rejected when it is built.  A ScenarioConfig checks only
+this structure, by fock.check_keys and fock.json_list (settings for the chip,
+pair-source and coincidence blocks); each value is checked where it is read, by
+what it builds or by the runner.  Configs
 serialize to JSON and round-trip identically, and every preset below
 reproduces one of the chip's benchmark curves:
 
@@ -82,48 +82,30 @@ def _block(block: dict, what: str):
     return block["inline"] if "inline" in block else load_json(block["file"], what)
 
 
-def _one_of(block, name: str, keys: tuple[str, ...]) -> None:
-    if len(_shape(check_keys, block, name, (), keys)) != 1:
-        raise ConfigError(f"{name} must give exactly one of: {', '.join(keys)}")
+def _one_of(block, what: str, forms: tuple[str, ...]) -> None:
+    if len(_shape(check_keys, block, what, (), forms)) != 1:
+        raise ConfigError(f"{what} must give exactly one of: {', '.join(forms)}")
     if not isinstance(block.get("file", ""), str):
-        raise ConfigError(f"{name}.file must be a path string")
-
-
-def _count_pattern(data) -> herald.HeraldPattern:
-    """A JSON object of counts as a HeraldPattern.  A key names mode m only
-    when it is str(m), the form HeraldResult.to_json_dict writes, so "03",
-    "+3", " 3", "1_0" and "٣" name no mode."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a count pattern maps modes to counts, got {data!r}")
-    for key in data:
-        if not (str(key).isdecimal() and str(int(key)) == key):
-            raise ValueError(f"a pattern key is a mode written as str(mode), got {key!r}")
-    return herald.HeraldPattern({int(key): n for key, n in data.items()})
+        raise ConfigError(f"{what}.file must be a path string")
 
 
 #: the fields a config may leave out; each kind reads some of them
 _KIND_FIELDS = ("herald", "detection", "sweep", "signal_photons")
 
-#: the optional fields each scenario kind reads; setting any other is an error
-OPTIONAL_FIELDS = {
-    "simulate": ("herald",),
-    "sagnac": ("herald",),
-    "fringe": ("sweep",),
-    "contamination": ("herald", "detection", "signal_photons"),
-}
-
-#: the optional fields a scenario kind cannot run without
-REQUIRED_FIELDS = {
-    "sagnac": ("herald",),
-    "fringe": ("sweep",),
-    "contamination": ("herald", "signal_photons"),
+#: each scenario kind once: (the optional fields it cannot run without, the other optional
+#: fields it takes, its circuit forms, its input forms); setting any other is an error
+KINDS = {
+    "simulate": ((), ("herald",), ("chip", "file", "inline"), ("occupation", "state", "spdc")),
+    "sagnac": (("herald",), (), ("chip",), ("occupation", "state", "spdc")),
+    "fringe": (("sweep",), (), ("chip",), ("occupation", "state", "spdc")),
+    "contamination": (("herald", "signal_photons"), ("detection",), ("chip",), ("spdc",)),
 }
 
 
 @dataclass
 class ScenarioConfig:
     name: str
-    kind: str  # one of OPTIONAL_FIELDS
+    kind: str  # one of KINDS
     circuit: dict
     input: dict
     herald: dict[str, int] | None = None
@@ -134,13 +116,14 @@ class ScenarioConfig:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ConfigError(f"name must be a string, got {self.name!r}")
-        if not isinstance(self.kind, str) or self.kind not in OPTIONAL_FIELDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
-        _one_of(self.circuit, "circuit", ("chip", "file", "inline"))
-        _one_of(self.input, "input", ("occupation", "state", "spdc"))
+        required, optional, circuits, inputs = KINDS[self.kind]
+        what = f"{self.kind} scenario"
+        _one_of(self.circuit, f"{what}'s circuit", circuits)
+        _one_of(self.input, f"{what}'s input", inputs)
         given = {name: getattr(self, name) for name in _KIND_FIELDS if getattr(self, name) is not None}
-        _shape(check_keys, given, f"{self.kind} scenario", REQUIRED_FIELDS.get(self.kind, ()),
-               OPTIONAL_FIELDS[self.kind])
+        _shape(check_keys, given, what, required, optional)
         if self.detection is not None:
             _one_of(self.detection, "detection", ("file", "inline"))
         if self.sweep is not None:
@@ -169,8 +152,7 @@ class ScenarioConfig:
     # -- resolution ---------------------------------------------------------
 
     def chip_params(self) -> ChipParams:
-        circuit = _shape(check_keys, self.circuit, f"{self.kind} scenario's circuit", ("chip",))
-        return settings("chip settings", ChipParams, circuit["chip"])
+        return settings("chip settings", ChipParams, self.circuit["chip"])
 
     def interferometer(self) -> Interferometer:
         if "chip" in self.circuit:
@@ -180,11 +162,8 @@ class ScenarioConfig:
 
     def input_state(self, mode_count: int) -> FockState:
         if "spdc" in self.input:
-            params = self.spdc_params()
-            if mode_count != 4:
-                raise ConfigError("the pair-source input is defined on the four-mode chip")
-            return source.spdc_chip_input(params)
-        if "occupation" in self.input:
+            state = source.spdc_chip_input(self.spdc_params())
+        elif "occupation" in self.input:
             occupation = _shape(json_list, "input.occupation", self.input["occupation"])
             state = _parse("input.occupation", lambda: FockState.basis_state(occupation))
         else:
@@ -196,13 +175,12 @@ class ScenarioConfig:
         return state
 
     def spdc_params(self) -> source.SpdcParams:
-        block = _shape(check_keys, self.input, f"{self.kind} scenario's input", ("spdc",))
-        return settings("pair-source settings", source.SpdcParams, block["spdc"])
+        return settings("pair-source settings", source.SpdcParams, self.input["spdc"])
 
     def herald_pattern(self) -> herald.HeraldPattern | None:
         if self.herald is None:
             return None
-        return _parse("herald pattern", lambda: _count_pattern(self.herald))
+        return _parse("herald pattern", lambda: herald.HeraldPattern.from_json_dict(self.herald))
 
     def detection_topology(self) -> tuple[list[detect.SplitterTree], detect.DetectorModel]:
         """The detection block's trees and model; detect.paper_6fold_topology() without one."""
@@ -216,7 +194,7 @@ class ScenarioConfig:
         return _shape(json_list, "sweep.grid", self.sweep["grid"])
 
     def sweep_pattern(self) -> herald.HeraldPattern:
-        return _parse("sweep pattern", lambda: _count_pattern(self.sweep["pattern"]))
+        return _parse("sweep pattern", lambda: herald.HeraldPattern.from_json_dict(self.sweep["pattern"]))
 
 
 # -- presets -----------------------------------------------------------------
@@ -228,8 +206,8 @@ def _chip_block(phi: float) -> dict:
 
 _DENSE_GRID = [4.0 * math.pi * i / 256 for i in range(256)]
 _FOUR_POINTS = [math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0, 2.0 * math.pi]
-_HERALD_IL = {"0": 1, "3": 1}
-_SIX_FOLD = {"0": 1, "1": 4, "2": 0, "3": 1}
+_HERALD_IL = herald.HeraldPattern({0: 1, 3: 1}).to_json_dict()
+_SIX_FOLD = herald.HeraldPattern({0: 1, 1: 4, 2: 0, 3: 1}).to_json_dict()
 
 #: the named benchmark scenarios, as ScenarioConfig fields without the name
 PRESETS: dict[str, dict] = {
@@ -255,7 +233,7 @@ PRESETS: dict[str, dict] = {
         kind="fringe",
         circuit=_chip_block(0.0),
         input={"occupation": [0, 1, 0, 0]},
-        sweep={"grid": _DENSE_GRID, "pattern": {"1": 1}},
+        sweep={"grid": _DENSE_GRID, "pattern": herald.HeraldPattern({1: 1}).to_json_dict()},
     ),
     "fig3b": dict(
         kind="fringe",

@@ -13,6 +13,7 @@ from noonchip.circuit import ChipParams, circuit_to_json_dict, with_loss
 from noonchip.coinc import PulseEvent
 from noonchip.evolve import NonUnitaryError
 from noonchip.scenarios import (
+    KINDS,
     PRESET_NAMES,
     ConfigError,
     NumericError,
@@ -305,11 +306,12 @@ def test_pattern_key_is_read_exactly_when_it_is_str_of_a_mode(key):
 
 def test_file_entry_that_is_no_path_string_is_a_config_error():
     # only from_file checked the entry: {"file": 5} failed in load_json with a
-    # TypeError, and {"file": None} was accepted at construction
-    base = preset("fig4-contamination").to_json_dict()
-    for block, entry in (("detection", {"file": 5}), ("circuit", {"file": None})):
+    # TypeError, and {"file": None} was accepted at construction; only a
+    # simulate scenario takes a circuit file
+    for name, block, entry in (("fig4-contamination", "detection", {"file": 5}),
+                               ("fig2a", "circuit", {"file": None})):
         with pytest.raises(ConfigError, match=f"{block}.file must be a path string"):
-            ScenarioConfig.from_json_dict({**base, block: entry})
+            ScenarioConfig.from_json_dict({**preset(name).to_json_dict(), block: entry})
 
 
 def test_odd_photon_contamination_prints_one_config_error_line(tmp_path, capsys):
@@ -508,6 +510,51 @@ def test_pattern_key_that_is_no_integer_is_named_by_the_key_rule(tmp_path, capsy
     ])
     assert errors == [f"config error: bad {what} pattern: a pattern key is a mode written as "
                       "str(mode), got 'x'\n" for what in ("herald", "sweep")]
+
+
+def test_herald_key_longer_than_any_mode_is_named_by_the_key_rule(tmp_path, capsys):
+    # "Exceeds the limit (4300 digits) for integer string conversion: ..."
+    key = "1" * 5000
+    errors = assert_damaged_presets_exit_2(tmp_path, capsys, [("simulate", "fig2a", ("herald",), {key: 1})])
+    assert errors == [f"config error: bad herald pattern: a pattern key is a mode written as str(mode), "
+                      f"got {key!r}\n"]
+
+
+@pytest.mark.parametrize("name, block, form, message", [
+    ("fig3b-4point", "circuit", {"inline": circuit_to_json_dict(ChipParams().circuit())},
+     "fringe scenario's circuit takes only the keys chip; got 'inline'"),
+    ("fig2b-sagnac", "circuit", {"file": "chip.json"},
+     "sagnac scenario's circuit takes only the keys chip; got 'file'"),
+    ("fig4-contamination", "input", {"occupation": [0, 2, 2, 0]},
+     "contamination scenario's input takes only the keys spdc; got 'occupation'"),
+])
+def test_block_form_its_kind_does_not_take_fails_at_construction(name, block, form, message):
+    # each was built and failed only when its runner started
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig.from_json_dict({**preset(name).to_json_dict(), block: form})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name, runner", [
+    ("fig2a", run_simulate),
+    ("fig2b-sagnac", run_sagnac),
+    ("fig3b-4point", run_fringe),
+    ("fig4-contamination", run_contamination),
+])
+def test_every_block_form_a_kind_takes_runs(name, runner, tmp_path):
+    # KINDS declares no form its runner cannot read
+    circuit = circuit_to_json_dict(ChipParams().circuit())
+    (tmp_path / "chip.json").write_text(json.dumps(circuit))
+    circuits = {"chip": preset(name).circuit, "inline": {"inline": circuit},
+                "file": {"file": str(tmp_path / "chip.json")}}
+    inputs = {"occupation": {"occupation": [0, 2, 2, 0]}, "spdc": {"spdc": {"xi": 0.1, "n_max": 3}},
+              "state": {"state": {"modes": 4, "terms": [{"occ": [0, 2, 2, 0], "re": 1.0, "im": 0.0}]}}}
+    _, _, circuit_forms, input_forms = KINDS[preset(name).kind]
+    for circuit_form in circuit_forms:
+        for input_form in input_forms:
+            data = {**preset(name).to_json_dict(), "circuit": circuits[circuit_form],
+                    "input": inputs[input_form]}
+            assert runner(ScenarioConfig.from_json_dict(data)).files, (circuit_form, input_form)
 
 
 def test_simulate_preset_writes_expected_files(tmp_path):

@@ -447,14 +447,17 @@ def test_json_terms_pass_the_count_rule_before_the_repeat_rule():
 def test_check_keys_is_the_json_object_rule():
     data = {"a": 1, "c": 2}
     assert check_keys(data, "block", ("a",), ("b", "c")) is data
-    for bad, required, message in (
-        ([1], ("a",), "block must be a JSON object, got [1]"),
-        ({"c": 2}, ("a",), "block needs the key a"),
-        ({}, ("a", "b"), "block needs the keys a, b"),
-        ({"a": 1, "b": 2, "z": 3, "y": 4}, ("a",), "block takes only the keys a, b, c; got 'y', 'z'"),
+    for bad, required, optional, message in (
+        ([1], ("a",), ("b", "c"), "block must be a JSON object, got [1]"),
+        ({"c": 2}, ("a",), ("b", "c"), "block needs the key a"),
+        ({}, ("a", "b"), ("b", "c"), "block needs the keys a, b"),
+        ({"a": 1, "b": 2, "z": 3, "y": 4}, ("a",), ("b", "c"),
+         "block takes only the keys a, b, c; got 'y', 'z'"),
+        # "block takes only the keys ; got 'x'"
+        ({"x": 1}, (), (), "block takes no keys; got 'x'"),
     ):
         with pytest.raises(ValueError) as info:
-            check_keys(bad, "block", required, ("b", "c"))
+            check_keys(bad, "block", required, optional)
         assert str(info.value) == message
 
 

@@ -1,14 +1,17 @@
 """Heralded projection: rates, conditional states, phase dependence."""
 
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from noonchip.circuit import ChipParams
 from noonchip.evolve import apply
-from noonchip.fock import FockState, make_noon, split, state_fidelity
+from noonchip.fock import MAX_COUNT, FockState, make_noon, split, state_fidelity
 from noonchip.herald import HeraldPattern, heralded_output, project
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -20,7 +23,7 @@ def test_pattern_validation():
     assert p.photon_count() == 2
     # a fractional count or mode was truncated: {0: 1.5} heralded {0: 1}; a
     # whole float or a bool counted as its integer; a string mode such as "3"
-    # is JSON, which only the scenario config reader parses
+    # is JSON, which only HeraldPattern.from_json_dict parses
     for bad in ({0: -1}, {-1: 1}, {0: 1.5}, {1.7: 1}, {0: math.inf}, {None: 1}, {"x": 1},
                 {0: 2.0}, {0: True}, {True: 1}, [(0, 1)], {"3": 1}):
         with pytest.raises(ValueError):
@@ -28,6 +31,26 @@ def test_pattern_validation():
     assert HeraldPattern({3: 1, np.int64(1): np.int32(2)}).requirements == {3: 1, 1: 2}
     with pytest.raises(ValueError):
         HeraldPattern({})
+
+
+@given(st.dictionaries(st.integers(0, MAX_COUNT) | st.integers(0, 12), st.integers(0, 12), min_size=1))
+def test_pattern_json_round_trips(requirements):
+    p = HeraldPattern(requirements)
+    assert HeraldPattern.from_json_dict(p.to_json_dict()) == p
+    assert HeraldPattern.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
+
+
+def test_pattern_json_key_is_str_of_a_mode():
+    assert HeraldPattern.from_json_dict({"3": 1, "0": 2}).requirements == {0: 2, 3: 1}
+    # a key of more digits than MAX_COUNT is refused before int() reads it
+    for key in (3, "1" * (len(str(MAX_COUNT)) + 1), "1" * 5000):
+        with pytest.raises(ValueError) as info:
+            HeraldPattern.from_json_dict({key: 1})
+        assert str(info.value) == f"a pattern key is a mode written as str(mode), got {key!r}"
+    with pytest.raises(ValueError, match="expected non-negative integers"):
+        HeraldPattern.from_json_dict({"9" * len(str(MAX_COUNT)): 1})  # beyond MAX_COUNT
+    with pytest.raises(ValueError, match="a count pattern maps modes to counts, got"):
+        HeraldPattern.from_json_dict([["0", 1]])
 
 
 def test_two_pair_herald_rate_device_couplers():

@@ -17,6 +17,7 @@ import pytest
 import noonchip
 from noonchip import cli, coinc
 from noonchip.coinc import PulseEvent
+from noonchip.scenarios import KINDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,6 +40,16 @@ def test_readme_json_examples_run(tmp_path):
     argv = ["coincidence", str(pulses), "--config", str(settings_file), "--out", str(tmp_path / "cc")]
     assert cli.main(argv) == 0
     assert (tmp_path / "cc" / "coincidences.csv").read_text() == "channels,count\nA;B,1\n"
+
+
+def test_readme_kinds_table_is_scenarios_kinds():
+    # each row's cells after the kind, a list of backticked names or "none",
+    # are the fields and forms KINDS gives that kind, in its order
+    (block,) = re.findall(r"^\| kind .*?\n\n", README.read_text(), re.M | re.S)
+    rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", block, re.M)
+    table = {kind: tuple(tuple(re.findall(r"`(\w+)`", cell)) for cell in cells.split("|"))
+             for kind, cells in rows}
+    assert table == KINDS
 
 
 def test_readme_library_example_runs():
