@@ -61,11 +61,14 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         config = preset(args.preset)
     else:
         config = ScenarioConfig.from_file(args.config)
-    _emit(args.runner(config, args.format), args.out)
+    runners = {"simulate": run_simulate, "fringe": run_fringe, "contamination": run_contamination}
+    _emit(runners[args.command](config, args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_coincidence(args: argparse.Namespace) -> int:
+    if args.profile and (args.pulses, args.clock_phase, args.seed) != (None, None, None):
+        raise ConfigError("--profile reads no pulse file, --clock-phase or --seed")
     data = {} if args.config is None else load_json(args.config, "config")
     config = settings("coincidence settings", coinc.CoincidenceConfig, data)
     output = ScenarioOutput(summary=[])
@@ -95,7 +98,7 @@ def _cmd_coincidence(args: argparse.Namespace) -> int:
         counts = coinc.count_coincidences(
             events,
             config,
-            clock_phase=args.clock_phase,
+            clock_phase=0.0 if args.clock_phase is None else args.clock_phase,
             rng_seed=args.seed,
         )
         rows = sorted(detect.outcome_map(counts).items())
@@ -122,25 +125,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # runners are looked up here, not at import, so a patched module global
-    # takes effect
-    for command, runner, help_text in (
-        ("simulate", run_simulate, "evolve, herald, and report distributions"),
-        ("fringe", run_fringe, "phase sweep of one detection pattern"),
-        ("contamination", run_contamination, "higher-order-pair event analysis"),
+    for command, help_text in (
+        ("simulate", "evolve, herald, and report distributions"),
+        ("fringe", "phase sweep of one detection pattern"),
+        ("contamination", "higher-order-pair event analysis"),
     ):
         p_scn = sub.add_parser(command, help=help_text)
         p_scn.add_argument("--config", metavar="FILE", help="scenario config JSON")
         p_scn.add_argument("--preset", choices=PRESET_NAMES, help="named benchmark scenario")
         p_scn.add_argument("--out", metavar="DIR", help="directory for output files")
         p_scn.add_argument("--format", choices=("csv", "json"), default="csv")
-        p_scn.set_defaults(func=_cmd_scenario, runner=runner)
+        p_scn.set_defaults(func=_cmd_scenario)
 
     p_coinc = sub.add_parser("coincidence", help="count clocked coincidences in a pulse CSV")
     p_coinc.add_argument("pulses", nargs="?", help="pulse stream CSV (channel,t_ns)")
     p_coinc.add_argument("--config", metavar="FILE", help="coincidence settings JSON")
     p_coinc.add_argument("--profile", action="store_true", help="emit the analytic window profile")
-    p_coinc.add_argument("--clock-phase", type=float, default=0.0)
+    p_coinc.add_argument("--clock-phase", type=float, default=None)
     p_coinc.add_argument("--seed", type=int, default=None, metavar="U64")
     p_coinc.add_argument("--out", metavar="DIR")
     p_coinc.set_defaults(func=_cmd_coincidence)
@@ -153,9 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: built once at import; main only parses
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     # a message may quote input that holds line breaks; stderr gets one line
     try:
         return args.func(args)

@@ -6,9 +6,11 @@ KINDS says which optional fields and block forms each kind reads; a config
 that sets any other is rejected when it is built.  A ScenarioConfig checks only
 this structure, by fock.check_keys and fock.json_list (settings for the chip,
 pair-source and coincidence blocks); each value is checked where it is read, by
-what it builds or by the runner.  Configs
-serialize to JSON and round-trip identically, and every preset below
-reproduces one of the chip's benchmark curves:
+what it builds or by the runner.  A config is immutable once checked: its
+fields cannot be reassigned, so the check made when it is built holds for
+every runner it reaches.  Configs serialize to JSON and round-trip
+identically, and every preset below reproduces one of the chip's benchmark
+curves:
 
 * fig2a          heralded two-photon path entanglement at phi = 0
 * fig2b-sagnac   readout of the heralded state through the reverse pass
@@ -102,7 +104,7 @@ KINDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     name: str
     kind: str  # one of KINDS

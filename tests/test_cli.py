@@ -1,6 +1,8 @@
 """Command-line entry points: exit codes, presets, determinism, file output."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import math
 
@@ -621,6 +623,16 @@ def test_runners_check_their_kind():
             runner(preset(name))
 
 
+def test_config_is_frozen_once_checked():
+    # a reassigned circuit skipped the KINDS check, and run_fringe then
+    # raised KeyError: 'chip'
+    config = preset("fig3b-4point")
+    for field in dataclasses.fields(ScenarioConfig):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field.name, {"inline": {}})
+    assert config == preset("fig3b-4point")
+
+
 def test_fringe_preset_period(tmp_path):
     out = tmp_path / "run"
     assert run_cli(["fringe", "--preset", "fig3b", "--out", str(out)]) == 0
@@ -782,6 +794,21 @@ def test_numeric_failure_exits_3(monkeypatch):
     assert run_cli(["simulate", "--preset", "fig2a"]) == 3
 
 
+def test_main_builds_no_parser(monkeypatch):
+    # main built a new parser, subparsers and all, on every call
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli(["simulate", "--preset", "fig2a"]) == 0
+    assert run_cli(["fringe", "--preset", "fig3b-4point"]) == 0
+    assert built == []
+
+
 def test_fidelity_command(tmp_path, capsys):
     res = run_simulate(preset("fig2a"))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -853,6 +880,10 @@ def test_coincidence_command(tmp_path):
     text = (out / "coincidences.csv").read_text()
     assert "A;B,1" in text
     assert "A;B;C,1" in text
+    # no --clock-phase is clock phase 0
+    zero = tmp_path / "zero"
+    assert run_cli(["coincidence", str(pulses), "--clock-phase", "0", "--out", str(zero)]) == 0
+    assert read_dir(zero) == read_dir(out)
 
 
 def test_coincidence_channel_with_separator_exits_2(tmp_path, capsys):
@@ -882,6 +913,19 @@ def test_coincidence_profile(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == 1.0
+
+
+@pytest.mark.parametrize("extra", [
+    ["/nonexistent.csv"],
+    ["--clock-phase", "0.7"],
+    ["--clock-phase", "0"],
+    ["--seed", "3"],
+    ["/nonexistent.csv", "--clock-phase", "0.7", "--seed", "3"],
+])
+def test_coincidence_profile_takes_no_counting_input(extra, capsys):
+    # the profile dropped these without a word and exited 0
+    assert run_cli(["coincidence", "--profile", *extra]) == 2
+    assert "--profile reads no pulse file, --clock-phase or --seed" in assert_one_config_error(capsys)
 
 
 def test_coincidence_profile_summary_keeps_an_int_clock_an_int(tmp_path, capsys):
